@@ -246,7 +246,8 @@ def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     m = d - i
     # small codomain slots for the mapped block: [a, w'_1..w'_{m-1}]
     gen_imgs = _whitney_line_images(m, 0, list(range(1, m)))
-    psi = _hom_images(list(range(1, m + 1)), gen_imgs, N) if m else {(): frozenset({()})}
+    # RingMap images every generator, so psi must reach degree m even when N < m
+    psi = _hom_images(list(range(1, m + 1)), gen_imgs, max(N, m)) if m else {(): frozenset({()})}
     return RingMap(dom, cod, mapped_first=False, mapped_len_dom=m, psi=psi)
 
 
@@ -262,5 +263,6 @@ def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     m = i + 1
     # small codomain slots for the mapped block: [w''_1..w''_i, a]
     gen_imgs = _whitney_line_images(m, m - 1, list(range(0, m - 1)))
-    psi = _hom_images(list(range(1, m + 1)), gen_imgs, N)
+    # RingMap images every generator, so psi must reach degree m even when N < m
+    psi = _hom_images(list(range(1, m + 1)), gen_imgs, max(N, m))
     return RingMap(dom, cod, mapped_first=True, mapped_len_dom=m, psi=psi)

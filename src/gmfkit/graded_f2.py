@@ -190,70 +190,23 @@ def series_grassmannian(d: int, n: int, N: int = DEFAULT_TRUNCATION) -> Poincare
 
 
 # ---------------------------------------------------------------------------
-# F2 linear algebra on bit-packed matrices
+# F2 linear algebra on row bitmasks
 #
 # A matrix is a list of rows; each row is a Python int whose bit k is the
-# entry in column k.  Heavy eliminations run on numpy uint64 blocks.
+# entry in column k.  Eliminations keep an xor basis of row ints keyed by
+# each basis row's leading bit, so a sparse row costs only the xors that
+# actually touch it.
 
 
-def pack_rows(rows: Sequence[int], ncols: int) -> np.ndarray:
-    words = max(1, (ncols + 63) // 64)
-    out = np.zeros((len(rows), words), dtype=np.uint64)
-    nbytes = words * 8
-    for i, r in enumerate(rows):
-        out[i] = np.frombuffer(int(r).to_bytes(nbytes, "little"), dtype="<u8")
-    return out
+def _coerce_rows(matrix, ncols: int | None) -> list:
+    """Row ints of a 0/1 array, a list of 0/1 rows or a list of row ints.
 
-
-def unpack_rows(packed: np.ndarray) -> list:
-    return [int.from_bytes(packed[i].tobytes(), "little") for i in range(packed.shape[0])]
-
-
-def _elim_packed(A: np.ndarray, ncols: int, full: bool):
-    """In-place elimination; returns (rank, pivot column list)."""
-    nrows = A.shape[0]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        w, b = divmod(col, 64)
-        colbits = (A[row:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.nonzero(colbits)[0]
-        if nz.size == 0:
-            continue
-        p = row + int(nz[0])
-        if p != row:
-            A[[row, p]] = A[[p, row]]
-        if full:
-            bits = (A[:, w] >> np.uint64(b)) & np.uint64(1)
-            bits[row] = 0
-            sel = np.nonzero(bits)[0]
-        else:
-            bits = (A[row + 1 :, w] >> np.uint64(b)) & np.uint64(1)
-            sel = row + 1 + np.nonzero(bits)[0]
-        if sel.size:
-            A[sel] ^= A[row]
-        pivots.append(col)
-        row += 1
-    return row, pivots
-
-
-def _coerce_rows(matrix, ncols: int | None):
-    if isinstance(matrix, np.ndarray):
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2-dimensional")
-        rows = []
-        for r in matrix:
-            acc = 0
-            for j, v in enumerate(r):
-                if int(v) % 2:
-                    acc |= 1 << j
-            rows.append(acc)
-        return rows, matrix.shape[1]
+    Bits of row ints at or beyond ncols are not part of the matrix.
+    """
+    if isinstance(matrix, np.ndarray) and matrix.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional")
     rows = list(matrix)
     if rows and not isinstance(rows[0], int):
-        ncols2 = len(rows[0])
         ints = []
         for r in rows:
             acc = 0
@@ -261,46 +214,65 @@ def _coerce_rows(matrix, ncols: int | None):
                 if int(v) % 2:
                     acc |= 1 << j
             ints.append(acc)
-        return ints, ncols2
-    if ncols is None:
-        ncols = max((r.bit_length() for r in rows), default=0)
-    return rows, ncols
+        return ints
+    if ncols is not None:
+        mask = (1 << ncols) - 1
+        rows = [r & mask for r in rows]
+    return rows
 
 
 def rank_f2(matrix, ncols: int | None = None) -> int:
     """Rank over F2.  Accepts a 0/1 array, list of 0/1 rows, or list of row ints."""
-    rows, ncols = _coerce_rows(matrix, ncols)
-    if not rows or ncols == 0:
-        return 0
-    A = pack_rows(rows, ncols)
-    rank, _ = _elim_packed(A, ncols, full=False)
-    return rank
+    rows = _coerce_rows(matrix, ncols)
+    basis = {}  # highest set bit -> basis row
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = r
+                break
+            r ^= b
+    return len(basis)
 
 
 def rref_f2(matrix, ncols: int | None = None):
-    """Reduced row echelon form.  Returns (rank, pivots, rref rows as ints)."""
-    rows, ncols = _coerce_rows(matrix, ncols)
-    if not rows or ncols == 0:
-        return 0, [], []
-    A = pack_rows(rows, ncols)
-    rank, pivots = _elim_packed(A, ncols, full=True)
-    return rank, pivots, unpack_rows(A[:rank])
+    """Reduced row echelon form.  Returns (rank, pivots, rref rows as ints).
+
+    Pivots are the lowest set bits of the echelon rows, in increasing order.
+    """
+    rows = _coerce_rows(matrix, ncols)
+    basis = {}  # lowest set bit -> basis row
+    for r in rows:
+        while r:
+            low = (r & -r).bit_length() - 1
+            b = basis.get(low)
+            if b is None:
+                basis[low] = r
+                break
+            r ^= b
+    pivots = sorted(basis)
+    # back-substitute from the right: rows with higher pivots are final
+    for i in range(len(pivots) - 2, -1, -1):
+        r = basis[pivots[i]]
+        for q in pivots[i + 1 :]:
+            if (r >> q) & 1:
+                r ^= basis[q]
+        basis[pivots[i]] = r
+    return len(pivots), pivots, [basis[p] for p in pivots]
 
 
 def transpose_bits(rows: Sequence[int], ncols: int) -> list:
     """Transpose a bit matrix given as row ints; returns column ints."""
-    if not rows:
-        return [0] * ncols
-    if ncols == 0:
-        return []
-    packed = pack_rows(rows, ncols)
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")[:, :ncols]
-    bitsT = np.ascontiguousarray(bits.T)
-    packedT = np.packbits(bitsT, axis=1, bitorder="little")
-    out = []
-    for i in range(ncols):
-        out.append(int.from_bytes(packedT[i].tobytes(), "little"))
-    return out
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        bits = bin(r)[:1:-1]  # bits[j] is column j
+        j = bits.find("1", 0, ncols)
+        while j >= 0:
+            cols[j] |= bit
+            j = bits.find("1", j + 1, ncols)
+    return cols
 
 
 # ---------------------------------------------------------------------------

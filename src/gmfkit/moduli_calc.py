@@ -32,10 +32,8 @@ from functools import lru_cache
 from .char_class_maps import build_Y, build_Y1, map_f, map_g
 from .graded_f2 import (
     DEFAULT_TRUNCATION,
-    GradedMap,
     PoincareSeries,
     rank_f2,
-    rref_f2,
     series_add,
     series_BO,
     series_BSO,
@@ -44,7 +42,6 @@ from .graded_f2 import (
     series_mul,
     series_one,
     series_shift,
-    transpose_bits,
 )
 
 EXACT = "exact"
@@ -131,7 +128,6 @@ class HocolimResult:
     kernel: tuple
     T_dims: tuple
     S_dims: tuple
-    iota_cols: tuple   # per degree: images of the standard basis of (+)H_n(Y(j))
     iota_rank: tuple   # rank of the induced map (+)H_n(Y(j)) -> H_n(hocolim)
 
 
@@ -157,49 +153,30 @@ def hocolim_series(z: ZigzagDiagram, N: int | None = None) -> HocolimResult:
     """Mayer-Vietoris homology of the zigzag's homotopy colimit.
 
     Degree-n coefficient = dim coker(Phi_n) + dim ker(Phi_{n-1}).  Also
-    returns the induced map iota: (+)H_n(Y(j)) -> H_n(hocolim), realized on
-    the cokernel part as reduction against a reduced echelon basis of
-    im(Phi_n) read off on non-pivot coordinates.
+    returns the rank of the induced map iota: (+)H_n(Y(j)) -> H_n(hocolim),
+    which lands in the cokernel part and maps onto it.
     """
     z.validate()
     if N is None:
         N = z.N
     if N > z.N:
         raise ValueError(f"diagram built only to degree {z.N}")
-    rank, coker, kernel, T_dims, S_dims = [], [], [], [], []
-    iota_cols, iota_rank = [], []
+    rank, T_dims, S_dims = [], [], []
     for n in range(N + 1):
         rows, T, S = _phi_rows(z, n)
-        cols = transpose_bits(rows, S)
-        rk, pivots, ech = rref_f2(cols, T)
-        rank.append(rk)
-        coker.append(T - rk)
-        kernel.append(S - rk)
+        rank.append(rank_f2(rows, S))
         T_dims.append(T)
         S_dims.append(S)
-        pivot_set = set(pivots)
-        nonpivots = [c for c in range(T) if c not in pivot_set]
-        pos = {c: idx for idx, c in enumerate(nonpivots)}
-        cols_out = []
-        for k in range(T):
-            if k not in pivot_set:
-                cols_out.append(1 << pos[k])
-            else:
-                row = ech[pivots.index(k)]
-                mask = 0
-                for c in nonpivots:
-                    if (row >> c) & 1:
-                        mask |= 1 << pos[c]
-                cols_out.append(mask)
-        iota_cols.append(tuple(cols_out))
-        iota_rank.append(rank_f2(list(cols_out), T - rk))
+    coker = tuple(T - rk for T, rk in zip(T_dims, rank))
+    kernel = tuple(S - rk for S, rk in zip(S_dims, rank))
     coeffs = [coker[0]] + [coker[n] + kernel[n - 1] for n in range(1, N + 1)]
     return HocolimResult(
         d=z.d, N=N,
         series=series_from_coeffs(coeffs),
-        rank=tuple(rank), coker=tuple(coker), kernel=tuple(kernel),
+        rank=tuple(rank), coker=coker, kernel=kernel,
         T_dims=tuple(T_dims), S_dims=tuple(S_dims),
-        iota_cols=tuple(iota_cols), iota_rank=tuple(iota_rank),
+        # iota_n is the quotient (+)H_n(Y(j)) -> coker(Phi_n), which is onto
+        iota_rank=coker,
     )
 
 

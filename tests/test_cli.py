@@ -257,6 +257,17 @@ def test_verify_failing_check_exits_1(capsys):
     assert out["records"][0]["first_mismatch_degree"] == 1
 
 
+def test_hocolim_commands_with_d_above_max_degree(capsys):
+    assert main(["verify", "--check", "all", "--d", "4", "--max-degree", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert all(r["verdict"] == "Pass" for r in out["records"])
+    assert main(["series", "--object", "sigma-gmf", "--d", "4", "--max-degree", "3"]) == 0
+    low = json.loads(capsys.readouterr().out)["coefficients"]
+    assert main(["series", "--object", "sigma-gmf", "--d", "4", "--max-degree", "4"]) == 0
+    high = json.loads(capsys.readouterr().out)["coefficients"]
+    assert low == high[:4] == [1, 1, 5, 10]
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--check", "everything"])

@@ -1,4 +1,4 @@
-"""Series arithmetic and packed GF(2) linear algebra, checked against
+"""Series arithmetic and GF(2) linear algebra on row ints, checked against
 brute-force oracles written independently of the library's algorithms."""
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from gmfkit.graded_f2 import (
     GradedMap,
     MonomialBasis,
     PoincareSeries,
-    pack_rows,
     rank_f2,
     rref_f2,
     series_add,
@@ -25,7 +24,6 @@ from gmfkit.graded_f2 import (
     series_shift,
     series_zero,
     transpose_bits,
-    unpack_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,7 @@ def test_grassmannian_zero_padding():
 
 
 # ---------------------------------------------------------------------------
-# packed F2 linear algebra
+# F2 linear algebra on row ints
 
 
 def test_rank_against_naive_elimination_random():
@@ -255,14 +253,50 @@ def test_transpose_bits_round_trip_and_example():
                 assert ((cols[j] >> i) & 1) == ((rows[i] >> j) & 1)
 
 
-def test_pack_unpack_round_trip():
-    rng = random.Random(31337)
-    for _ in range(30):
-        n = rng.randint(0, 8)
-        width = rng.randint(1, 200)
-        rows = [rng.getrandbits(width) for _ in range(n)]
-        packed = pack_rows(rows, width)
-        assert unpack_rows(packed) == rows
+def _phi_shaped_rows(rng, block_rows, block_cols, density):
+    """Sparse zigzag-shaped matrix: row block j meets column blocks j-1 and j."""
+    col_off = [0]
+    for w in block_cols:
+        col_off.append(col_off[-1] + w)
+    rows = []
+    for j, height in enumerate(block_rows):
+        for _ in range(height):
+            mask = 0
+            for b in (j - 1, j):
+                if 0 <= b < len(block_cols):
+                    for c in range(block_cols[b]):
+                        if rng.random() < density:
+                            mask |= 1 << (col_off[b] + c)
+            rows.append(mask)
+    if rows:  # a dependent row, so rank < row count
+        rows.append(rows[0] ^ rows[-1])
+    return rows, col_off[-1]
+
+
+def test_rank_sparse_phi_shaped_against_naive_and_transpose():
+    rng = random.Random(2024)
+    for _ in range(40):
+        nblocks = rng.randint(3, 5)
+        block_cols = [rng.randint(25, 40) for _ in range(nblocks)]
+        block_rows = [rng.randint(5, 30) for _ in range(nblocks + 1)]
+        rows, ncols = _phi_shaped_rows(rng, block_rows, block_cols, rng.choice([0.03, 0.1]))
+        assert ncols > 64
+        rank = rank_f2(rows, ncols)
+        assert rank == _naive_rank(rows, ncols)
+        assert rank == rank_f2(transpose_bits(rows, ncols), len(rows))
+
+
+def test_rref_fixed_example():
+    # bit k is column k; the third row is the sum of the first two
+    rows = [
+        0b00110,  # columns 1, 2
+        0b01011,  # columns 0, 1, 3
+        0b01101,  # columns 0, 2, 3
+        0b11000,  # columns 3, 4
+    ]
+    assert rref_f2(rows, 5) == (3, [0, 1, 3], [0b10101, 0b00110, 0b11000])
+    # columns 3 and 4 lie outside a 3-column matrix
+    assert rref_f2(rows, 3) == (2, [0, 1], [0b101, 0b110])
 
 
 # ---------------------------------------------------------------------------

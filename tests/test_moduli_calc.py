@@ -7,7 +7,15 @@ from __future__ import annotations
 
 import pytest
 
-from gmfkit.graded_f2 import GradedMap, series_BO, series_BSO, series_equal
+from gmfkit.graded_f2 import (
+    GradedMap,
+    rank_f2,
+    rref_f2,
+    series_BO,
+    series_BSO,
+    series_equal,
+    transpose_bits,
+)
 from gmfkit.moduli_calc import (
     EXACT,
     SPLIT_ASSUMPTION,
@@ -118,6 +126,52 @@ def test_hocolim_euler_bookkeeping():
             assert 0 <= h.iota_rank[n] <= min(h.T_dims[n], h.coker[n])
 
 
+def _iota_rank_by_echelon(z, n):
+    """Rank of (+)H_n(Y(j)) -> coker(Phi_n), built explicitly.
+
+    Phi_n is assembled here from the f and g matrices; each target basis
+    vector is reduced against a reduced echelon basis of im(Phi_n) and read
+    off on the non-pivot coordinates.
+    """
+    t_dims, s_dims = z.bottom_dims(n), z.top_dims(n)
+    T, S = sum(t_dims), sum(s_dims)
+    rows = []
+    for j in range(z.d + 1):
+        for r in range(t_dims[j]):
+            mask = 0
+            if j < z.d:
+                mask |= z.f_maps[j].rows[n][r] << sum(s_dims[:j])
+            if j > 0:
+                mask |= z.g_maps[j - 1].rows[n][r] << sum(s_dims[: j - 1])
+            rows.append(mask)
+    rk, pivots, ech = rref_f2(transpose_bits(rows, S), T)
+    nonpivots = [c for c in range(T) if c not in pivots]
+    images = []
+    for k in range(T):
+        v = ech[pivots.index(k)] if k in pivots else 1 << k
+        images.append(sum(1 << i for i, c in enumerate(nonpivots) if (v >> c) & 1))
+    return rank_f2(images, T - rk)
+
+
+def test_iota_rank_matches_echelon_construction():
+    for d in (1, 2, 3, 4):
+        for N in (4, 10):
+            z = build_zigzag(d, N)
+            h = hocolim_series(z)
+            assert h.iota_rank == h.coker
+            assert h.iota_rank == tuple(_iota_rank_by_echelon(z, n) for n in range(N + 1))
+
+
+def test_truncation_below_d_agrees_with_higher_truncation():
+    # N < d leaves generators above the truncation; they must not break the maps
+    for d in (2, 3, 4, 5):
+        full = sigma_gmf_series(d, d)
+        for N in range(1, d):
+            s = sigma_gmf_series(d, N)
+            assert s.coeffs == full.coeffs[: N + 1], (d, N)
+            assert hocolim_cofiber_check(d, N).ok
+
+
 def test_hocolim_is_connected():
     for d in (1, 2, 3, 4):
         s = sigma_gmf_series(d, 6)
@@ -150,10 +204,11 @@ def test_wedge_closed_form_d2():
 
 
 def test_cofiber_equals_wedge_small_d():
-    for d in (1, 2, 3):
-        rep = hocolim_cofiber_check(d, 16)
-        assert rep.ok and rep.first_mismatch_degree is None
-        assert rep.verdict() == "Pass"
+    for d in (1, 2, 3, 4):
+        for N in (10, 16):
+            rep = hocolim_cofiber_check(d, N)
+            assert rep.ok and rep.first_mismatch_degree is None
+            assert rep.verdict() == "Pass"
 
 
 def test_sigma_mf_series_values():
