@@ -3,13 +3,15 @@
 A family is a real polynomial F(t, x) on R^k x R^d (k in {0, 1} is what the
 tracing code exercises).  Fiber 3-jets come from exact polynomial
 differentiation, never finite differences.  Critical points are found by
-Newton iteration from a seed grid; birth-death parameter values are located
-by bisection on critical-point counts and by refining minima of the
-smallest-magnitude Hessian eigenvalue along matched tracks.
+Newton iteration from a seed grid.  Birth-death parameter values start as
+grid-scale candidates (critical-point count changes, and sign changes or
+local minima of the smallest-magnitude Hessian eigenvalue along matched
+tracks) and are located by Newton on the augmented fold system.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -53,7 +55,10 @@ class PolyFamily:
             powers = tuple(int(p) for p in powers)
             if len(powers) != k + d or any(p < 0 for p in powers):
                 raise ValueError(f"bad powers {powers} for param_dim={k}, fiber_dim={d}")
-            norm.append((powers, float(coeff)))
+            coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ValueError(f"non-finite coefficient {coeff} at powers {powers}")
+            norm.append((powers, coeff))
         object.__setattr__(self, "terms", tuple(norm))
 
 
@@ -122,14 +127,9 @@ class _FamilyCalculus:
         return {key: _eval_terms(terms, pt) for key, terms in self.third.items()}
 
 
-_CALCULUS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _calculus(F: PolyFamily) -> _FamilyCalculus:
-    key = (F.param_dim, F.fiber_dim, F.terms)
-    if key not in _CALCULUS_CACHE:
-        _CALCULUS_CACHE[key] = _FamilyCalculus(F)
-    return _CALCULUS_CACHE[key]
+    return _FamilyCalculus(F)
 
 
 def fiber_jet3(F: PolyFamily, t, x) -> Jet3:
@@ -314,10 +314,6 @@ def _min_eig(calc, t, x):
     return float(w[np.argmin(np.abs(w))])
 
 
-def _continue_point(calc, t, x_prev, box, tol):
-    return _newton(calc, (t,), x_prev, box, tol)
-
-
 def _auto_grid(d: int) -> int:
     # cap the seed count so high-dimensional fibers stay tractable
     if d == 1:
@@ -429,13 +425,15 @@ def trace_birth_death(
 ) -> TraceResult:
     """Locate birth-death parameter values of f_t on [t0, t1].
 
-    Candidate events come from changes in the critical-point count between
-    grid samples (refined by bisection on the count to
-    |dt| <= 1e-10 * (t1 - t0)) and from sign changes or near-zero local
-    minima of the smallest-magnitude Hessian eigenvalue along matched
-    tracks (refined by bisection or golden-section).  Each candidate is
-    verified through classification of the fiber jet at (t*, x*); a
-    degenerate verdict is reported as a flag, not an event.
+    Grid-scale candidates come from changes in the critical-point count
+    between neighboring samples (the midpoint of the bracket, at each pair
+    of points that track matching leaves unmatched) and from sign changes or
+    interior local minima of the smallest-magnitude Hessian eigenvalue along
+    matched tracks.  Each candidate is polished by Newton on the augmented
+    fold system (grad f_t(x), mu_min(H_t(x))) = 0 and then verified through
+    classification of the fiber jet at (t*, x*); a degenerate verdict is
+    reported as a flag, not an event.  A count change or a sign change of
+    det H whose bracket yields no event or flag is reported as a warning.
     """
     if F.param_dim != 1:
         raise ValueError("tracing requires a one-parameter family")
@@ -447,66 +445,21 @@ def trace_birth_death(
     if box is None:
         box = [(-2.0, 2.0)] * d
     lo, hi = _box_arrays(box, d)
-    diam = float(np.max(hi - lo))
     calc = _calculus(F)
     span = t1 - t0
-    dt_min = 1e-10 * span
     warnings: list = []
 
     ts = np.linspace(t0, t1, steps)
     samples = [fiber_critical_points(F, (t,), box, grid_per_axis, tol) for t in ts]
 
-    def count_at(t, seed_pts):
-        seeds = [p for p in seed_pts]
-        pts = []
-        for s in seeds:
-            x = _newton(calc, (t,), s, (lo, hi), tol)
-            if x is not None and np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12):
-                pts.append(x)
-        return _dedup(pts, tol.dedup_radius)
+    # (t, x, must) at grid scale; must = (t_lo, t_hi, why, p, q) when the
+    # bracket [t_lo, t_hi] is sure to hold a degenerate point that the sample
+    # points p and q lead into
+    candidates = []
 
-    candidates = []  # (t_star, x_star)
-
-    # count changes between consecutive samples
-    for a in range(steps - 1):
-        ca, cb = len(samples[a]), len(samples[a + 1])
-        if ca == cb:
-            continue
-        ta, tb = float(ts[a]), float(ts[a + 1])
-        seed_pool = [p.x for p in samples[a]] + [p.x for p in samples[a + 1]]
-        left_count = ca
-        while tb - ta > dt_min:
-            tm = 0.5 * (ta + tb)
-            cm = len(count_at(tm, seed_pool))
-            if cm == left_count:
-                ta = tm
-            else:
-                tb = tm
-        t_star = 0.5 * (ta + tb)
-        rich_t = ta if ca > cb else tb
-        rich = count_at(rich_t, seed_pool)
-        if len(rich) >= 2:
-            # the closest pair is always a candidate; further pairs within
-            # the merge separation cover simultaneous events at distinct
-            # fiber locations (a count jump of 4 means two merging pairs)
-            merge_sep = max(1e3 * tol.dedup_radius, 1e-4 * (1.0 + diam))
-            remaining = list(rich)
-            while len(remaining) >= 2:
-                best = None
-                for p, q in itertools.combinations(remaining, 2):
-                    dist = float(np.linalg.norm(p - q))
-                    if best is None or dist < best[0]:
-                        best = (dist, p, q)
-                if best[0] > merge_sep and len(remaining) < len(rich):
-                    break
-                candidates.append((t_star, (best[1] + best[2]) / 2.0))
-                remaining = [r for r in remaining if r is not best[1] and r is not best[2]]
-        elif rich:
-            candidates.append((t_star, rich[0]))
-        else:
-            warnings.append(f"count change near t={t_star} but no points to merge")
-
-    # tracks: eigenvalue sign changes and near-zero minima
+    # tracks by nearest-neighbor matching; at a count change the points of
+    # the richer sample left unmatched are the ones born or dying in the
+    # bracket, and each closest disjoint pair of them is one merging pair
     tracks = []  # list of lists of (sample_index, CriticalPoint)
     open_tracks = [[(0, p)] for p in samples[0]]
     for a in range(1, steps):
@@ -514,6 +467,7 @@ def trace_birth_death(
                               tol.dedup_radius, warnings)
         matched_next = set()
         still_open = []
+        loose = []
         by_prev = {i: j for i, j in pairs}
         for i, tr in enumerate(open_tracks):
             if i in by_prev:
@@ -523,53 +477,57 @@ def trace_birth_death(
                 still_open.append(tr)
             else:
                 tracks.append(tr)
+                loose.append(tr[-1][1].x)
         for j, p in enumerate(samples[a]):
             if j not in matched_next:
                 still_open.append([(a, p)])
+                loose.append(p.x)
         open_tracks = still_open
+        t_mid = 0.5 * float(ts[a - 1] + ts[a])
+        if len(loose) == 1:
+            candidates.append((t_mid, loose[0], None))
+        why = f"the critical-point count changes by {len(samples[a]) - len(samples[a - 1]):+d}"
+        while len(loose) >= 2:
+            p, q = min(itertools.combinations(loose, 2),
+                       key=lambda pq: float(np.linalg.norm(pq[0] - pq[1])))
+            candidates.append((t_mid, (p + q) / 2.0,
+                               (float(ts[a - 1]), float(ts[a]), why, p, q)))
+            loose = [r for r in loose if r is not p and r is not q]
     tracks.extend(open_tracks)
 
+    # along tracks: sign changes and interior minima of mu; mu also flips
+    # sign where two eigenvalues swap as the smallest in magnitude, so only a
+    # sign change of det H is sure to hold a degenerate point
     for tr in tracks:
         if len(tr) < 2:
             continue
         mus = [_min_eig(calc, (float(ts[a]),), p.x) for a, p in tr]
+        dets = [np.linalg.det(calc.hessian((float(ts[a]),), p.x)) for a, p in tr]
         for u in range(len(tr) - 1):
             (a, pa), (b, pb) = tr[u], tr[u + 1]
             if mus[u] == 0.0 or mus[u] * mus[u + 1] < 0.0:
-                ta, tb = float(ts[a]), float(ts[b])
-                xa = pa.x
-                sign_left = math.copysign(1.0, mus[u]) if mus[u] != 0.0 else 0.0
-                while tb - ta > dt_min:
-                    tm = 0.5 * (ta + tb)
-                    xm = _continue_point(calc, tm, xa, (lo, hi), tol)
-                    if xm is None:
-                        break
-                    mu = _min_eig(calc, (tm,), xm)
-                    if mu != 0.0 and math.copysign(1.0, mu) == sign_left:
-                        ta, xa = tm, xm
-                    else:
-                        tb = tm
-                x_star = _continue_point(calc, 0.5 * (ta + tb), xa, (lo, hi), tol)
-                if x_star is None:
-                    x_star = xa
-                candidates.append((0.5 * (ta + tb), x_star))
+                must = ((float(ts[a]), float(ts[b]), "det H changes sign along a track",
+                         pa.x, pb.x) if dets[u] * dets[u + 1] <= 0.0 else None)
+                candidates.append((0.5 * float(ts[a] + ts[b]), (pa.x + pb.x) / 2.0, must))
         # interior local minima of |mu| without a sign change
         for u in range(1, len(tr) - 1):
             if abs(mus[u]) < abs(mus[u - 1]) and abs(mus[u]) <= abs(mus[u + 1]):
-                ta, tb = float(ts[tr[u - 1][0]]), float(ts[tr[u + 1][0]])
                 if mus[u - 1] * mus[u] < 0.0 or mus[u] * mus[u + 1] < 0.0:
                     continue  # handled by the sign-change branch
-                refined = _golden_min(calc, ta, tb, tr[u][1].x, (lo, hi), tol, span)
-                if refined is not None:
-                    candidates.append(refined)
+                a, p = tr[u]
+                candidates.append((float(ts[a]), p.x, None))
 
-    # polish each candidate on the augmented fold system; keep the original
-    # when the solver fails or wanders off (more than a grid cell in t, or
-    # out of the fiber box)
+    # polish each candidate on the augmented fold system, rejecting a result
+    # more than two grid cells away in t or outside the fiber box; an
+    # unpolished candidate is classified as it stands, and as it is rarely
+    # degenerate at grid scale it is usually dropped
     calc_dt = _dt_calculus(F)
     grid_dt = span / (steps - 1)
-    refined = []
-    for t_star, x_star in candidates:
+    slack = 1e-6 * span
+    events: list = []
+    degenerate: list = []
+    unlocated = []
+    for t_star, x_star, must in candidates:
         ref = _refine_fold(calc, calc_dt, t_star, x_star, (lo, hi), tol)
         if ref is not None:
             t_r, x_r = ref
@@ -578,15 +536,14 @@ def trace_birth_death(
                 and np.all(x_r >= lo - 1e-9) and np.all(x_r <= hi + 1e-9)
             ):
                 t_star, x_star = t_r, np.asarray(x_r)
-        refined.append((t_star, x_star))
-
-    events: list = []
-    degenerate: list = []
-    for t_star, x_star in refined:
         jet = fiber_jet3(F, (t_star,), x_star)
         cls = classify(jet, tol.event_tol)
-        H = calc.hessian((t_star,), x_star)
-        det_h = float(np.linalg.det(H))
+        if must is not None and not (
+            cls.kind in (BIRTH_DEATH, DEGENERATE)
+            and must[0] - slack <= t_star <= must[1] + slack
+        ):
+            unlocated.append(must)
+        det_h = float(np.linalg.det(calc.hessian((t_star,), x_star)))
         if cls.kind == BIRTH_DEATH:
             if _near_duplicate(events, t_star, x_star, span):
                 continue
@@ -596,6 +553,20 @@ def trace_birth_death(
                 continue
             degenerate.append(DegenerateFlag(t_star, x_star, cls.reason))
         # a nondegenerate verdict means the candidate was a benign minimum
+
+    # a candidate that must hold a degenerate point but located none is
+    # surfaced, unless a point located in its bracket lies closer to p or q
+    # than they lie to each other: then one of them was already accounted
+    # for (a degenerate sample can hold near-copies of one critical point)
+    located = [(e.t_star, e.x_star) for e in events] + [(f.t, f.x) for f in degenerate]
+    for t_lo, t_hi, why, p, q in unlocated:
+        sep = float(np.linalg.norm(p - q))
+        if not any(
+            t_lo - slack <= t <= t_hi + slack
+            and min(np.linalg.norm(x - p), np.linalg.norm(x - q)) <= sep
+            for t, x in located
+        ):
+            warnings.append(f"fold not located on [{t_lo!r}, {t_hi!r}], where {why}")
 
     events.sort(key=lambda e: e.t_star)
     degenerate.sort(key=lambda f: f.t)
@@ -610,44 +581,6 @@ def _near_duplicate(records, t_star, x_star, span):
         if abs(t_r - t_star) <= 1e-6 * span and np.linalg.norm(x_r - x_star) <= 1e-4:
             return True
     return False
-
-
-def _golden_min(calc, ta, tb, x_seed, box, tol, span):
-    """Golden-section minimization of |mu(t)| along a continued track."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def mu_at(t, x_warm):
-        x = _continue_point(calc, t, x_warm, box, tol)
-        if x is None:
-            return None, None
-        return abs(_min_eig(calc, (t,), x)), x
-
-    a, b = ta, tb
-    x_warm = x_seed
-    c = b - invphi * (b - a)
-    dd = a + invphi * (b - a)
-    fc, xc = mu_at(c, x_warm)
-    fd, xd = mu_at(dd, x_warm)
-    if fc is None or fd is None:
-        return None
-    while b - a > 1e-12 * span:
-        if fc < fd:
-            b, dd, fd, xd = dd, c, fc, xc
-            c = b - invphi * (b - a)
-            fc, xc = mu_at(c, xd if xd is not None else x_seed)
-            if fc is None:
-                return None
-        else:
-            a, c, fc, xc = c, dd, fd, xd
-            dd = a + invphi * (b - a)
-            fd, xd = mu_at(dd, xc if xc is not None else x_seed)
-            if fd is None:
-                return None
-    t_star = 0.5 * (a + b)
-    x_star = _continue_point(calc, t_star, xc if xc is not None else x_seed, box, tol)
-    if x_star is None:
-        return None
-    return t_star, x_star
 
 
 # ---------------------------------------------------------------------------

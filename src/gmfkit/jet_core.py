@@ -14,6 +14,7 @@ birth-death stratum, modelled on x1^3 - sum_{j<=i+1} x_j^2 + sum x_k^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,6 +292,8 @@ def jet_from_json_dict(data: dict) -> Jet3:
         raise IndexError(f"linear part has {len(linear)} entries, expected {d}")
     if len(quad_flat) != d * d:
         raise IndexError(f"quadratic part has {len(quad_flat)} entries, expected {d * d}")
+    if not all(map(math.isfinite, [constant, *linear, *quad_flat])):
+        raise ValueError("jet coefficients must be finite")
     quad = np.array(quad_flat).reshape(d, d)
     if not np.array_equal(quad, quad.T):
         raise IndexError("quadratic matrix is not symmetric")
@@ -301,6 +304,8 @@ def jet_from_json_dict(data: dict) -> Jet3:
             coeff = float(item["coeff"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"malformed cubic term: {e}") from e
+        if not math.isfinite(coeff):
+            raise ValueError(f"non-finite cubic coefficient {coeff}")
         if not (1 <= i <= j <= k <= d):
             raise IndexError(f"cubic index {(i, j, k)} out of range for dim {d}")
         cubic[(i, j, k)] = coeff

@@ -92,6 +92,13 @@ def test_classify_jet_error_exit_codes(tmp_path, capsys):
     assert main(["classify-jet", "--input", _write(tmp_path, "s.json", short)]) == 3
 
     assert main(["classify-jet", "--input", str(tmp_path / "nope.json")]) == 2
+
+    # non-finite coefficients are malformed input, never classified
+    for bad in (float("inf"), float("nan")):
+        quad = dict(ZERO_JET_1D, quadratic=[bad])
+        assert main(["classify-jet", "--input", _write(tmp_path, "q.json", quad)]) == 2
+        cubic = dict(ZERO_JET_1D, cubic=[{"idx": [1, 1, 1], "coeff": bad}])
+        assert main(["classify-jet", "--input", _write(tmp_path, "c.json", cubic)]) == 2
     capsys.readouterr()
 
 
@@ -154,6 +161,11 @@ def test_trace_family_error_exits(tmp_path, capsys):
     bad = tmp_path / "fam.json"
     bad.write_text("{", encoding="utf-8")
     assert main(["trace-family", "--family", str(bad), "--t0", "-1", "--t1", "1"]) == 2
+    nan_family = {"param_dim": 1, "fiber_dim": 1,
+                  "terms": [{"powers": [0, 3], "coeff": 1.0},
+                            {"powers": [1, 1], "coeff": float("nan")}]}
+    path = _write(tmp_path, "nan.json", nan_family)
+    assert main(["trace-family", "--family", path, "--t0", "-1", "--t1", "1"]) == 2
     capsys.readouterr()
 
 

@@ -91,6 +91,9 @@ def test_poly_family_validation():
         PolyFamily(1, 1, (((0, 1, 2), 1.0),))  # powers too long
     with pytest.raises(ValueError):
         PolyFamily(1, 1, (((0, -1), 1.0),))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            PolyFamily(1, 1, (((0, 3), 1.0), ((1, 1), bad)))
 
 
 def test_fiber_jet3_hand_value():
@@ -205,44 +208,82 @@ def test_trace_cusp_single_event():
     assert len(res.samples[-1][1]) == 2
 
 
-def test_trace_shifted_cusp():
-    F = PolyFamily(1, 1, (((0, 3), 1.0), ((1, 1), -1.0), ((0, 1), 0.5)))
-    res = trace_birth_death(F, -1.0, 1.0)
+def test_trace_warns_on_unlocated_count_change():
+    """In the box |x| <= 1/2 the cusp pair leaves through the boundary at
+    t = 3/4: the count drops by two with no fold to polish onto, which must
+    be reported, not passed over."""
+    res = trace_birth_death(CUSP, -1.0, 1.0, steps=40, box=[(-0.5, 0.5)])
     assert len(res.events) == 1
-    ev = res.events[0]
-    assert ev.t_star == pytest.approx(0.5, abs=1e-8)
-    assert abs(ev.x_star[0]) <= 1e-6
-    assert ev.index == 0
+    assert abs(res.events[0].t_star) <= 1e-8
+    assert len(res.warnings) == 1
+    assert res.warnings[0].startswith("fold not located on [0.74358974358974")
+    assert "count changes by -2" in res.warnings[0]
+
+
+def test_trace_shifted_cusp():
+    """A coarse grid (steps=5) hands the fold polish candidates a whole grid
+    cell away from the event."""
+    F = PolyFamily(1, 1, (((0, 3), 1.0), ((1, 1), -1.0), ((0, 1), 0.5)))
+    for steps in (41, 5):
+        res = trace_birth_death(F, -1.0, 1.0, steps=steps)
+        assert len(res.events) == 1, steps
+        ev = res.events[0]
+        assert ev.t_star == pytest.approx(0.5, abs=1e-8)
+        assert abs(ev.x_star[0]) <= 1e-6
+        assert ev.index == 0
 
 
 def test_trace_tangential_touch():
-    """x^3 - t^2 x: the critical pair exists on both sides of t=0 and merges
-    only instantaneously, so no count change and no eigen sign change --
-    the interior |mu|-minimum route must find the single event."""
-    F = PolyFamily(1, 1, (((0, 3), 1.0), ((2, 1), -1.0)))
-    res = trace_birth_death(F, -1.0, 1.0)
-    assert len(res.events) == 1
-    ev = res.events[0]
-    assert abs(ev.t_star) <= 1e-8
-    assert abs(ev.x_star[0]) <= 1e-6
-    assert ev.index == 0
-    assert res.degenerate == ()
+    """x^3 - (t - c)^2 x: the critical pair exists on both sides of t=c and
+    merges only instantaneously, so no count change and no eigen sign
+    change -- the interior |mu|-minimum route must find the single event,
+    also when c lies off the grid."""
+    for c in (0.0, 0.113):
+        terms = (((0, 3), 1.0), ((2, 1), -1.0))
+        if c:
+            terms += (((1, 1), 2.0 * c), ((0, 1), -c * c))
+        res = trace_birth_death(PolyFamily(1, 1, terms), -1.0, 1.0)
+        assert len(res.events) == 1, c
+        ev = res.events[0]
+        assert abs(ev.t_star - c) <= 1e-8
+        assert abs(ev.x_star[0]) <= 1e-6
+        assert ev.index == 0
+        assert res.degenerate == ()
 
 
 def test_trace_simultaneous_events():
-    """Two separated fold pairs appear at the same parameter value; the count
-    jumps by four and both merging pairs must be reported."""
-    F = PolyFamily(1, 2, (
-        ((0, 3, 0), 1.0), ((1, 1, 0), -1.0), ((0, 1, 0), 0.3),
-        ((0, 0, 3), 1.0), ((1, 0, 1), -1.0), ((0, 0, 1), -0.3),
+    """Two separated fold pairs appear at the same parameter value t=c; the
+    count jumps by four and both merging pairs must be reported, on the
+    grid (c=0.3) and off it (c=0.313)."""
+    for c in (0.3, 0.313):
+        F = PolyFamily(1, 2, (
+            ((0, 3, 0), 1.0), ((1, 1, 0), -1.0), ((0, 1, 0), c),
+            ((0, 0, 3), 1.0), ((1, 0, 1), -1.0), ((0, 0, 1), -c),
+        ))
+        res = trace_birth_death(F, -1.0, 1.0)
+        assert len(res.events) == 2, c
+        assert sorted(ev.index for ev in res.events) == [0, 1]
+        for ev in res.events:
+            assert ev.t_star == pytest.approx(c, abs=1e-8)
+            assert abs(ev.x_star[0]) <= 1e-6
+            assert abs(abs(ev.x_star[1]) - np.sqrt(2.0 * c / 3.0)) <= 1e-6
+    # f_x = (x^2 - s(t - ta))((x - 1)^2 - (t - tb)): a slow pair born at ta
+    # stays closer together than the pair born at tb, so the newborn pair is
+    # the one the tracks leave unmatched, not the closest one
+    s, ta, tb = 0.01, 0.29, 0.302
+    F = PolyFamily(1, 1, (
+        ((0, 5), 0.2), ((0, 4), -0.5), ((0, 3), (1.0 + tb + s * ta) / 3.0),
+        ((1, 3), -(1.0 + s) / 3.0), ((0, 2), -s * ta), ((1, 2), s),
+        ((0, 1), s * ta * (1.0 + tb)), ((1, 1), -s * (ta + 1.0 + tb)), ((2, 1), s),
     ))
-    res = trace_birth_death(F, -1.0, 1.0)
-    assert len(res.events) == 2
-    assert sorted(ev.index for ev in res.events) == [0, 1]
-    for ev in res.events:
-        assert ev.t_star == pytest.approx(0.3, abs=1e-8)
-        assert abs(ev.x_star[0]) <= 1e-6
-        assert abs(abs(ev.x_star[1]) - np.sqrt(0.2)) <= 1e-6
+    for steps in (41, 11):
+        res = trace_birth_death(F, -1.0, 1.0, steps=steps)
+        assert len(res.events) == 2, steps
+        assert res.warnings == ()
+        for ev, t_true, x_true in zip(res.events, (ta, tb), (0.0, 1.0)):
+            assert ev.t_star == pytest.approx(t_true, abs=1e-8)
+            assert ev.x_star[0] == pytest.approx(x_true, abs=1e-6)
+            assert ev.index == 0
 
 
 def test_trace_suspended_cusp_indices():
@@ -258,12 +299,18 @@ def test_trace_suspended_cusp_indices():
 
 
 def test_trace_swallowtail_degenerate_flag():
-    res = trace_birth_death(preset_family("swallowtail"), -1.0, 1.0)
-    assert res.events == ()
-    assert len(res.degenerate) >= 1
-    for flag in res.degenerate:
-        assert flag.reason == KERNEL_CUBIC_VANISHES
-        assert abs(flag.t) <= 1e-6
+    """x^4 - (t - c) x is degenerate at t=c; the flag must survive an
+    off-grid c, and the gmf axiom must fail."""
+    swallowtail = preset_family("swallowtail")
+    for c in (0.0, 0.004, 0.046):
+        F = swallowtail if c == 0.0 else PolyFamily(1, 1, swallowtail.terms + (((0, 1), c),))
+        res = trace_birth_death(F, -1.0, 1.0)
+        assert res.events == ()
+        assert len(res.degenerate) == 1, c
+        for flag in res.degenerate:
+            assert flag.reason == KERNEL_CUBIC_VANISHES
+            assert abs(flag.t - c) <= 1e-6
+        assert check_family_axioms(F, -1.0, 1.0).verdict("gmf") == "Fail"
 
 
 def test_trace_validation_errors():
