@@ -43,15 +43,11 @@ class ProductSWRing:
                 raise ValueError("factor rank must be nonnegative")
         self.N = int(N)
         gens = []
-        slices = []
         for p, (kind, m) in enumerate(self.factors):
-            start = len(gens)
             first = 1 if kind == "BO" else 2
             for j in range(first, m + 1):
                 gens.append((f"w{j}[{p}]", j))
-            slices.append((start, len(gens)))
         self.generators = tuple(gens)
-        self.factor_slices = tuple(slices)
         self._monomials = MonomialBasis(gens, self.N)
 
     def basis(self, n: int):
@@ -175,16 +171,6 @@ class RingMap:
     def image_of_monomial(self, mono: tuple) -> frozenset:
         mapped, ident = self._split(mono)
         return frozenset(self._embed(b, ident) for b in self._psi[mapped])
-
-    def image_of_poly(self, poly) -> frozenset:
-        acc = set()
-        for mono in poly:
-            for img in self.image_of_monomial(mono):
-                if img in acc:
-                    acc.remove(img)
-                else:
-                    acc.add(img)
-        return frozenset(acc)
 
     def cohomology_columns(self, n: int):
         if n not in self._col_cache:

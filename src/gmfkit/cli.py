@@ -109,77 +109,80 @@ def cmd_trace_family(args) -> int:
     return 0 if gmf_ok else 1
 
 
-def cmd_series(args) -> int:
-    N = args.max_degree if args.max_degree is not None else _default_truncation()
-    d = args.d
-    obj = args.object
-    out: dict = {"object": obj, "d": d, "N": N}
-    if obj in ("bo", "bso", "grassmann", "sigma-mf", "sigma-gmf", "cofiber", "wedge-target"):
-        if obj == "bo":
-            s = moduli_calc.series_BO(d, N)
-        elif obj == "bso":
-            s = moduli_calc.series_BSO(d, N)
-        elif obj == "grassmann":
-            if args.n is None:
-                raise ValueError("--object grassmann requires --n")
-            s = series_grassmannian(d, args.n, N)
-            out["n"] = args.n
-        elif obj == "sigma-mf":
-            s = moduli_calc.sigma_mf_series(d, N)
-        elif obj == "sigma-gmf":
-            s = moduli_calc.sigma_gmf_series(d, N)
-        elif obj == "cofiber":
-            s = moduli_calc.cofiber_series(d, N).series
-        else:
-            s = moduli_calc.wedge_target_series(d, N)
-        out.update(min_degree=s.min_degree, coefficients=list(s.coeffs),
-                   truncation=s.truncation, provenance=moduli_calc.EXACT)
-    elif obj in ("mt", "mtso"):
-        sp = moduli_calc.mt_series(d, N, "o" if obj == "mt" else "so")
-        s = sp.series
-        out.update(min_degree=s.min_degree, coefficients=list(s.coeffs),
-                   truncation=s.truncation, provenance=sp.provenance,
-                   derivation=list(sp.derivation))
-    elif obj == "mtgmf":
-        r = moduli_calc.mtgmf_series(d, N)
-        s = r.split.series
-        out.update(min_degree=s.min_degree, coefficients=list(s.coeffs),
-                   truncation=s.truncation, provenance=r.split.provenance,
+def _fields(s, provenance, **extra) -> dict:
+    return dict(min_degree=s.min_degree, coefficients=list(s.coeffs),
+                truncation=s.truncation, provenance=provenance, **extra)
+
+
+def _exact(series):
+    return lambda d, N, args: _fields(series(d, N), moduli_calc.EXACT)
+
+
+def _grassmann(d, N, args):
+    if args.n is None:
+        raise ValueError("--object grassmann requires --n")
+    return dict(n=args.n, **_fields(series_grassmannian(d, args.n, N), moduli_calc.EXACT))
+
+
+def _thom(structure):
+    def run(d, N, args):
+        sp = moduli_calc.mt_series(d, N, structure)
+        return _fields(sp.series, sp.provenance, derivation=list(sp.derivation))
+    return run
+
+
+def _mtgmf(d, N, args):
+    r = moduli_calc.mtgmf_series(d, N)
+    return _fields(r.split.series, r.split.provenance,
                    derivation=list(r.split.derivation),
                    lower=list(r.lower.coeffs), upper=list(r.upper.coeffs),
                    bounds_min_degree=r.lower.min_degree,
                    assumptions=list(r.assumptions))
-    else:
-        raise ValueError(f"unknown object {obj!r}")
+
+
+# --object name -> fields(d, N, args) that follow object, d and N in the
+# JSON.  The tables name moduli_calc functions inside lambdas, so they are
+# looked up at call time, as a wrapper installed after import expects.
+_SERIES = {
+    "bo": _exact(lambda d, N: moduli_calc.series_BO(d, N)),
+    "bso": _exact(lambda d, N: moduli_calc.series_BSO(d, N)),
+    "grassmann": _grassmann,
+    "sigma-mf": _exact(lambda d, N: moduli_calc.sigma_mf_series(d, N)),
+    "sigma-gmf": _exact(lambda d, N: moduli_calc.sigma_gmf_series(d, N)),
+    "cofiber": _exact(lambda d, N: moduli_calc.cofiber_series(d, N).series),
+    "wedge-target": _exact(lambda d, N: moduli_calc.wedge_target_series(d, N)),
+    "mt": _thom("o"),
+    "mtso": _thom("so"),
+    "mtgmf": _mtgmf,
+}
+
+
+def cmd_series(args) -> int:
+    N = args.max_degree if args.max_degree is not None else _default_truncation()
+    out = {"object": args.object, "d": args.d, "N": N}
+    out.update(_SERIES[args.object](args.d, N, args))
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 
 
-_VERIFY_ORDER = ("gysin", "hocolim-cofiber", "connectivity", "d1-oracle",
-                 "sigma-mf-cofibration")
-
-
-def _run_check(name: str, d: int, N: int, structure: str):
-    if name == "gysin":
-        return moduli_calc.gysin_check(d, N, structure)
-    if name == "hocolim-cofiber":
-        return moduli_calc.hocolim_cofiber_check(d, N)
-    if name == "connectivity":
-        return moduli_calc.connectivity_and_pi0_checks(d, N)
-    if name == "d1-oracle":
-        return moduli_calc.d1_oracle_check(N)
-    if name == "sigma-mf-cofibration":
-        return moduli_calc.sigma_mf_cofibration_check(d, N)
-    raise ValueError(f"unknown check {name!r}")
+# --check name -> report(d, N, structure), in the order --check all runs them
+_CHECKS = {
+    "gysin": lambda d, N, structure: moduli_calc.gysin_check(d, N, structure),
+    "hocolim-cofiber": lambda d, N, structure: moduli_calc.hocolim_cofiber_check(d, N),
+    "connectivity": lambda d, N, structure: moduli_calc.connectivity_and_pi0_checks(d, N),
+    "d1-oracle": lambda d, N, structure: moduli_calc.d1_oracle_check(N),
+    "sigma-mf-cofibration":
+        lambda d, N, structure: moduli_calc.sigma_mf_cofibration_check(d, N),
+}
 
 
 def cmd_verify(args) -> int:
     N = args.max_degree if args.max_degree is not None else _default_truncation()
-    names = _VERIFY_ORDER if args.check == "all" else (args.check,)
+    names = list(_CHECKS) if args.check == "all" else [args.check]
     records = []
     for name in names:
         t_start = time.perf_counter()
-        rep = _run_check(name, args.d, N, args.structure)
+        rep = _CHECKS[name](args.d, N, args.structure)
         wall = time.perf_counter() - t_start
         records.append({
             "check": rep.check,
@@ -224,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_trace_family)
 
     s = sub.add_parser("series", help="print a Poincare series as JSON")
-    s.add_argument("--object", required=True,
-                   choices=["bo", "bso", "grassmann", "sigma-mf", "sigma-gmf",
-                            "cofiber", "wedge-target", "mt", "mtso", "mtgmf"])
+    s.add_argument("--object", required=True, choices=list(_SERIES))
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--n", type=int, default=None, help="codimension (grassmann only)")
     s.add_argument("--max-degree", type=int, default=None)
@@ -234,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_series)
 
     v = sub.add_parser("verify", help="run series identity checks")
-    v.add_argument("--check", required=True,
-                   choices=list(_VERIFY_ORDER) + ["all"])
+    v.add_argument("--check", required=True, choices=list(_CHECKS) + ["all"])
     v.add_argument("--d", type=int, default=2)
     v.add_argument("--max-degree", type=int, default=None)
     v.add_argument("--structure", choices=["o", "so"], default="o")

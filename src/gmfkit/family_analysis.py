@@ -15,7 +15,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .jet_core import (
     GmfClass,
     Jet3,
     classify,
+    jet_from_parts,
 )
 
 log = logging.getLogger(__name__)
@@ -85,46 +86,48 @@ def _eval_terms(terms, point):
 
 
 class _FamilyCalculus:
-    """Cached exact derivatives of a family with respect to fiber variables."""
+    """Cached exact derivatives of a family with respect to fiber variables.
+
+    Every method takes a point pt = (parameters..., fiber coordinates...).
+    For a one-parameter family the gradient and Hessian of dF/dt are kept
+    too (t is differentiated first).
+    """
 
     def __init__(self, F: PolyFamily):
-        self.F = F
         k, d = F.param_dim, F.fiber_dim
-        self.k, self.d = k, d
-        self.grad = [_diff_terms(F.terms, k + j) for j in range(d)]
-        self.hess = [
-            [_diff_terms(self.grad[j], k + l) for l in range(j, d)] for j in range(d)
-        ]
-        self.third = {}
-        for j in range(d):
-            for l in range(j, d):
-                for m in range(l, d):
-                    self.third[(j, l, m)] = _diff_terms(self.hess[j][l - j], k + m)
+        self.F, self.d = F, d
 
-    def point(self, t, x):
-        return tuple(t) + tuple(x)
+        def fiber_derivatives(terms):
+            grad = [_diff_terms(terms, k + j) for j in range(d)]
+            hess = {(j, l): _diff_terms(grad[j], k + l) for j in range(d) for l in range(j, d)}
+            return grad, hess
 
-    def value(self, t, x) -> float:
-        return _eval_terms(self.F.terms, self.point(t, x))
+        self.grad, self.hess = fiber_derivatives(F.terms)
+        self.third = {(j, l, m): _diff_terms(h, k + m)
+                      for (j, l), h in self.hess.items() for m in range(l, d)}
+        if k == 1:
+            self.grad_dt, self.hess_dt = fiber_derivatives(_diff_terms(F.terms, 0))
 
-    def gradient(self, t, x) -> np.ndarray:
-        pt = self.point(t, x)
-        return np.array([_eval_terms(g, pt) for g in self.grad])
+    def value(self, pt) -> float:
+        return _eval_terms(self.F.terms, pt)
 
-    def hessian(self, t, x) -> np.ndarray:
-        pt = self.point(t, x)
-        d = self.d
-        H = np.zeros((d, d))
-        for j in range(d):
-            for l in range(j, d):
-                v = _eval_terms(self.hess[j][l - j], pt)
-                H[j, l] = v
-                H[l, j] = v
+    def gradient(self, pt, dt: bool = False) -> np.ndarray:
+        return np.array([_eval_terms(g, pt) for g in (self.grad_dt if dt else self.grad)])
+
+    def hessian(self, pt, dt: bool = False) -> np.ndarray:
+        H = np.zeros((self.d, self.d))
+        for (j, l), terms in (self.hess_dt if dt else self.hess).items():
+            H[j, l] = H[l, j] = _eval_terms(terms, pt)
         return H
 
-    def third_tensor_entries(self, t, x):
-        pt = self.point(t, x)
-        return {key: _eval_terms(terms, pt) for key, terms in self.third.items()}
+    def third_tensor(self, pt) -> np.ndarray:
+        """Dense symmetric tensor of third fiber derivatives."""
+        T = np.zeros((self.d,) * 3)
+        for key, terms in self.third.items():
+            v = _eval_terms(terms, pt)
+            for a, b, c in set(itertools.permutations(key)):
+                T[a, b, c] = v
+        return T
 
 
 @functools.lru_cache(maxsize=32)
@@ -139,33 +142,19 @@ def fiber_jet3(F: PolyFamily, t, x) -> Jet3:
         raise ValueError(f"parameter has {len(t)} entries, expected {F.param_dim}")
     x = np.asarray(x, dtype=float).reshape(F.fiber_dim)
     calc = _calculus(F)
-    d = F.fiber_dim
-    c = calc.value(t, x)
-    lin = calc.gradient(t, x)
-    quad = calc.hessian(t, x) / 2.0
-    quad = np.triu(quad) + np.triu(quad, 1).T  # exactly symmetric storage
-    cubic = {}
-    for (j, l, m), v in calc.third_tensor_entries(t, x).items():
-        if v != 0.0:
-            cubic[(j + 1, l + 1, m + 1)] = v / 6.0
-    return Jet3(d, c, lin, quad, cubic)
+    pt = t + tuple(x)
+    return jet_from_parts(F.fiber_dim, calc.value(pt), calc.gradient(pt),
+                          calc.hessian(pt) / 2.0, calc.third_tensor(pt) / 6.0)
 
 
 # ---------------------------------------------------------------------------
 # critical points in a fiber
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    newton_tol: float = 1e-10
-    classify_tol: float = 1e-9
-    event_tol: float = 1e-5
-    max_iter: int = 50
-    dedup_factor: float = 10.0
-
-    @property
-    def dedup_radius(self) -> float:
-        return self.dedup_factor * self.newton_tol
+NEWTON_TOL = 1e-10      # residual norm that counts as converged
+CLASSIFY_TOL = 1e-9     # classification of sampled critical points
+EVENT_TOL = 1e-5        # classification of polished fold candidates
+MAX_ITER = 50           # Newton steps per run
+DEDUP_RADIUS = 10.0 * NEWTON_TOL
 
 
 @dataclass(frozen=True)
@@ -177,39 +166,48 @@ class CriticalPoint:
     grad_norm: float
 
 
-def _newton(calc: _FamilyCalculus, t, x0, box, tol: Tolerances):
-    """Newton iteration for grad f_t = 0; returns the point or None.
+def _newton(system, z0, box):
+    """Newton iteration for system(z) = (residual, Jacobian) from z0.
 
-    Iteration continues after the gradient criterion is met: at a multiple
+    z holds the fiber coordinates first, then any unknown parameters; box is
+    the fiber box (lo, hi).  Returns the final iterate if its residual norm
+    is within NEWTON_TOL, else the last iterate that was, else None.
+
+    Iteration continues after the residual criterion is met: at a multiple
     root Newton converges only linearly and stops far from the point if cut
-    off at the first small gradient, which would leave distinct copies of
-    the same critical point beyond the dedup radius.  The loop ends when
-    the step stalls or the budget runs out.
+    off at the first small residual, which would leave distinct copies of
+    the same critical point beyond the dedup radius, and near a fold the
+    residual can be quadratic in the distance to it.  The loop ends on a
+    singular or non-finite step, when the fiber coordinates leave
+    10 (diam + 1), when the step stalls, or after MAX_ITER steps.
     """
-    x = np.array(x0, dtype=float)
+    z = np.array(z0, dtype=float)
     lo, hi = box
+    d = len(lo)
     diam = float(np.max(hi - lo))
     best = None
-    for _ in range(tol.max_iter):
-        g = calc.gradient(t, x)
-        if float(np.linalg.norm(g)) <= tol.newton_tol:
-            best = x.copy()
-        H = calc.hessian(t, x)
+    for _ in range(MAX_ITER):
+        r, J = system(z)
+        if _norm(r) <= NEWTON_TOL:
+            best = z.copy()
         try:
-            step = np.linalg.solve(H, g)
+            step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(step)):
+        zn = z - step  # non-finite exactly when the step is (or overflows)
+        if not np.isfinite(zn).all() or np.abs(zn[:d]).max() > 10.0 * (diam + 1.0):
             break
-        xn = x - step
-        if float(np.max(np.abs(xn))) > 10.0 * (diam + 1.0):
+        z = zn
+        if _norm(step) <= 1e-14 * (1.0 + _norm(z[:d]) + _norm(z[d:])):
             break
-        x = xn
-        if float(np.linalg.norm(step)) <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
-            break
-    if float(np.linalg.norm(calc.gradient(t, x))) <= tol.newton_tol:
-        return x
+    if _norm(system(z)[0]) <= NEWTON_TOL:
+        return z
     return best
+
+
+def _norm(v) -> float:
+    # np.linalg.norm of a vector, without its overhead on the Newton path
+    return math.sqrt(v.dot(v))
 
 
 def _box_arrays(box, d):
@@ -228,14 +226,14 @@ def _dedup(points, radius):
     return kept
 
 
-def fiber_critical_points(
-    F: PolyFamily,
-    t,
-    box,
-    grid_per_axis: int | None = None,
-    tol: Tolerances = Tolerances(),
-    seeds=None,
-):
+def _auto_grid(d: int) -> int:
+    # cap the seed count so high-dimensional fibers stay tractable
+    if d == 1:
+        return 8
+    return max(2, int(round(64.0 ** (1.0 / d))))
+
+
+def fiber_critical_points(F: PolyFamily, t, box):
     """Newton from a seed grid; converged in-box points, deduplicated.
 
     Non-converged seeds are dropped (a count is logged).  Each point is
@@ -248,15 +246,17 @@ def fiber_critical_points(
     calc = _calculus(F)
     d = F.fiber_dim
     lo, hi = _box_arrays(box, d)
-    if seeds is None:
-        if grid_per_axis is None:
-            grid_per_axis = _auto_grid(d)
-        axes = [np.linspace(lo[j], hi[j], grid_per_axis) for j in range(d)]
-        seeds = [np.array(p) for p in itertools.product(*axes)]
+    axes = [np.linspace(lo[j], hi[j], _auto_grid(d)) for j in range(d)]
+    seeds = list(itertools.product(*axes))
+
+    def system(x):
+        pt = t + tuple(x)
+        return calc.gradient(pt), calc.hessian(pt)
+
     dropped = 0
     found = []
     for s in seeds:
-        x = _newton(calc, t, s, (lo, hi), tol)
+        x = _newton(system, s, (lo, hi))
         if x is None:
             dropped += 1
             continue
@@ -265,16 +265,15 @@ def fiber_critical_points(
     if dropped:
         log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, len(seeds))
     points = []
-    for x in _dedup(found, tol.dedup_radius):
-        jet = fiber_jet3(F, t, x)
-        cls = classify(jet, tol.classify_tol)
+    for x in _dedup(found, DEDUP_RADIUS):
+        pt = t + tuple(x)
         points.append(
             CriticalPoint(
                 t=t[0] if F.param_dim == 1 else None,
                 x=x,
-                value=calc.value(t, x),
-                cls=cls,
-                grad_norm=float(np.linalg.norm(calc.gradient(t, x))),
+                value=calc.value(pt),
+                cls=classify(fiber_jet3(F, t, x), CLASSIFY_TOL),
+                grad_norm=float(np.linalg.norm(calc.gradient(pt))),
             )
         )
     points.sort(key=lambda p: tuple(p.x))
@@ -308,33 +307,13 @@ class TraceResult:
     samples: tuple  # (t, list of CriticalPoint) per grid value
 
 
-def _min_eig(calc, t, x):
+def _min_eig(calc, pt):
     """Signed smallest-magnitude eigenvalue of the Hessian of f_t."""
-    w = np.linalg.eigvalsh(calc.hessian(t, x))
+    w = np.linalg.eigvalsh(calc.hessian(pt))
     return float(w[np.argmin(np.abs(w))])
 
 
-def _auto_grid(d: int) -> int:
-    # cap the seed count so high-dimensional fibers stay tractable
-    if d == 1:
-        return 8
-    return max(2, int(round(64.0 ** (1.0 / d))))
-
-
-def _dt_calculus(F: PolyFamily) -> _FamilyCalculus:
-    return _calculus(PolyFamily(F.param_dim, F.fiber_dim, _diff_terms(F.terms, 0)))
-
-
-def _third_slices(calc, t, x):
-    d = calc.d
-    T = np.zeros((d, d, d))
-    for (i, j, k), v in calc.third_tensor_entries(t, x).items():
-        for a, b, c in set(itertools.permutations((i, j, k))):
-            T[a, b, c] = v
-    return T  # T[:, :, c] = dH/dx_c
-
-
-def _refine_fold(calc, calc_dt, t, x, box, tol: Tolerances):
+def _refine_fold(calc, t, x, box):
     """Newton on the augmented system (grad f_t(x), mu_min(H_t(x))) = 0 in (x, t).
 
     Locates the degenerate point itself rather than a nearby critical
@@ -344,53 +323,28 @@ def _refine_fold(calc, calc_dt, t, x, box, tol: Tolerances):
     Returns (t, x) or None if the iteration fails to converge.
     """
     d = calc.d
-    x = np.array(x, dtype=float)
-    t = float(t)
-    lo, hi = box
-    diam = float(np.max(hi - lo))
-    # polish until the step stalls: the residual can be quadratic in the
-    # distance to the fold (e.g. a tangential touch), so a residual-only
-    # stop would accept points ~sqrt(tol) away
-    for _ in range(tol.max_iter):
-        g = calc.gradient((t,), x)
-        H = calc.hessian((t,), x)
+
+    def system(z):
+        pt = (float(z[d]),) + tuple(z[:d])
+        H = calc.hessian(pt)
         w, V = np.linalg.eigh(H)
         i0 = int(np.argmin(np.abs(w)))
         v = V[:, i0]
-        G = np.append(g, float(w[i0]))
         J = np.zeros((d + 1, d + 1))
         J[:d, :d] = H
-        J[:d, d] = calc_dt.gradient((t,), x)
-        T = _third_slices(calc, (t,), x)
+        J[:d, d] = calc.gradient(pt, dt=True)
+        T = calc.third_tensor(pt)  # T[:, :, c] = dH/dx_c
         for c in range(d):
             J[d, c] = float(v @ T[:, :, c] @ v)
-        J[d, d] = float(v @ calc_dt.hessian((t,), x) @ v)
-        try:
-            delta = np.linalg.solve(J, G)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        xn = x - delta[:d]
-        tn = t - float(delta[d])
-        if float(np.max(np.abs(xn))) > 10.0 * (diam + 1.0) or not math.isfinite(tn):
-            break
-        x, t = xn, tn
-        scale_pt = 1.0 + float(np.linalg.norm(x)) + abs(t)
-        if float(np.linalg.norm(delta)) <= 1e-14 * scale_pt:
-            break
-    g = calc.gradient((t,), x)
-    mu = _min_eig(calc, (t,), x)
-    if float(np.linalg.norm(np.append(g, mu))) <= tol.newton_tol:
-        return t, x
-    return None
+        J[d, d] = float(v @ calc.hessian(pt, dt=True) @ v)
+        return np.append(calc.gradient(pt), float(w[i0])), J
+
+    z = _newton(system, np.append(np.asarray(x, dtype=float), float(t)), box)
+    return None if z is None else (float(z[d]), z[:d])
 
 
-def _match_tracks(prev_pts, next_pts, dedup_radius, warnings):
-    """Greedy nearest-neighbor matching; ambiguities are surfaced, not resolved."""
-    pairs = []
-    if not prev_pts or not next_pts:
-        return pairs
+def _match_tracks(prev_pts, next_pts):
+    """Greedy nearest-neighbor matching; returns (prev index, next index) pairs."""
     dists = [
         (np.linalg.norm(p.x - q.x), i, j)
         for i, p in enumerate(prev_pts)
@@ -398,19 +352,12 @@ def _match_tracks(prev_pts, next_pts, dedup_radius, warnings):
     ]
     dists.sort(key=lambda r: r[0])
     used_i, used_j = set(), set()
-    for dist, i, j in dists:
-        if i in used_i or j in used_j:
-            continue
-        close = [jj for jj, q in enumerate(next_pts)
-                 if jj != j and abs(np.linalg.norm(prev_pts[i].x - q.x) - dist) <= dedup_radius]
-        if close:
-            warnings.append(
-                f"track-matching ambiguity near x={prev_pts[i].x.tolist()}: "
-                f"candidates {j} and {close} at equal distance"
-            )
-        used_i.add(i)
-        used_j.add(j)
-        pairs.append((i, j))
+    pairs = []
+    for _, i, j in dists:
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            pairs.append((i, j))
     return pairs
 
 
@@ -420,8 +367,6 @@ def trace_birth_death(
     t1: float,
     steps: int = 41,
     box=None,
-    tol: Tolerances = Tolerances(),
-    grid_per_axis: int | None = None,
 ) -> TraceResult:
     """Locate birth-death parameter values of f_t on [t0, t1].
 
@@ -450,7 +395,7 @@ def trace_birth_death(
     warnings: list = []
 
     ts = np.linspace(t0, t1, steps)
-    samples = [fiber_critical_points(F, (t,), box, grid_per_axis, tol) for t in ts]
+    samples = [fiber_critical_points(F, (t,), box) for t in ts]
 
     # (t, x, must) at grid scale; must = (t_lo, t_hi, why, p, q) when the
     # bracket [t_lo, t_hi] is sure to hold a degenerate point that the sample
@@ -463,8 +408,7 @@ def trace_birth_death(
     tracks = []  # list of lists of (sample_index, CriticalPoint)
     open_tracks = [[(0, p)] for p in samples[0]]
     for a in range(1, steps):
-        pairs = _match_tracks([tr[-1][1] for tr in open_tracks], samples[a],
-                              tol.dedup_radius, warnings)
+        pairs = _match_tracks([tr[-1][1] for tr in open_tracks], samples[a])
         matched_next = set()
         still_open = []
         loose = []
@@ -501,8 +445,9 @@ def trace_birth_death(
     for tr in tracks:
         if len(tr) < 2:
             continue
-        mus = [_min_eig(calc, (float(ts[a]),), p.x) for a, p in tr]
-        dets = [np.linalg.det(calc.hessian((float(ts[a]),), p.x)) for a, p in tr]
+        pts = [(float(ts[a]),) + tuple(p.x) for a, p in tr]
+        mus = [_min_eig(calc, pt) for pt in pts]
+        dets = [np.linalg.det(calc.hessian(pt)) for pt in pts]
         for u in range(len(tr) - 1):
             (a, pa), (b, pb) = tr[u], tr[u + 1]
             if mus[u] == 0.0 or mus[u] * mus[u + 1] < 0.0:
@@ -521,14 +466,13 @@ def trace_birth_death(
     # more than two grid cells away in t or outside the fiber box; an
     # unpolished candidate is classified as it stands, and as it is rarely
     # degenerate at grid scale it is usually dropped
-    calc_dt = _dt_calculus(F)
     grid_dt = span / (steps - 1)
     slack = 1e-6 * span
     events: list = []
     degenerate: list = []
     unlocated = []
     for t_star, x_star, must in candidates:
-        ref = _refine_fold(calc, calc_dt, t_star, x_star, (lo, hi), tol)
+        ref = _refine_fold(calc, t_star, x_star, (lo, hi))
         if ref is not None:
             t_r, x_r = ref
             if (
@@ -537,13 +481,13 @@ def trace_birth_death(
             ):
                 t_star, x_star = t_r, np.asarray(x_r)
         jet = fiber_jet3(F, (t_star,), x_star)
-        cls = classify(jet, tol.event_tol)
+        cls = classify(jet, EVENT_TOL)
         if must is not None and not (
             cls.kind in (BIRTH_DEATH, DEGENERATE)
             and must[0] - slack <= t_star <= must[1] + slack
         ):
             unlocated.append(must)
-        det_h = float(np.linalg.det(calc.hessian((t_star,), x_star)))
+        det_h = float(np.linalg.det(calc.hessian((t_star,) + tuple(x_star))))
         if cls.kind == BIRTH_DEATH:
             if _near_duplicate(events, t_star, x_star, span):
                 continue
@@ -589,7 +533,6 @@ def _near_duplicate(records, t_star, x_star, span):
 
 PASS = "Pass"
 FAIL = "Fail"
-NOT_CHECKED = "NotChecked"
 
 
 @dataclass(frozen=True)
@@ -613,15 +556,15 @@ class FamilyAxiomReport:
         raise KeyError(axiom)
 
 
-def _boundary_min(calc, t, lo, hi, grid_per_axis):
+def _boundary_min(calc, t, lo, hi):
     d = len(lo)
     best = math.inf
-    axes = [np.linspace(lo[j], hi[j], grid_per_axis) for j in range(d)]
+    axes = [np.linspace(lo[j], hi[j], 8) for j in range(d)]
     for face_var in range(d):
         for face_val in (lo[face_var], hi[face_var]):
             free = [axes[j] if j != face_var else np.array([face_val]) for j in range(d)]
             for p in itertools.product(*free):
-                best = min(best, calc.value(t, np.array(p)))
+                best = min(best, calc.value(t + p))
     return best
 
 
@@ -631,8 +574,6 @@ def check_family_axioms(
     t1: float | None = None,
     steps: int = 41,
     box=None,
-    tol: Tolerances = Tolerances(),
-    grid_per_axis: int | None = None,
 ) -> FamilyAxiomReport:
     """Sampled verdicts for the generalized-Morse family conditions.
 
@@ -660,11 +601,11 @@ def check_family_axioms(
 
     if F.param_dim == 0:
         grids = [tuple()]
-        sampled = [(tuple(), fiber_critical_points(F, tuple(), box, grid_per_axis, tol))]
+        sampled = [(tuple(), fiber_critical_points(F, tuple(), box))]
     elif F.param_dim == 1:
         if t0 is None or t1 is None:
             raise ValueError("one-parameter family needs a t-window")
-        trace = trace_birth_death(F, t0, t1, steps, box, tol, grid_per_axis)
+        trace = trace_birth_death(F, t0, t1, steps, box)
         events = trace.events
         degenerate.extend(trace.degenerate)
         warnings.extend(trace.warnings)
@@ -673,11 +614,10 @@ def check_family_axioms(
         raise ValueError("axiom checks support param_dim 0 or 1")
 
     prop_ok, prop_note = True, "boundary minimum above interior critical values at all samples"
-    boundary_grid = grid_per_axis if grid_per_axis is not None else 8
     for t, pts in sampled:
         if not pts:
             continue
-        bmin = _boundary_min(calc, t, lo, hi, boundary_grid)
+        bmin = _boundary_min(calc, t, lo, hi)
         vmax = max(p.value for p in pts)
         if bmin <= vmax:
             prop_ok = False

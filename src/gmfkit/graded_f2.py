@@ -198,31 +198,16 @@ def series_grassmannian(d: int, n: int, N: int = DEFAULT_TRUNCATION) -> Poincare
 # actually touch it.
 
 
-def _coerce_rows(matrix, ncols: int | None) -> list:
-    """Row ints of a 0/1 array, a list of 0/1 rows or a list of row ints.
-
-    Bits of row ints at or beyond ncols are not part of the matrix.
-    """
-    if isinstance(matrix, np.ndarray) and matrix.ndim != 2:
-        raise ValueError("matrix must be 2-dimensional")
-    rows = list(matrix)
-    if rows and not isinstance(rows[0], int):
-        ints = []
-        for r in rows:
-            acc = 0
-            for j, v in enumerate(r):
-                if int(v) % 2:
-                    acc |= 1 << j
-            ints.append(acc)
-        return ints
-    if ncols is not None:
-        mask = (1 << ncols) - 1
-        rows = [r & mask for r in rows]
-    return rows
+def _coerce_rows(rows, ncols: int | None) -> list:
+    """The row ints cut to their first ncols bits (all bits if ncols is None)."""
+    if ncols is None:
+        return list(rows)
+    mask = (1 << ncols) - 1
+    return [r & mask for r in rows]
 
 
 def rank_f2(matrix, ncols: int | None = None) -> int:
-    """Rank over F2.  Accepts a 0/1 array, list of 0/1 rows, or list of row ints."""
+    """Rank over F2 of a list of row ints."""
     rows = _coerce_rows(matrix, ncols)
     basis = {}  # highest set bit -> basis row
     for r in rows:

@@ -115,7 +115,7 @@ def cubic_tensor(jet: Jet3) -> np.ndarray:
     return T
 
 
-def jet_from_parts(dim, constant, linear, quadratic, tensor, drop_below: float = 0.0) -> Jet3:
+def jet_from_parts(dim, constant, linear, quadratic, tensor) -> Jet3:
     """Assemble a Jet3 from a dense symmetric cubic tensor."""
     quad = np.asarray(quadratic, dtype=float)
     quad = (quad + quad.T) / 2.0
@@ -125,7 +125,7 @@ def jet_from_parts(dim, constant, linear, quadratic, tensor, drop_below: float =
         for j in range(i, d + 1):
             for k in range(j, d + 1):
                 v = float(tensor[i - 1, j - 1, k - 1])
-                if abs(v) > drop_below:
+                if abs(v) > 0.0:
                     cubic[(i, j, k)] = v
     return Jet3(d, constant, np.asarray(linear, dtype=float), quad, cubic)
 

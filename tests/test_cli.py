@@ -287,6 +287,70 @@ def test_verify_unknown_check_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_every_object_and_check_matches_the_library(capsys):
+    """Every --object and every --check at d=2, N=6 prints the library's
+    values, with the JSON keys in the documented order."""
+    from gmfkit import cli, graded_f2, moduli_calc as mc
+
+    d, N = 2, 6
+
+    def fields(s, provenance, **extra):
+        return dict(min_degree=s.min_degree, coefficients=list(s.coeffs),
+                    truncation=s.truncation, provenance=provenance, **extra)
+
+    def thom(sp):
+        return fields(sp.series, sp.provenance, derivation=list(sp.derivation))
+
+    gmf = mc.mtgmf_series(d, N)
+    objects = {
+        "bo": fields(mc.series_BO(d, N), "exact"),
+        "bso": fields(mc.series_BSO(d, N), "exact"),
+        "grassmann": dict(n=3, **fields(graded_f2.series_grassmannian(d, 3, N), "exact")),
+        "sigma-mf": fields(mc.sigma_mf_series(d, N), "exact"),
+        "sigma-gmf": fields(mc.sigma_gmf_series(d, N), "exact"),
+        "cofiber": fields(mc.cofiber_series(d, N).series, "exact"),
+        "wedge-target": fields(mc.wedge_target_series(d, N), "exact"),
+        "mt": thom(mc.mt_series(d, N, "o")),
+        "mtso": thom(mc.mt_series(d, N, "so")),
+        "mtgmf": dict(thom(gmf.split), lower=list(gmf.lower.coeffs),
+                      upper=list(gmf.upper.coeffs),
+                      bounds_min_degree=gmf.lower.min_degree,
+                      assumptions=list(gmf.assumptions)),
+    }
+    assert list(cli._SERIES) == list(objects)
+    for obj, want in objects.items():
+        argv = ["series", "--object", obj, "--d", str(d), "--max-degree", str(N)]
+        assert main(argv + (["--n", "3"] if obj == "grassmann" else [])) == 0, obj
+        out = json.loads(capsys.readouterr().out)
+        assert list(out.items()) == [("object", obj), ("d", d), ("N", N)] + list(want.items())
+
+    checks = {
+        "gysin": mc.gysin_check(d, N, "o"),
+        "hocolim-cofiber": mc.hocolim_cofiber_check(d, N),
+        "connectivity": mc.connectivity_and_pi0_checks(d, N),
+        "d1-oracle": mc.d1_oracle_check(N),
+        "sigma-mf-cofibration": mc.sigma_mf_cofibration_check(d, N),
+    }
+    assert list(cli._CHECKS) == list(checks)
+    records = {}
+    for name, rep in checks.items():
+        records[name] = {
+            "check": rep.check, "d": rep.d, "N": rep.N, "structure": rep.structure,
+            "verdict": rep.verdict(), "first_mismatch_degree": rep.first_mismatch_degree,
+            "assumptions": list(rep.assumptions), "notes": list(rep.notes),
+            "tolerances": "exact integer arithmetic",
+        }
+    for name in list(checks) + ["all"]:
+        assert main(["verify", "--check", name, "--d", str(d), "--max-degree", str(N)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["records", "verdict"] and out["verdict"] == "Pass"
+        for rec in out["records"]:
+            assert list(rec)[-1] == "wall_time_s"
+            del rec["wall_time_s"]
+        want = list(records.values()) if name == "all" else [records[name]]
+        assert [list(r.items()) for r in out["records"]] == [list(r.items()) for r in want]
+
+
 # ---------------------------------------------------------------------------
 # output files and determinism
 

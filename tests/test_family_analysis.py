@@ -9,10 +9,10 @@ import json
 import numpy as np
 import pytest
 
+from gmfkit import family_analysis
 from gmfkit.family_analysis import (
     BirthDeathEvent,
     PolyFamily,
-    Tolerances,
     check_family_axioms,
     family_from_json_dict,
     family_to_json_dict,
@@ -183,11 +183,20 @@ def test_fiber_critical_points_param_dim_zero():
     assert (pts[0].cls.kind, pts[0].cls.index) == (NONDEGENERATE, 0)
 
 
-def test_fiber_critical_points_custom_seeds():
-    pts = fiber_critical_points(CUSP, 3.0, [(-2.0, 2.0)],
-                                seeds=[np.array([0.9])])
-    assert len(pts) == 1
-    assert pts[0].x[0] == pytest.approx(1.0, abs=1e-9)
+def test_fiber_critical_points_one_newton_run_per_seed(monkeypatch):
+    """The 1-d seed grid has 8 points; fold polishing shares _newton, so
+    only the calls made by fiber_critical_points itself are seed runs."""
+    calls = []
+    newton = family_analysis._newton
+
+    def counting(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(family_analysis, "_newton", counting)
+    pts = fiber_critical_points(CUSP, 3.0, [(-2.0, 2.0)])
+    assert len(pts) == 2
+    assert len(calls) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +212,7 @@ def test_trace_cusp_single_event():
     assert ev.index == 0
     assert abs(ev.det_hessian) <= 1e-4
     assert res.degenerate == ()
+    assert res.warnings == ()  # the on-grid fold is a textbook event
     assert len(res.samples) == 41
     assert res.samples[0][1] == []      # no critical points at t=-1
     assert len(res.samples[-1][1]) == 2
@@ -296,6 +306,7 @@ def test_trace_suspended_cusp_indices():
         assert abs(ev.t_star) <= 1e-8
         assert float(np.linalg.norm(ev.x_star)) <= 1e-6
         assert ev.index == i
+        assert res.warnings == ()
 
 
 def test_trace_swallowtail_degenerate_flag():
@@ -422,11 +433,6 @@ def test_family_json_errors():
             "param_dim": 1, "fiber_dim": 1,
             "terms": [{"powers": [0, 1], "coeff": "nan-ish"}],
         })
-
-
-def test_tolerances_dedup_radius():
-    assert Tolerances().dedup_radius == pytest.approx(1e-9)
-    assert Tolerances(newton_tol=1e-8, dedup_factor=5.0).dedup_radius == pytest.approx(5e-8)
 
 
 def test_event_record_fields():
