@@ -21,7 +21,12 @@ from . import family_analysis, jet_core, moduli_calc
 from .graded_f2 import DEFAULT_TRUNCATION, series_grassmannian
 
 
-def _default_truncation() -> int:
+def _truncation(max_degree) -> int:
+    """--max-degree when given, else GMFKIT_MAX_DEGREE, else the default."""
+    if max_degree is not None:
+        if max_degree < 0:
+            raise ValueError("--max-degree must be >= 0")
+        return max_degree
     raw = os.environ.get("GMFKIT_MAX_DEGREE")
     if raw is None:
         return DEFAULT_TRUNCATION
@@ -158,7 +163,7 @@ _SERIES = {
 
 
 def cmd_series(args) -> int:
-    N = args.max_degree if args.max_degree is not None else _default_truncation()
+    N = _truncation(args.max_degree)
     out = {"object": args.object, "d": args.d, "N": N}
     out.update(_SERIES[args.object](args.d, N, args))
     _emit(json.dumps(out, indent=2) + "\n", args.out)
@@ -177,7 +182,7 @@ _CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    N = args.max_degree if args.max_degree is not None else _default_truncation()
+    N = _truncation(args.max_degree)
     names = list(_CHECKS) if args.check == "all" else [args.check]
     records = []
     for name in names:

@@ -213,8 +213,10 @@ def _norm(v) -> float:
 def _box_arrays(box, d):
     lo = np.asarray([b[0] for b in box], dtype=float)
     hi = np.asarray([b[1] for b in box], dtype=float)
-    if lo.shape != (d,) or np.any(hi <= lo):
-        raise ValueError("box must be a list of (lo, hi) pairs, one per fiber variable")
+    # hi - lo is NaN or infinite when a bound is
+    if lo.shape != (d,) or not (np.isfinite(hi - lo).all() and (hi > lo).all()):
+        raise ValueError("box must be a list of finite (lo, hi) pairs with lo < hi, "
+                         "one per fiber variable")
     return lo, hi
 
 
@@ -243,6 +245,8 @@ def fiber_critical_points(F: PolyFamily, t, box):
     t = tuple(np.atleast_1d(np.asarray(t, dtype=float))) if F.param_dim else tuple()
     if len(t) != F.param_dim:
         raise ValueError(f"parameter has {len(t)} entries, expected {F.param_dim}")
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"parameter {t} is not finite")
     calc = _calculus(F)
     d = F.fiber_dim
     lo, hi = _box_arrays(box, d)
@@ -384,6 +388,8 @@ def trace_birth_death(
         raise ValueError("tracing requires a one-parameter family")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t0 and t1 must be finite")
     if t1 <= t0:
         raise ValueError("need t1 > t0")
     d = F.fiber_dim

@@ -42,8 +42,11 @@ class Jet3:
         d = int(self.dim)
         if d < 1:
             raise ValueError("dimension must be >= 1")
+        c = float(self.constant)
         lin = np.asarray(self.linear, dtype=float).reshape(d)
         quad = np.asarray(self.quadratic, dtype=float).reshape(d, d)
+        if not all(map(math.isfinite, [c, *lin.tolist(), *quad.ravel().tolist()])):
+            raise ValueError("jet coefficients must be finite")
         if not np.array_equal(quad, quad.T):
             raise ValueError("quadratic matrix must be stored exactly symmetric")
         cub = {}
@@ -52,10 +55,12 @@ class Jet3:
             if not (1 <= i <= j <= k <= d):
                 raise ValueError(f"cubic index {idx} not a sorted 1-based triple in range")
             cub[(int(i), int(j), int(k))] = float(v)
+        if not all(map(math.isfinite, cub.values())):
+            raise ValueError("jet coefficients must be finite")
         lin.flags.writeable = False
         quad.flags.writeable = False
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "constant", c)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", quad)
         object.__setattr__(self, "cubic", cub)
@@ -125,7 +130,7 @@ def jet_from_parts(dim, constant, linear, quadratic, tensor) -> Jet3:
         for j in range(i, d + 1):
             for k in range(j, d + 1):
                 v = float(tensor[i - 1, j - 1, k - 1])
-                if abs(v) > 0.0:
+                if v != 0.0:  # keeps a NaN entry, for Jet3 to reject
                     cubic[(i, j, k)] = v
     return Jet3(d, constant, np.asarray(linear, dtype=float), quad, cubic)
 

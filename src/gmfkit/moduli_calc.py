@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .char_class_maps import build_Y, build_Y1, map_f, map_g
+from .char_class_maps import map_f, map_g
 from .graded_f2 import (
     DEFAULT_TRUNCATION,
     PoincareSeries,
@@ -77,8 +77,6 @@ class ZigzagDiagram:
     N: int
     f_maps: tuple  # f_maps[i]: H(Y1(i)) -> H(Y(i)), homology GradedMap
     g_maps: tuple  # g_maps[i]: H(Y1(i)) -> H(Y(i+1))
-    bottom: tuple = ()
-    top: tuple = ()
 
     def validate(self):
         d = self.d
@@ -109,11 +107,9 @@ class ZigzagDiagram:
 def build_zigzag(d: int, N: int = DEFAULT_TRUNCATION) -> ZigzagDiagram:
     if d < 1:
         raise ValueError("need d >= 1")
-    bottom = tuple(build_Y(j, d, N) for j in range(d + 1))
-    top = tuple(build_Y1(i, d, N) for i in range(d))
     f_maps = tuple(map_f(i, d, N).homology_map() for i in range(d))
     g_maps = tuple(map_g(i, d, N).homology_map() for i in range(d))
-    z = ZigzagDiagram(d, N, f_maps, g_maps, bottom, top)
+    z = ZigzagDiagram(d, N, f_maps, g_maps)
     z.validate()
     return z
 

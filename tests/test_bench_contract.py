@@ -1,0 +1,42 @@
+"""The names and result shapes that the benchmark in bench/ reaches from
+outside the library: every function its tracer wraps must exist, and the
+zigzag it checks with its own oracle must give the library's sigma-gmf."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from gmfkit.moduli_calc import build_zigzag, sigma_gmf_series
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = _load("tracer")
+    targets = list(tracer.SPANS.values()) + [("gmfkit.family_analysis", "_newton")]
+    for modname, attr in targets:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (modname, attr)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_zigzag_passes_the_bench_oracle(d):
+    N = 8
+    got = _load("oracles").zigzag_oracle(build_zigzag(d, N), d, N)
+    assert got["errors"] == []
+    series = sigma_gmf_series(d, N)
+    assert series.min_degree == 0
+    assert list(series.coeffs) == got["sigma-gmf"]

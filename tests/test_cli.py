@@ -166,6 +166,11 @@ def test_trace_family_error_exits(tmp_path, capsys):
                             {"powers": [1, 1], "coeff": float("nan")}]}
     path = _write(tmp_path, "nan.json", nan_family)
     assert main(["trace-family", "--family", path, "--t0", "-1", "--t1", "1"]) == 2
+    for window in (["--t0=-1", "--t1", "nan"], ["--t0=-inf", "--t1", "1"]):
+        assert main(["trace-family", "--preset", "swallowtail", *window]) == 2
+    for box in ("inf", "nan"):
+        assert main(["trace-family", "--preset", "cusp",
+                     "--t0", "-1", "--t1", "1", "--box", box]) == 2
     capsys.readouterr()
 
 
@@ -225,6 +230,13 @@ def test_series_env_truncation(monkeypatch, capsys):
     assert main(["series", "--object", "bo", "--d", "1"]) == 2
     monkeypatch.setenv("GMFKIT_MAX_DEGREE", "-3")
     assert main(["series", "--object", "bo", "--d", "1"]) == 2
+
+    monkeypatch.delenv("GMFKIT_MAX_DEGREE")
+    for argv in (["series", "--object", "bo", "--d", "2"],
+                 ["series", "--object", "sigma-gmf", "--d", "2"],
+                 ["verify", "--check", "gysin"],
+                 ["verify", "--check", "all", "--d", "2"]):
+        assert main(argv + ["--max-degree", "-1"]) == 2
     capsys.readouterr()
 
 

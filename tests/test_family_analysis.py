@@ -332,6 +332,15 @@ def test_trace_validation_errors():
         trace_birth_death(CUSP, -1.0, 1.0, steps=1)
     with pytest.raises(ValueError):
         trace_birth_death(CUSP, 1.0, -1.0)
+    nan, inf = float("nan"), float("inf")
+    for t0, t1 in ((-1.0, nan), (nan, 1.0), (-inf, 1.0), (-1.0, inf)):
+        with pytest.raises(ValueError):
+            trace_birth_death(CUSP, t0, t1)
+    for box in ([(-inf, inf)], [(nan, 1.0)], [(-1.0, nan)], [(-1.0, -1.0)]):
+        with pytest.raises(ValueError):
+            trace_birth_death(CUSP, -1.0, 1.0, box=box)
+    with pytest.raises(ValueError):
+        fiber_critical_points(CUSP, nan, [(-2.0, 2.0)])
 
 
 def test_trace_events_are_verified_birth_death_jets():

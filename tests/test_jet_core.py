@@ -492,6 +492,15 @@ def test_jet3_validation():
     jet = Jet3(2, 0.0, [0.0, 0.0], np.zeros((2, 2)), {})
     with pytest.raises(ValueError):
         jet.linear[0] = 5.0  # frozen storage
+    nan, inf = float("nan"), float("inf")
+    finite = dict(constant=0.0, linear=[0.0], quadratic=[[0.0]], cubic={})
+    for bad in (dict(constant=inf), dict(linear=[nan]), dict(quadratic=[[-inf]]),
+                dict(cubic={(1, 1, 1): nan})):
+        with pytest.raises(ValueError):
+            Jet3(1, **{**finite, **bad})
+    # a NaN tensor entry reaches Jet3 instead of being dropped as zero
+    with pytest.raises(ValueError):
+        jet_from_parts(1, 0.0, [0.0], [[1.0]], np.full((1, 1, 1), nan))
 
 
 def test_jet_json_round_trip():
