@@ -84,10 +84,12 @@ class RingMap:
     def homology_map(self) -> GradedMap:
         N = self.domain.N
         shapes = [(self.domain.dim(n), self.codomain.dim(n)) for n in range(N + 1)]
-        return GradedMap(N, [list(cols) for cols in self.columns], shapes)
+        return GradedMap(N, self.columns, shapes)
 
 
-@lru_cache(maxsize=None)
+# build_zigzag asks for f_0, g_0, f_1, g_1, ...: f_i and g_i share Y1(i), and
+# g_i and f_{i+1} share Y(i+1), so one cached ring of each kind suffices.
+@lru_cache(maxsize=1)
 def build_Y(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> MonomialBasis:
     """H*(BO(i) x BO(d-i))."""
     if not (0 <= i <= d):
@@ -95,7 +97,7 @@ def build_Y(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> MonomialBasis:
     return _bo_product([i, d - i], N)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def build_Y1(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> MonomialBasis:
     """H*(BO(i) x BO(1) x BO(d-i-1))."""
     if not (0 <= i <= d - 1):
@@ -103,7 +105,6 @@ def build_Y1(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> MonomialBasis:
     return _bo_product([i, 1, d - i - 1], N)
 
 
-@lru_cache(maxsize=None)
 def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     """H*(Y(i)) -> H*(Y1(i)): identity on BO(i), line summed into BO(d-i).
 
@@ -116,7 +117,6 @@ def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     return RingMap(dom, cod, lambda mono: [mono[:i] + b for b in W[mono[i:]]])
 
 
-@lru_cache(maxsize=None)
 def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     """H*(Y(i+1)) -> H*(Y1(i)): line summed into BO(i+1), identity on BO(d-i-1).
 

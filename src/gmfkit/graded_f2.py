@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 DEFAULT_TRUNCATION = 32
 
@@ -61,11 +59,19 @@ def series_from_coeffs(coeffs: Sequence[int], min_degree: int = 0) -> PoincareSe
     return PoincareSeries(min_degree, tuple(coeffs), min_degree + len(coeffs) - 1)
 
 
+def _check_truncation(N: int) -> None:
+    # a series or basis up to degree N < 0 would be empty, not a truncation
+    if N < 0:
+        raise ValueError(f"truncation must be nonnegative, got {N}")
+
+
 def series_zero(N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
+    _check_truncation(N)
     return series_from_coeffs([0] * (N + 1))
 
 
 def series_one(N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
+    _check_truncation(N)
     return series_from_coeffs([1] + [0] * N)
 
 
@@ -141,6 +147,7 @@ def series_BO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """
     if m < 0:
         raise ValueError("rank must be nonnegative")
+    _check_truncation(N)
     coeffs = [1] + [0] * N
     for part in range(1, m + 1):
         for n in range(part, N + 1):
@@ -152,6 +159,7 @@ def series_BSO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """prod_{i=2..m} 1/(1-t^i): generators of degrees 2..m (empty for m <= 1)."""
     if m < 0:
         raise ValueError("rank must be nonnegative")
+    _check_truncation(N)
     coeffs = [1] + [0] * N
     for part in range(2, m + 1):
         for n in range(part, N + 1):
@@ -184,6 +192,7 @@ def series_grassmannian(d: int, n: int, N: int = DEFAULT_TRUNCATION) -> Poincare
     """
     if d < 0 or n < 0:
         raise ValueError("d, n must be nonnegative")
+    _check_truncation(N)
     poly = list(_gauss_poly(d + n, d))
     coeffs = [poly[i] if i < len(poly) else 0 for i in range(N + 1)]
     return series_from_coeffs(coeffs)
@@ -277,6 +286,7 @@ class MonomialBasis:
         self.degrees = [int(d) for (_, d) in self.generators]
         if any(d <= 0 for d in self.degrees):
             raise ValueError("generator degrees must be positive")
+        _check_truncation(N)
         self.N = int(N)
         self._basis = [[] for _ in range(self.N + 1)]
         self._enumerate()
@@ -317,9 +327,6 @@ class MonomialBasis:
     def dim(self, n: int) -> int:
         return len(self.basis(n))
 
-    def series(self) -> PoincareSeries:
-        return series_from_coeffs([len(lvl) for lvl in self._basis])
-
 
 @dataclass
 class GradedMap:
@@ -344,20 +351,5 @@ class GradedMap:
                 if r >> nc:
                     raise ValueError(f"degree {n}: row has bits beyond {nc} columns")
 
-    def matrix(self, n: int) -> np.ndarray:
-        nr, nc = self.shapes[n]
-        out = np.zeros((nr, nc), dtype=np.uint8)
-        for i, r in enumerate(self.rows[n]):
-            for j in range(nc):
-                if (r >> j) & 1:
-                    out[i, j] = 1
-        return out
-
     def rank(self, n: int) -> int:
         return rank_f2(self.rows[n], self.shapes[n][1])
-
-    def kernel_dim(self, n: int) -> int:
-        return self.shapes[n][1] - self.rank(n)
-
-    def cokernel_dim(self, n: int) -> int:
-        return self.shapes[n][0] - self.rank(n)

@@ -156,6 +156,11 @@ def scale(jet: Jet3) -> float:
     return max(1.0, m)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def spectral_split(q, tol: float = DEFAULT_TOL) -> SpectralSplit:
     """Split R^d by the spectrum of the symmetric matrix q.
 
@@ -163,6 +168,7 @@ def spectral_split(q, tol: float = DEFAULT_TOL) -> SpectralSplit:
     Blocks are ordered negative, zero, positive; ascending eigenvalue
     within each block.
     """
+    _check_tol(tol)
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("q must be square")
@@ -196,6 +202,7 @@ def restrict_cubic(jet: Jet3, v) -> float:
 
 def classify(jet: Jet3, tol: float = DEFAULT_TOL) -> GmfClass:
     """Stratify the jet: Regular / NondegenerateCritical(i) / BirthDeath(i) / Degenerate."""
+    _check_tol(tol)
     s = scale(jet)
     if float(np.linalg.norm(jet.linear)) > tol * s:
         return GmfClass(REGULAR)

@@ -99,7 +99,11 @@ def test_classify_jet_error_exit_codes(tmp_path, capsys):
         assert main(["classify-jet", "--input", _write(tmp_path, "q.json", quad)]) == 2
         cubic = dict(ZERO_JET_1D, cubic=[{"idx": [1, 1, 1], "coeff": bad}])
         assert main(["classify-jet", "--input", _write(tmp_path, "c.json", cubic)]) == 2
-    capsys.readouterr()
+    # a non-finite or negative tolerance is malformed too, not a classification
+    weak = _write(tmp_path, "w.json", dict(REGULAR_2D, linear=[0.5, 0.0]))
+    for tol in ("nan", "inf", "-inf", "-1"):
+        assert main(["classify-jet", "--input", weak, f"--tol={tol}"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

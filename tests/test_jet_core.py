@@ -265,10 +265,17 @@ def test_spectral_split_random_vs_sign_count_oracle():
 
 
 def test_spectral_split_rejects_bad_input():
-    with pytest.raises(ValueError):
-        spectral_split(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        spectral_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for q in (np.zeros((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            spectral_split(q)
+    # a tolerance must be finite and >= 0; classify checks it before the
+    # linear part can decide the class
+    regular = Jet3(2, 0.0, [0.5, 0.0], np.eye(2), {})
+    for tol in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            spectral_split(np.eye(2), tol)
+        with pytest.raises(ValueError, match="tol"):
+            classify(regular, tol)
 
 
 def test_split_dims_orthogonally_invariant():

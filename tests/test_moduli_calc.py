@@ -7,13 +7,18 @@ from __future__ import annotations
 
 import pytest
 
+from gmfkit.char_class_maps import _whitney, build_Y, build_Y1
 from gmfkit.graded_f2 import (
     GradedMap,
+    MonomialBasis,
     rank_f2,
     rref_f2,
     series_BO,
     series_BSO,
     series_equal,
+    series_grassmannian,
+    series_one,
+    series_zero,
     transpose_bits,
 )
 from gmfkit.moduli_calc import (
@@ -69,29 +74,46 @@ def test_point_zigzag_is_contractible():
 def test_point_zigzag_cofiber_is_wedge_of_circles():
     """Collapsing the three points of a contractible tree leaves two circles.
 
-    Same bookkeeping as cofiber_series, done by hand on the raw result:
-    C_0 = X_0 - rank iota_0 and C_1 = (X_1 - rank iota_1) + k_0.
+    The pair's long exact sequence, by hand on the raw result: iota_n maps
+    onto coker(Phi_n), so C_0 = X_0 - coker_0 and C_1 = (X_1 - coker_1) + k_0
+    with k_0 = T_0 - coker_0.
     """
     h = hocolim_series(_point_zigzag(2, 4))
-    assert h.iota_rank[0] == 1
-    k0 = h.T_dims[0] - h.iota_rank[0]
-    assert k0 == 2
-    c0 = h.series.coeff(0) - h.iota_rank[0]
-    c1 = (h.series.coeff(1) - h.iota_rank[1]) + k0
+    assert h.coker[0] == 1
+    k0 = h.T_dims[0] - h.coker[0]
+    assert k0 == 2 == h.rank[0]
+    c0 = h.series.coeff(0) - h.coker[0]
+    c1 = (h.series.coeff(1) - h.coker[1]) + k0
     assert (c0, c1) == (0, 2)
 
 
 def test_zigzag_validation_errors():
     with pytest.raises(ValueError, match="inconsistent diagram"):
-        ZigzagDiagram(2, 4, (_point_map(4),), (_point_map(4),)).validate()
+        ZigzagDiagram(2, 4, (_point_map(4),), (_point_map(4),))
     wide = GradedMap(4, [[0b11]] + [[] for _ in range(4)], [(1, 2)] + [(0, 0)] * 4)
     with pytest.raises(ValueError, match="inconsistent diagram"):
-        ZigzagDiagram(1, 4, (_point_map(4),), (wide,)).validate()
+        ZigzagDiagram(1, 4, (_point_map(4),), (wide,))
     with pytest.raises(ValueError):
         build_zigzag(0)
-    z = build_zigzag(1, 8)
-    with pytest.raises(ValueError):
-        hocolim_series(z, N=9)  # beyond the built truncation
+
+
+def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
+    """f_i, g_i are built in turn, so one cached Y and one cached Y1 suffice."""
+    built = []
+    init = MonomialBasis.__init__
+
+    def counting_init(self, generators, N):
+        built.append(generators)
+        init(self, generators, N)
+
+    monkeypatch.setattr(MonomialBasis, "__init__", counting_init)
+    for d in (3, 5):
+        for cache in (build_Y, build_Y1, _whitney):
+            cache.cache_clear()
+        built.clear()
+        build_zigzag(d, 8)
+        # Y(0..d), Y1(0..d-1), and one H*(BO(m)) per Whitney rank m = 1..d
+        assert len(built) == (2 * d + 1) + d, d
 
 
 def test_hocolim_d1_equals_line_classifier():
@@ -123,7 +145,6 @@ def test_hocolim_euler_bookkeeping():
         for n in range(11):
             assert h.coker[n] - h.kernel[n] == h.T_dims[n] - h.S_dims[n]
             assert 0 <= h.rank[n] <= min(h.T_dims[n], h.S_dims[n])
-            assert 0 <= h.iota_rank[n] <= min(h.T_dims[n], h.coker[n])
 
 
 def _iota_rank_by_echelon(z, n):
@@ -154,12 +175,12 @@ def _iota_rank_by_echelon(z, n):
 
 
 def test_iota_rank_matches_echelon_construction():
+    # iota is onto coker(Phi_n), which is why the cofiber needs no iota ranks
     for d in (1, 2, 3, 4):
         for N in (4, 10):
             z = build_zigzag(d, N)
             h = hocolim_series(z)
-            assert h.iota_rank == h.coker
-            assert h.iota_rank == tuple(_iota_rank_by_echelon(z, n) for n in range(N + 1))
+            assert h.coker == tuple(_iota_rank_by_echelon(z, n) for n in range(N + 1))
 
 
 def test_truncation_below_d_agrees_with_higher_truncation():
@@ -333,3 +354,26 @@ def test_check_report_verdict_logic():
 def test_bso_series_agrees_with_partition_rule():
     # sanity anchor for the oriented family used by the Gysin check
     assert [series_BSO(3, 6).coeff(n) for n in range(7)] == [1, 0, 1, 1, 1, 1, 2]
+
+
+def test_negative_truncation_is_rejected():
+    # every series function refuses N < 0 rather than return an empty or
+    # truncation-0 series, or fail later with an IndexError
+    calls = [
+        lambda: series_zero(-1),
+        lambda: series_one(-1),
+        lambda: series_BO(2, -1),
+        lambda: series_BSO(2, -1),
+        lambda: series_grassmannian(2, 1, -1),
+        lambda: MonomialBasis([("w1", 1)], -1),
+        lambda: build_zigzag(2, -1),
+        lambda: sigma_gmf_series(2, -1),
+        lambda: cofiber_series(2, -1),
+        lambda: wedge_target_series(2, -1),
+        lambda: sigma_mf_series(2, -1),
+        lambda: mt_series(2, -1),
+        lambda: mtgmf_series(2, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="truncation must be nonnegative"):
+            call()
