@@ -2,8 +2,10 @@
 
 A family is a real polynomial F(t, x) on R^k x R^d (k in {0, 1} is what the
 tracing code exercises).  Fiber 3-jets come from exact polynomial
-differentiation, never finite differences.  Critical points are found by
-Newton iteration from a seed grid.  Birth-death parameter values start as
+differentiation, never finite differences, with each derivative's term list
+compiled once and evaluated over many points at a time.  Critical points are
+found by Newton iteration from a seed grid, the whole grid as one batch with
+guards that act seed by seed.  Birth-death parameter values start as
 grid-scale candidates (critical-point count changes, and sign changes or
 local minima of the smallest-magnitude Hessian eigenvalue along matched
 tracks) and are located by Newton on the augmented fold system.
@@ -74,60 +76,100 @@ def _diff_terms(terms, var):
     return tuple(out)
 
 
-def _eval_terms(terms, point):
-    val = 0.0
-    for powers, coeff in terms:
-        v = coeff
-        for x, p in zip(point, powers):
-            if p:
-                v *= x ** p
-        val += v
-    return val
+class _TermLists:
+    """Term lists compiled once, to evaluate together at the same points.
+
+    Each term becomes (coeff, ((variable, power), ...)) with its zero powers
+    left out, and top holds each variable's highest power.  Given as a dict
+    keyed by sorted index tuples, the lists are the independent entries of a
+    symmetric tensor, which at() returns filled in.
+    """
+
+    def __init__(self, lists, nvars: int):
+        self.symmetric = isinstance(lists, dict)
+        self.lists = tuple(
+            tuple((coeff, tuple((v, p) for v, p in enumerate(powers) if p)) for powers, coeff in terms)
+            for terms in (lists.values() if self.symmetric else lists))
+        self.top = [0] * nvars
+        for terms in self.lists:
+            for _, factors in terms:
+                for v, p in factors:
+                    self.top[v] = max(self.top[v], p)
+        if self.symmetric:
+            keys = list(lists)
+            slots = [(idx, c) for c, key in enumerate(keys) for idx in set(itertools.permutations(key))]
+            self.index = (Ellipsis,) + tuple(np.array(i) for i in zip(*(idx for idx, _ in slots)))
+            self.source = [c for _, c in slots]
+            self.shape = (1 + max(map(max, keys)),) * len(keys[0])
+
+    def at(self, pt) -> np.ndarray:
+        """Every list at pt, stacked along the last axis, or the tensor.
+
+        pt is one point or an array of points, one per row.  The powers of
+        each coordinate come from one table made with Python's **: repeated
+        multiplication and numpy's power each differ from it in the last bit
+        for some inputs, and Newton can then stop elsewhere.
+        """
+        pt = np.asarray(pt, dtype=float)
+        rows = pt.reshape(-1, pt.shape[-1])
+        pw = [[None, col] + [np.array([x ** p for x in col.tolist()]) for p in range(2, top + 1)]
+              for col, top in zip(rows.T, self.top)]
+        out = np.zeros((len(self.lists), len(rows)))
+        for val, terms in zip(out, self.lists):
+            for coeff, factors in terms:
+                v = coeff
+                for var, p in factors:
+                    v = v * pw[var][p]
+                val += v
+        out = out.T.reshape(pt.shape[:-1] + (len(self.lists),))
+        if not self.symmetric:
+            return out
+        tensor = np.zeros(pt.shape[:-1] + self.shape)
+        tensor[self.index] = out[..., self.source]
+        return tensor
 
 
 class _FamilyCalculus:
-    """Cached exact derivatives of a family with respect to fiber variables.
+    """Exact derivatives of a family with respect to fiber variables.
 
-    Every method takes a point pt = (parameters..., fiber coordinates...).
-    For a one-parameter family the gradient and Hessian of dF/dt are kept
-    too (t is differentiated first).
+    Every method takes a point pt = (parameters..., fiber coordinates...) or
+    an (m, k + d) array of such points, one per row, and then returns one
+    result per row.  For a one-parameter family the gradient and Hessian of
+    dF/dt are kept too (t is differentiated first).
     """
 
     def __init__(self, F: PolyFamily):
         k, d = F.param_dim, F.fiber_dim
-        self.F, self.d = F, d
+        self.d = d
+        n = k + d
 
         def fiber_derivatives(terms):
             grad = [_diff_terms(terms, k + j) for j in range(d)]
             hess = {(j, l): _diff_terms(grad[j], k + l) for j in range(d) for l in range(j, d)}
             return grad, hess
 
-        self.grad, self.hess = fiber_derivatives(F.terms)
-        self.third = {(j, l, m): _diff_terms(h, k + m)
-                      for (j, l), h in self.hess.items() for m in range(l, d)}
+        grad, hess = fiber_derivatives(F.terms)
+        third = {(j, l, m): _diff_terms(h, k + m) for (j, l), h in hess.items() for m in range(l, d)}
+        self.terms = _TermLists([F.terms], n)
+        self.grad, self.hess = _TermLists(grad, n), _TermLists(hess, n)
+        self.third = _TermLists(third, n)
         if k == 1:
-            self.grad_dt, self.hess_dt = fiber_derivatives(_diff_terms(F.terms, 0))
+            grad_dt, hess_dt = fiber_derivatives(_diff_terms(F.terms, 0))
+            self.grad_dt, self.hess_dt = _TermLists(grad_dt, n), _TermLists(hess_dt, n)
 
-    def value(self, pt) -> float:
-        return _eval_terms(self.F.terms, pt)
+    def value(self, pt):
+        v = self.terms.at(pt)[..., 0]
+        return v if v.ndim else float(v)
 
     def gradient(self, pt, dt: bool = False) -> np.ndarray:
-        return np.array([_eval_terms(g, pt) for g in (self.grad_dt if dt else self.grad)])
+        return (self.grad_dt if dt else self.grad).at(pt)
 
     def hessian(self, pt, dt: bool = False) -> np.ndarray:
-        H = np.zeros((self.d, self.d))
-        for (j, l), terms in (self.hess_dt if dt else self.hess).items():
-            H[j, l] = H[l, j] = _eval_terms(terms, pt)
-        return H
+        return (self.hess_dt if dt else self.hess).at(pt)
 
     def third_tensor(self, pt) -> np.ndarray:
         """Dense symmetric tensor of third fiber derivatives."""
-        T = np.zeros((self.d,) * 3)
-        for key, terms in self.third.items():
-            v = _eval_terms(terms, pt)
-            for a, b, c in set(itertools.permutations(key)):
-                T[a, b, c] = v
-        return T
+        return self.third.at(pt)
 
 
 @functools.lru_cache(maxsize=32)
@@ -167,47 +209,81 @@ class CriticalPoint:
 
 
 def _newton(system, z0, box):
-    """Newton iteration for system(z) = (residual, Jacobian) from z0.
+    """Newton iteration for system(Z) = (residuals, Jacobians), run from every
+    row of the (m, n) start array z0 at once.
 
-    z holds the fiber coordinates first, then any unknown parameters; box is
-    the fiber box (lo, hi).  Returns the final iterate if its residual norm
-    is within NEWTON_TOL, else the last iterate that was, else None.
+    A row holds the fiber coordinates first, then any unknown parameters;
+    box is the fiber box (lo, hi).  system maps a (p, n) array of rows to
+    their (p, n) residuals and (p, n, n) Jacobians.  Row i of the returned
+    (m, n) array is run i's final iterate if its residual norm is within
+    NEWTON_TOL, else the last iterate of run i that was, else NaN.
 
     Iteration continues after the residual criterion is met: at a multiple
     root Newton converges only linearly and stops far from the point if cut
     off at the first small residual, which would leave distinct copies of
     the same critical point beyond the dedup radius, and near a fold the
-    residual can be quadratic in the distance to it.  The loop ends on a
-    singular or non-finite step, when the fiber coordinates leave
-    10 (diam + 1), when the step stalls, or after MAX_ITER steps.
+    residual can be quadratic in the distance to it.  A run ends on a
+    singular or non-finite step, when its fiber coordinates leave
+    10 (diam + 1), when its step stalls, or after MAX_ITER steps; the other
+    runs go on without it, and no run's result depends on the other rows.
     """
-    z = np.array(z0, dtype=float)
+    Z = np.array(z0, dtype=float)
     lo, hi = box
     d = len(lo)
     diam = float(np.max(hi - lo))
-    best = None
+    best = np.full_like(Z, np.nan)
+    live = np.arange(len(Z))
     for _ in range(MAX_ITER):
+        if not live.size:
+            break
+        z = Z[live]
         r, J = system(z)
-        if _norm(r) <= NEWTON_TOL:
-            best = z.copy()
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            break
+        small = _row_norms(r) <= NEWTON_TOL
+        best[live[small]] = z[small]
+        step, go = _solve_rows(J, r)
         zn = z - step  # non-finite exactly when the step is (or overflows)
-        if not np.isfinite(zn).all() or np.abs(zn[:d]).max() > 10.0 * (diam + 1.0):
-            break
-        z = zn
-        if _norm(step) <= 1e-14 * (1.0 + _norm(z[:d]) + _norm(z[d:])):
-            break
-    if _norm(system(z)[0]) <= NEWTON_TOL:
-        return z
-    return best
+        go &= np.isfinite(zn).all(axis=1)
+        go[go] = np.abs(zn[go, :d]).max(axis=1) <= 10.0 * (diam + 1.0)
+        live, step, zn = live[go], step[go], zn[go]
+        Z[live] = zn
+        moving = _row_norms(step) > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + _row_norms(zn[:, d:]))
+        live = live[moving]
+    done = _row_norms(system(Z)[0]) <= NEWTON_TOL
+    return np.where(done[:, None], Z, best)
 
 
-def _norm(v) -> float:
-    # np.linalg.norm of a vector, without its overhead on the Newton path
-    return math.sqrt(v.dot(v))
+def _solve_rows(J, r):
+    """Steps J_i^-1 r_i, and which rows have one: a singular J_i makes the
+    stacked solve raise, and then the rows are solved one by one."""
+    try:
+        return np.linalg.solve(J, r[:, :, None])[:, :, 0], np.ones(len(r), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    step, solved = np.zeros_like(r), np.zeros(len(r), dtype=bool)
+    for i in range(len(r)):
+        try:
+            step[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            continue
+        solved[i] = True
+    return step, solved
+
+
+def _row_norms(V) -> np.ndarray:
+    # Euclidean norm of each row, summed column by column so that a row's
+    # norm does not depend on the other rows
+    s = np.zeros(len(V))
+    for col in V.T:
+        s += col * col
+    return np.sqrt(s)
+
+
+def _with_params(t, X) -> np.ndarray:
+    """The points (t, x), one per row x of X."""
+    P = np.empty((len(X), len(t) + X.shape[1]))
+    P[:, :len(t)] = t
+    P[:, len(t):] = X
+    return P
 
 
 def _box_arrays(box, d):
@@ -238,9 +314,10 @@ def _auto_grid(d: int) -> int:
 def fiber_critical_points(F: PolyFamily, t, box):
     """Newton from a seed grid; converged in-box points, deduplicated.
 
-    Non-converged seeds are dropped (a count is logged).  Each point is
-    classified from its fiber 3-jet, whose linear part is the gradient at
-    the point and hence ~0 by construction.
+    The whole seed grid is one batch of rows for _newton, each row with its
+    own guards.  Non-converged seeds are dropped (a count is logged).  Each
+    point is classified from its fiber 3-jet, whose linear part is the
+    gradient at the point and hence ~0 by construction.
     """
     t = tuple(np.atleast_1d(np.asarray(t, dtype=float))) if F.param_dim else tuple()
     if len(t) != F.param_dim:
@@ -251,23 +328,18 @@ def fiber_critical_points(F: PolyFamily, t, box):
     d = F.fiber_dim
     lo, hi = _box_arrays(box, d)
     axes = [np.linspace(lo[j], hi[j], _auto_grid(d)) for j in range(d)]
-    seeds = list(itertools.product(*axes))
+    seeds = np.array(list(itertools.product(*axes)))
 
-    def system(x):
-        pt = t + tuple(x)
-        return calc.gradient(pt), calc.hessian(pt)
+    def system(X):
+        P = _with_params(t, X)
+        return calc.gradient(P), calc.hessian(P)
 
-    dropped = 0
-    found = []
-    for s in seeds:
-        x = _newton(system, s, (lo, hi))
-        if x is None:
-            dropped += 1
-            continue
-        if np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12):
-            found.append(x)
+    Z = _newton(system, seeds, (lo, hi))
+    converged = np.isfinite(Z).all(axis=1)
+    dropped = len(Z) - int(converged.sum())
     if dropped:
         log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, len(seeds))
+    found = list(Z[converged & (Z >= lo - 1e-12).all(axis=1) & (Z <= hi + 1e-12).all(axis=1)])
     points = []
     for x in _dedup(found, DEDUP_RADIUS):
         pt = t + tuple(x)
@@ -328,7 +400,8 @@ def _refine_fold(calc, t, x, box):
     """
     d = calc.d
 
-    def system(z):
+    def system(Z):  # one row
+        z = Z[0]
         pt = (float(z[d]),) + tuple(z[:d])
         H = calc.hessian(pt)
         w, V = np.linalg.eigh(H)
@@ -341,10 +414,10 @@ def _refine_fold(calc, t, x, box):
         for c in range(d):
             J[d, c] = float(v @ T[:, :, c] @ v)
         J[d, d] = float(v @ calc.hessian(pt, dt=True) @ v)
-        return np.append(calc.gradient(pt), float(w[i0])), J
+        return np.append(calc.gradient(pt), float(w[i0]))[None], J[None]
 
-    z = _newton(system, np.append(np.asarray(x, dtype=float), float(t)), box)
-    return None if z is None else (float(z[d]), z[:d])
+    z = _newton(system, np.append(np.asarray(x, dtype=float), float(t))[None], box)[0]
+    return None if np.isnan(z).any() else (float(z[d]), z[:d])
 
 
 def _match_tracks(prev_pts, next_pts):
@@ -562,16 +635,20 @@ class FamilyAxiomReport:
         raise KeyError(axiom)
 
 
-def _boundary_min(calc, t, lo, hi):
+def _boundary_points(lo, hi) -> np.ndarray:
+    """An 8-point-per-axis grid on each of the 2d faces of the box, one row each."""
     d = len(lo)
-    best = math.inf
     axes = [np.linspace(lo[j], hi[j], 8) for j in range(d)]
+    points = []
     for face_var in range(d):
         for face_val in (lo[face_var], hi[face_var]):
             free = [axes[j] if j != face_var else np.array([face_val]) for j in range(d)]
-            for p in itertools.product(*free):
-                best = min(best, calc.value(t + p))
-    return best
+            points.extend(itertools.product(*free))
+    return np.array(points)
+
+
+def _boundary_min(calc, t, boundary) -> float:
+    return float(calc.value(_with_params(t, boundary)).min())
 
 
 def check_family_axioms(
@@ -620,10 +697,11 @@ def check_family_axioms(
         raise ValueError("axiom checks support param_dim 0 or 1")
 
     prop_ok, prop_note = True, "boundary minimum above interior critical values at all samples"
+    boundary = _boundary_points(lo, hi)
     for t, pts in sampled:
         if not pts:
             continue
-        bmin = _boundary_min(calc, t, lo, hi)
+        bmin = _boundary_min(calc, t, boundary)
         vmax = max(p.value for p in pts)
         if bmin <= vmax:
             prop_ok = False

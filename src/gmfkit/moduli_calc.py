@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .char_class_maps import map_f, map_g
+from .char_class_maps import _whitney, map_f, map_g
 from .graded_f2 import (
     DEFAULT_TRUNCATION,
     PoincareSeries,
@@ -109,9 +109,14 @@ class ZigzagDiagram:
 def build_zigzag(d: int, N: int = DEFAULT_TRUNCATION) -> ZigzagDiagram:
     if d < 1:
         raise ValueError("need d >= 1")
-    # f_i then g_i, in i order: build_Y/build_Y1 keep only the last ring
-    pairs = [(map_f(i, d, N).homology_map(), map_g(i, d, N).homology_map())
-             for i in range(d)]
+    # f_i then g_i, in i order: build_Y/build_Y1 keep only the last ring;
+    # f_{d-m} and g_{m-1} share the Whitney expansion of rank m, which is
+    # dropped once the maps are built
+    try:
+        pairs = [(map_f(i, d, N).homology_map(), map_g(i, d, N).homology_map())
+                 for i in range(d)]
+    finally:
+        _whitney.cache_clear()
     f_maps, g_maps = zip(*pairs)
     return ZigzagDiagram(d, N, f_maps, g_maps)
 

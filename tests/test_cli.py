@@ -130,6 +130,54 @@ def test_trace_family_cusp(capsys):
     assert "axiom_gmf=Pass" in out
 
 
+CUBIC_PAIR_037 = {
+    # x^3 + (t^2 - a^2) x - y^2 + z^2 at a = 0.37: folds at t = +-0.37, x = 0
+    "param_dim": 1,
+    "fiber_dim": 3,
+    "terms": [
+        {"powers": [0, 3, 0, 0], "coeff": 1.0},
+        {"powers": [2, 1, 0, 0], "coeff": 1.0},
+        {"powers": [0, 1, 0, 0], "coeff": -0.37 * 0.37},
+        {"powers": [0, 0, 2, 0], "coeff": -1.0},
+        {"powers": [0, 0, 0, 2], "coeff": 1.0},
+    ],
+}
+
+_TRACE_FOOTER = "window=[-1,1] steps=41\n"
+
+
+@pytest.mark.parametrize("source, expected", [
+    (["--preset", "cusp"],
+     "t_star,x_star_1,index,det_hessian\n"
+     "0,0,0,0\n"
+     "# events=1 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER),
+    (["--preset", "suspended-cusp-0"],
+     "t_star,x_star_1,x_star_2,index,det_hessian\n"
+     "0,0,0,0,0\n"
+     "# events=1 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER),
+    (["--preset", "suspended-cusp-1"],
+     "t_star,x_star_1,x_star_2,x_star_3,index,det_hessian\n"
+     "0,0,0,0,1,0\n"
+     "# events=1 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER),
+    (["--preset", "suspended-cusp-2"],
+     "t_star,x_star_1,x_star_2,x_star_3,x_star_4,index,det_hessian\n"
+     "0,0,0,0,0,2,0\n"
+     "# events=1 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER),
+    (["--family", "cubic-pair.json"],
+     "t_star,x_star_1,x_star_2,x_star_3,index,det_hessian\n"
+     "-0.37,0,0,0,1,0\n"
+     "0.37,0,0,0,1,0\n"
+     "# events=2 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER),
+])
+def test_trace_family_output_is_frozen(tmp_path, capsys, source, expected):
+    """Exact output of trace-family; every printed field is exactly 0 or
+    +-0.37, so the text does not depend on the platform's last bits."""
+    if source[0] == "--family":
+        source = ["--family", _write(tmp_path, source[1], CUBIC_PAIR_037)]
+    assert main(["trace-family", *source, "--t0", "-1", "--t1", "1"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_trace_family_swallowtail_fails_axiom(capsys):
     assert main(["trace-family", "--preset", "swallowtail",
                  "--t0", "-1", "--t1", "1"]) == 1

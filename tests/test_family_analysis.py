@@ -145,6 +145,24 @@ def test_fiber_jet3_finite_difference_oracle():
                            _fd_hessian_diag(F, (t,), x0), atol=1e-5)
 
 
+def test_calculus_on_rows_matches_the_monomial_sum():
+    """Values on an array of points are, bit for bit, the direct monomial
+    sum at each point; gradients and Hessians row by row are what each
+    point gives alone."""
+    rng = np.random.default_rng(79)
+    for _ in range(12):
+        k, d = int(rng.integers(0, 2)), int(rng.integers(1, 4))
+        quartic = (tuple(int(p) for p in rng.integers(0, 5, size=k + d)), float(rng.normal()))
+        F = PolyFamily(k, d, _random_cubic_family(rng, k, d).terms + (quartic,))
+        calc = family_analysis._calculus(F)
+        P = rng.uniform(-2.0, 2.0, size=(7, k + d))
+        values, grads, hessians = calc.value(P), calc.gradient(P), calc.hessian(P)
+        for i, pt in enumerate(P):
+            assert values[i] == _family_value(F, pt[:k], pt[k:])
+            assert grads[i].tobytes() == calc.gradient(pt).tobytes()
+            assert hessians[i].tobytes() == calc.hessian(pt).tobytes()
+
+
 def test_fiber_jet3_rejects_wrong_param_count():
     with pytest.raises(ValueError):
         fiber_jet3(CUSP, (1.0, 2.0), [0.0])
@@ -184,8 +202,9 @@ def test_fiber_critical_points_param_dim_zero():
 
 
 def test_fiber_critical_points_one_newton_run_per_seed(monkeypatch):
-    """The 1-d seed grid has 8 points; fold polishing shares _newton, so
-    only the calls made by fiber_critical_points itself are seed runs."""
+    """The seed grid is one _newton batch, one row per seed: the 1-d grid's
+    8 points, each once.  Fold polishing shares _newton, so only the calls
+    made by fiber_critical_points itself are seed runs."""
     calls = []
     newton = family_analysis._newton
 
@@ -196,7 +215,62 @@ def test_fiber_critical_points_one_newton_run_per_seed(monkeypatch):
     monkeypatch.setattr(family_analysis, "_newton", counting)
     pts = fiber_critical_points(CUSP, 3.0, [(-2.0, 2.0)])
     assert len(pts) == 2
-    assert len(calls) == 8
+    assert len(calls) == 1
+    z0 = calls[0][1]
+    assert z0.shape == (8, 1)
+    assert np.array_equal(z0[:, 0], np.linspace(-2.0, 2.0, 8))
+
+
+def _cubic_pair(a):
+    """x^3 + (t^2 - a^2) x - y^2 + z^2: folds at t = +-a."""
+    return PolyFamily(1, 3, (((0, 3, 0, 0), 1.0), ((2, 1, 0, 0), 1.0), ((0, 1, 0, 0), -a * a),
+                             ((0, 0, 2, 0), -1.0), ((0, 0, 0, 2), 1.0)))
+
+
+def _seed_batch(monkeypatch, F, t):
+    """The (system, seeds, box) that fiber_critical_points hands _newton."""
+    newton, batches = family_analysis._newton, []
+
+    def capture(*args):
+        batches.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(family_analysis, "_newton", capture)
+    fiber_critical_points(F, t, [(-2.0, 2.0)] * F.fiber_dim)
+    monkeypatch.undo()
+    (batch,) = batches
+    return batch
+
+
+@pytest.mark.parametrize("name", ["cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1",
+                                  "suspended-cusp-2", "cubic-pair"])
+@pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.37, 1.0])
+def test_batched_newton_rows_are_independent(monkeypatch, name, t):
+    """Each row of a batched _newton run gives, bit for bit, what the same
+    seed gives alone, whichever guard ends its run."""
+    F = _cubic_pair(0.37) if name == "cubic-pair" else preset_family(name)
+    system, seeds, box = _seed_batch(monkeypatch, F, t)
+    batch = family_analysis._newton(system, seeds, box)
+    assert batch.shape == seeds.shape
+    for i in range(len(seeds)):
+        alone = family_analysis._newton(system, seeds[i:i + 1], box)
+        assert batch[i].tobytes() == alone[0].tobytes(), (name, t, i)
+
+
+def test_batched_newton_singular_and_failing_rows(monkeypatch):
+    # suspended-cusp-2 at t = 0: the 3-point grid puts seeds at x = 0, where
+    # f_xx = 0, so the stacked solve of the first step raises
+    system, seeds, box = _seed_batch(monkeypatch, preset_family("suspended-cusp-2"), 0.0)
+    r, J = system(seeds)
+    singular = np.linalg.det(J) == 0.0
+    assert singular.any() and not singular.all()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, r[:, :, None])
+    out = family_analysis._newton(system, seeds, box)
+    assert np.isfinite(out).all(axis=1).any()
+    # the cusp at t = -1 has no critical points: every row fails
+    system, seeds, box = _seed_batch(monkeypatch, CUSP, -1.0)
+    assert np.isnan(family_analysis._newton(system, seeds, box)).all()
 
 
 # ---------------------------------------------------------------------------

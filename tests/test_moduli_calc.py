@@ -116,6 +116,12 @@ def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
         assert len(built) == (2 * d + 1) + d, d
 
 
+def test_build_zigzag_releases_whitney_expansions():
+    """Each expansion serves two maps of one zigzag; none outlives it."""
+    build_zigzag(4, 8)
+    assert _whitney.cache_info().currsize == 0
+
+
 def test_hocolim_d1_equals_line_classifier():
     h = hocolim_series(build_zigzag(1, 16))
     assert [h.series.coeff(n) for n in range(17)] == [1] * 17
