@@ -1,8 +1,11 @@
 """Mod-2 cohomology rings of products of BO(m) and the two line-summing maps.
 
-H*(BO(m); F2) is polynomial on classes w_1..w_m (degree j for w_j); a
-product of factors gets the union of generators, factor by factor.  The
-zigzag spaces are
+H*(BO(m); F2) is the symmetric polynomials in m classes of degree 1, with the
+monomial symmetric functions m_lambda, lambda_1 >= ... >= lambda_m >= 0, as
+basis (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  A
+MonomialBasis on generators of degrees 1..m lists them: exponent tuple e is
+lambda_j = e_j + ... + e_m, of the same degree.  A product of factors gets
+the union of generators, factor by factor.  The zigzag spaces are
 
     Y(i)  = BO(i) x BO(d-i),
     Y1(i) = BO(i) x BO(1) x BO(d-i-1),
@@ -10,16 +13,19 @@ zigzag spaces are
 and the two maps out of Y1(i) classify splitting off a line from one block:
 f: Y1(i) -> Y(i) is the identity on BO(i) and Whitney-sums the line into the
 second block; g: Y1(i) -> Y(i+1) Whitney-sums the line into the first block.
-Both are one operation on cohomology, the Whitney expansion
-w_j -> w'_j + a * w'_{j-1} from H*(BO(m)) into H*(BO(1) x BO(m-1)), which
-_whitney works out once per block rank m and truncation N.  Homology maps
-are the degreewise transposes.
+Restriction along BO(1) x BO(m-1) -> BO(m) sets one variable to the line
+class a: m_lambda -> sum_k a^k * m_{lambda - k} over the distinct parts k of
+lambda (0 among them when lambda has fewer than m nonzero parts).  So
+a^k * m_nu is in the image of m_{nu + k} alone, and homology, the degreewise
+transpose, sends each basis element of Y1(i) to one of Y(i) or Y(i+1): the
+line's part inserted into one block.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import add
+from bisect import insort
+from functools import cache, lru_cache
+from itertools import accumulate
 
 from .graded_f2 import DEFAULT_TRUNCATION, GradedMap, MonomialBasis, rank_f2
 
@@ -31,52 +37,32 @@ def _bo_product(ranks, N: int) -> MonomialBasis:
     )
 
 
-@lru_cache(maxsize=64)
-def _whitney(m: int, N: int) -> dict:
-    """Images of the H*(BO(m)) monomials of degree <= N in H*(BO(1) x BO(m-1)).
-
-    Keys are exponent tuples on w_1..w_m; each value is the frozenset of exponent
-    tuples on (a, w'_1, ..., w'_{m-1}) whose F2 sum is the image, built from
-    w_j -> w'_j + a * w'_{j-1} with w'_0 = 1 and w'_m = 0.
-    """
-    def slots(*ks):
-        return tuple(int(k in ks) for k in range(m))
-
-    # a * w'_{j-1} sits at slots 0 and j-1 (slot 0 alone for j = 1), w'_j at slot j
-    gens = [[slots(0, j - 1)] + ([slots(j)] if j < m else []) for j in range(1, m + 1)]
-    unit = slots()
-    images = {unit: frozenset({unit})}
-    source = _bo_product([m], N)
-    for n in range(1, N + 1):
-        for mono in source.basis(n):
-            # peel one factor of the last generator present off a lower monomial
-            g = max(j for j in range(m) if mono[j])
-            prev = images[mono[:g] + (mono[g] - 1,) + mono[g + 1:]]
-            acc = frozenset()
-            for t in gens[g]:
-                acc ^= {tuple(map(add, p, t)) for p in prev}
-            images[mono] = acc
-    return images
+def _insert(e: tuple, k: int) -> tuple:
+    """The exponent tuple of partition e with one more part, k."""
+    parts = list(accumulate(reversed(e)))  # lambda_m' <= ... <= lambda_1
+    insort(parts, k)
+    return tuple(b - a for a, b in zip([0] + parts, parts))[::-1]
 
 
 class RingMap:
     """A cohomology ring map between BO-product rings, one block Whitney-summed.
 
-    image(mono) lists the codomain monomials whose F2 sum is the image of
-    the domain monomial mono.  columns[n][c] has bit r set when the image of
-    domain monomial c of degree n contains codomain monomial r.  The same
-    data read as rows is the degreewise matrix of the induced homology map
-    (target = domain side, source = codomain side).
+    send(mono) is the one domain basis element whose image contains codomain
+    basis element mono.  columns[n][c] has bit r set when the image of
+    domain element c of degree n contains codomain element r; the columns
+    have disjoint supports that cover the codomain.  The same data read as
+    rows is the degreewise matrix of the induced homology map (target =
+    domain side, source = codomain side).
     """
 
-    def __init__(self, domain: MonomialBasis, codomain: MonomialBasis, image):
+    def __init__(self, domain: MonomialBasis, codomain: MonomialBasis, send):
         self.domain = domain
         self.codomain = codomain
-        index = codomain.index
-        self.columns = [
-            [sum(1 << index(n, img) for img in image(mono)) for mono in domain.basis(n)]
-            for n in range(domain.N + 1)
-        ]
+        index = domain.index
+        self.columns = [[0] * domain.dim(n) for n in range(domain.N + 1)]
+        for n, col in enumerate(self.columns):
+            for r, mono in enumerate(codomain.basis(n)):
+                col[index(n, send(mono))] |= 1 << r
 
     def cohomology_rank(self, n: int) -> int:
         return rank_f2(self.columns[n], self.codomain.dim(n))
@@ -108,23 +94,19 @@ def build_Y1(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> MonomialBasis:
 def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     """H*(Y(i)) -> H*(Y1(i)): identity on BO(i), line summed into BO(d-i).
 
-    On the second block w_j -> w'_j + a * w'_{j-1}; for j = d-i the image is
-    a * w'_{d-i-1}.
+    m_mu * a^k * m_nu (codomain slots: BO(i), a, BO(d-i-1)) is in the image
+    of m_mu * m_{nu + k} alone.
     """
-    dom, cod = build_Y(i, d, N), build_Y1(i, d, N)
-    W = _whitney(d - i, N)
-    # codomain slots: BO(i), then (a, w'_1..w'_{d-i-1}) as _whitney lists them
-    return RingMap(dom, cod, lambda mono: [mono[:i] + b for b in W[mono[i:]]])
+    insert = cache(_insert)  # one memo per map build: block exponents recur
+    return RingMap(build_Y(i, d, N), build_Y1(i, d, N),
+                   lambda mono: mono[:i] + insert(mono[i + 1:], mono[i]))
 
 
 def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     """H*(Y(i+1)) -> H*(Y1(i)): line summed into BO(i+1), identity on BO(d-i-1).
 
-    On the first block w_j -> w''_j + a * w''_{j-1}; for j = i+1 the image is
-    a * w''_i.
+    m_mu * a^k * m_nu is in the image of m_{mu + k} * m_nu alone.
     """
-    dom, cod = build_Y(i + 1, d, N), build_Y1(i, d, N)
-    m = i + 1
-    W = _whitney(m, N)
-    # codomain slots: w''_1..w''_i, a, BO(d-i-1): the line slot moves to the end
-    return RingMap(dom, cod, lambda mono: [b[1:] + b[:1] + mono[m:] for b in W[mono[:m]]])
+    insert = cache(_insert)
+    return RingMap(build_Y(i + 1, d, N), build_Y1(i, d, N),
+                   lambda mono: insert(mono[:i], mono[i]) + mono[i + 1:])

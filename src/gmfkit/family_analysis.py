@@ -223,9 +223,10 @@ def _newton(system, z0, box):
     off at the first small residual, which would leave distinct copies of
     the same critical point beyond the dedup radius, and near a fold the
     residual can be quadratic in the distance to it.  A run ends on a
-    singular or non-finite step, when its fiber coordinates leave
-    10 (diam + 1), when its step stalls, or after MAX_ITER steps; the other
-    runs go on without it, and no run's result depends on the other rows.
+    singular step, on a step or parameters too large to square (non-finite
+    ones included), when its fiber coordinates leave 10 (diam + 1), when its
+    step stalls, or after MAX_ITER steps; the other runs go on without it,
+    and no run's result depends on the other rows.
     """
     Z = np.array(z0, dtype=float)
     lo, hi = box
@@ -241,12 +242,14 @@ def _newton(system, z0, box):
         small = _row_norms(r) <= NEWTON_TOL
         best[live[small]] = z[small]
         step, go = _solve_rows(J, r)
-        zn = z - step  # non-finite exactly when the step is (or overflows)
-        go &= np.isfinite(zn).all(axis=1)
+        zn = z - step
+        with np.errstate(over="ignore"):  # norms that overflow end the run below
+            step_norm, param_norm = _row_norms(step), _row_norms(zn[:, d:])
+        go &= np.isfinite(step_norm) & np.isfinite(param_norm)
         go[go] = np.abs(zn[go, :d]).max(axis=1) <= 10.0 * (diam + 1.0)
-        live, step, zn = live[go], step[go], zn[go]
+        live, zn = live[go], zn[go]
         Z[live] = zn
-        moving = _row_norms(step) > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + _row_norms(zn[:, d:]))
+        moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
         live = live[moving]
     done = _row_norms(system(Z)[0]) <= NEWTON_TOL
     return np.where(done[:, None], Z, best)

@@ -139,32 +139,30 @@ def series_equal(a: PoincareSeries, b: PoincareSeries, up_to: int | None = None)
 # classifying-space series
 
 
+def _partition_counts(smallest: int, m: int, N: int) -> PoincareSeries:
+    """prod_{i=smallest..m} 1/(1-t^i): partitions into parts in smallest..m."""
+    if m < 0:
+        raise ValueError("rank must be nonnegative")
+    _check_truncation(N)
+    coeffs = [1] + [0] * N
+    for part in range(smallest, m + 1):
+        for n in range(part, N + 1):
+            coeffs[n] += coeffs[n - part]
+    return series_from_coeffs(coeffs)
+
+
 def series_BO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """prod_{i=1..m} 1/(1-t^i): partition counts with parts <= m.
 
     Degree-n coefficient = dim_F2 H_n(BO(m)) = number of monomials of
     weighted degree n in generators of degrees 1..m.
     """
-    if m < 0:
-        raise ValueError("rank must be nonnegative")
-    _check_truncation(N)
-    coeffs = [1] + [0] * N
-    for part in range(1, m + 1):
-        for n in range(part, N + 1):
-            coeffs[n] += coeffs[n - part]
-    return series_from_coeffs(coeffs)
+    return _partition_counts(1, m, N)
 
 
 def series_BSO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """prod_{i=2..m} 1/(1-t^i): generators of degrees 2..m (empty for m <= 1)."""
-    if m < 0:
-        raise ValueError("rank must be nonnegative")
-    _check_truncation(N)
-    coeffs = [1] + [0] * N
-    for part in range(2, m + 1):
-        for n in range(part, N + 1):
-            coeffs[n] += coeffs[n - part]
-    return series_from_coeffs(coeffs)
+    return _partition_counts(2, m, N)
 
 
 @lru_cache(maxsize=None)

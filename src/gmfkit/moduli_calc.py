@@ -17,8 +17,8 @@ homology comes from the long exact sequence of the pair; it must agree
 degreewise with the closed-form wedge sum_{i} t * BO(i) x BO(1) x BO(d-i-1).
 Since H(Y(j)) maps onto coker(Phi_n), that sequence leaves the cofiber
 series C_n = dim (+)_i H_{n-1}(Y1(i)) whatever the ranks of Phi are, so the
-wedge comparison (and the collapse-cofibration identity) checks the ring
-enumeration against partition counts, not the ranks of Phi_n.
+wedge comparison checks the ring enumeration against partition counts; the
+ranks of Phi_n are checked against a count of components.
 
 Thom-spectrum series are Thom-isomorphism shifts: MT(d) = t^{-d} * BO(d).
 The series of the generalized-Morse variant is only pinned by its defining
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .char_class_maps import _whitney, map_f, map_g
+from .char_class_maps import map_f, map_g
 from .graded_f2 import (
     DEFAULT_TRUNCATION,
     PoincareSeries,
@@ -109,14 +109,9 @@ class ZigzagDiagram:
 def build_zigzag(d: int, N: int = DEFAULT_TRUNCATION) -> ZigzagDiagram:
     if d < 1:
         raise ValueError("need d >= 1")
-    # f_i then g_i, in i order: build_Y/build_Y1 keep only the last ring;
-    # f_{d-m} and g_{m-1} share the Whitney expansion of rank m, which is
-    # dropped once the maps are built
-    try:
-        pairs = [(map_f(i, d, N).homology_map(), map_g(i, d, N).homology_map())
-                 for i in range(d)]
-    finally:
-        _whitney.cache_clear()
+    # f_i then g_i, in i order: build_Y/build_Y1 keep only the last ring
+    pairs = [(map_f(i, d, N).homology_map(), map_g(i, d, N).homology_map())
+             for i in range(d)]
     f_maps, g_maps = zip(*pairs)
     return ZigzagDiagram(d, N, f_maps, g_maps)
 
@@ -418,14 +413,24 @@ def sigma_mf_cofibration_check(d: int, N: int = DEFAULT_TRUNCATION) -> CheckRepo
 
     every kernel dimension being consumed twice, once by the cokernel above
     and once by the boundary below.  With k_n = rank Phi_n both sides equal
-    T_n + S_{n-1} whatever the ranks are, so this checks the bottom-row
-    dimensions against the disjoint-union series, not the ranks; the
-    degree-0 headline A_0 - X_0 = d (extra components become wedge
-    circles) is checked too.
+    T_n + S_{n-1} whatever the ranks are, so the identity checks the
+    bottom-row dimensions against the disjoint-union series; the degree-0
+    headline A_0 - X_0 = d (extra components become wedge circles) is
+    checked too.
+
+    The ranks are checked against a count of components.  In the
+    monomial-symmetric basis each basis element of H_n(Y1(i)) goes to one
+    of H_n(Y(i)) and one of H_n(Y(i+1)), so Phi_n is the incidence matrix of
+    a graph on the basis of the Y(j), of F2 rank T_n minus the number of
+    components.  A vertex is a pair of partitions (at most j and at most
+    d-j parts, zeros padding both) and an edge moves one part across, so the
+    components are the partitions of n into at most d parts:
+    rank Phi_n = T_n - [t^n] BO(d).
     """
     h = _hocolim_std(d, N)
     cof = cofiber_series(d, N)
     smf = sigma_mf_series(d, N)
+    bo = series_BO(d, N)
     notes = [COMPONENTS_READING,
              "identity: A_n + C_n = X_n + k_n + k_{n-1} (n >= 1), A_0 + C_0 = X_0 + k_0"]
     # the disjoint-union series must match the assembled bottom-row dims
@@ -433,6 +438,9 @@ def sigma_mf_cofibration_check(d: int, N: int = DEFAULT_TRUNCATION) -> CheckRepo
         if smf.coeff(n) != h.T_dims[n]:
             return CheckReport("sigma-mf-cofibration", d, N, None, False, n, (),
                                tuple(notes + ["bottom-row dimensions disagree with series"]))
+        if h.rank[n] != h.T_dims[n] - bo.coeff(n):
+            return CheckReport("sigma-mf-cofibration", d, N, None, False, n, (),
+                               tuple(notes + ["rank Phi_n != T_n - partitions of n into <= d parts"]))
     if smf.coeff(0) - h.series.coeff(0) != d:
         return CheckReport("sigma-mf-cofibration", d, N, None, False, 0, (),
                            tuple(notes + ["degree-0 component count off"]))

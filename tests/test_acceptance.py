@@ -196,7 +196,9 @@ def test_criterion_3_d1_closed_forms():
 
 def test_criterion_4_cohomology_injectivity():
     """Every per-degree cohomology matrix of both maps has full column rank
-    (rank = source dimension), d <= 6, N = 24."""
+    (rank = source dimension), d <= 6, N = 24.  In the monomial-symmetric
+    basis the columns have disjoint supports, so this checks that inserting
+    the line's part hits every basis element of Y(i): no column is empty."""
     bad = []
     for d in range(1, 7):
         for i in range(d):

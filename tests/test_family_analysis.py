@@ -5,6 +5,7 @@ finite differences and with the exactness of cubic Taylor data."""
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ def test_batched_newton_singular_and_failing_rows(monkeypatch):
     # the cusp at t = -1 has no critical points: every row fails
     system, seeds, box = _seed_batch(monkeypatch, CUSP, -1.0)
     assert np.isnan(family_analysis._newton(system, seeds, box)).all()
+
+
+def test_newton_overflowing_step_ends_the_run():
+    """A step whose norm overflows ends its run as a non-finite step does:
+    the iterate is not taken and no overflow warning is raised."""
+    box = (np.array([-1.0]), np.array([1.0]))
+
+    def system(Z):
+        # one fiber coordinate, one parameter; the parameter's step is 1e300
+        J = np.tile(np.diag([1.0, 1e-300]), (len(Z), 1, 1))
+        return np.ones_like(Z), J
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = family_analysis._newton(system, np.zeros((2, 2)), box)
+        # the family whose fold polish first showed the overflow
+        F = PolyFamily(1, 2, (((0, 4, 0), -0.3), ((1, 0, 3), 1.7),
+                              ((0, 1, 1), 0.2), ((0, 0, 2), 1.0)))
+        rep = check_family_axioms(F, -1.0, 1.0, steps=11)
+    assert np.isnan(out).all()
+    assert rep.verdict("gmf") == "Pass" and rep.warnings == ()
 
 
 # ---------------------------------------------------------------------------

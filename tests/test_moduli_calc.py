@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import pytest
 
-from gmfkit.char_class_maps import _whitney, build_Y, build_Y1
+from gmfkit import cli, moduli_calc
+from gmfkit.char_class_maps import build_Y, build_Y1
 from gmfkit.graded_f2 import (
     GradedMap,
     MonomialBasis,
@@ -108,18 +109,12 @@ def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
 
     monkeypatch.setattr(MonomialBasis, "__init__", counting_init)
     for d in (3, 5):
-        for cache in (build_Y, build_Y1, _whitney):
+        for cache in (build_Y, build_Y1):
             cache.cache_clear()
         built.clear()
         build_zigzag(d, 8)
-        # Y(0..d), Y1(0..d-1), and one H*(BO(m)) per Whitney rank m = 1..d
-        assert len(built) == (2 * d + 1) + d, d
-
-
-def test_build_zigzag_releases_whitney_expansions():
-    """Each expansion serves two maps of one zigzag; none outlives it."""
-    build_zigzag(4, 8)
-    assert _whitney.cache_info().currsize == 0
+        # Y(0..d) and Y1(0..d-1), nothing else
+        assert len(built) == 2 * d + 1, d
 
 
 def test_hocolim_d1_equals_line_classifier():
@@ -249,6 +244,28 @@ def test_sigma_mf_cofibration_identity():
         rep = sigma_mf_cofibration_check(d, 12)
         assert rep.ok, rep
         assert rep.verdict() == "Pass"
+
+
+def test_sigma_mf_cofibration_checks_the_ranks(monkeypatch, capsys):
+    """Ranks of Phi_n lowered above 6 leave the cofibration identity intact;
+    the components count catches them."""
+    exact = moduli_calc.rank_f2
+
+    def lowered(rows, ncols):
+        rk = exact(rows, ncols)
+        return rk - 1 if rk > 6 else rk
+
+    argv = ["verify", "--check", "sigma-mf-cofibration", "--d", "3", "--max-degree", "10"]
+    moduli_calc._hocolim_std.cache_clear()
+    try:
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(moduli_calc, "rank_f2", lowered)
+        moduli_calc._hocolim_std.cache_clear()
+        assert cli.main(argv) == 1
+        assert "Fail" in capsys.readouterr().out
+    finally:
+        moduli_calc._hocolim_std.cache_clear()
 
 
 # ---------------------------------------------------------------------------
