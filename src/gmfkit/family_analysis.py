@@ -1,14 +1,16 @@
 """One-parameter polynomial families and their birth-death events.
 
 A family is a real polynomial F(t, x) on R^k x R^d (k in {0, 1} is what the
-tracing code exercises).  Fiber 3-jets come from exact polynomial
-differentiation, never finite differences, with each derivative's term list
-compiled once and evaluated over many points at a time.  Critical points are
-found by Newton iteration from a seed grid, the whole grid as one batch with
-guards that act seed by seed.  Birth-death parameter values start as
-grid-scale candidates (critical-point count changes, and sign changes or
-local minima of the smallest-magnitude Hessian eigenvalue along matched
-tracks) and are located by Newton on the augmented fold system.
+tracing code exercises).  Its value and fiber derivatives come from exact
+polynomial differentiation, never finite differences: one evaluator per
+family compiles each derivative table once and evaluates the tables a caller
+names in one call per batch of points, on one shared table of powers.
+Critical points are found by Newton iteration from a seed grid, the whole
+grid as one batch with guards that act seed by seed.  Birth-death parameter
+values start as grid-scale candidates (critical-point count changes, and
+sign changes or local minima of the smallest-magnitude Hessian eigenvalue
+along matched tracks) and are located by Newton on the augmented fold
+system.
 """
 
 from __future__ import annotations
@@ -76,100 +78,92 @@ def _diff_terms(terms, var):
     return tuple(out)
 
 
-class _TermLists:
-    """Term lists compiled once, to evaluate together at the same points.
-
-    Each term becomes (coeff, ((variable, power), ...)) with its zero powers
-    left out, and top holds each variable's highest power.  Given as a dict
-    keyed by sorted index tuples, the lists are the independent entries of a
-    symmetric tensor, which at() returns filled in.
-    """
-
-    def __init__(self, lists, nvars: int):
-        self.symmetric = isinstance(lists, dict)
-        self.lists = tuple(
-            tuple((coeff, tuple((v, p) for v, p in enumerate(powers) if p)) for powers, coeff in terms)
-            for terms in (lists.values() if self.symmetric else lists))
-        self.top = [0] * nvars
-        for terms in self.lists:
-            for _, factors in terms:
-                for v, p in factors:
-                    self.top[v] = max(self.top[v], p)
-        if self.symmetric:
-            keys = list(lists)
-            slots = [(idx, c) for c, key in enumerate(keys) for idx in set(itertools.permutations(key))]
-            self.index = (Ellipsis,) + tuple(np.array(i) for i in zip(*(idx for idx, _ in slots)))
-            self.source = [c for _, c in slots]
-            self.shape = (1 + max(map(max, keys)),) * len(keys[0])
-
-    def at(self, pt) -> np.ndarray:
-        """Every list at pt, stacked along the last axis, or the tensor.
-
-        pt is one point or an array of points, one per row.  The powers of
-        each coordinate come from one table made with Python's **: repeated
-        multiplication and numpy's power each differ from it in the last bit
-        for some inputs, and Newton can then stop elsewhere.
-        """
-        pt = np.asarray(pt, dtype=float)
-        rows = pt.reshape(-1, pt.shape[-1])
-        pw = [[None, col] + [np.array([x ** p for x in col.tolist()]) for p in range(2, top + 1)]
-              for col, top in zip(rows.T, self.top)]
-        out = np.zeros((len(self.lists), len(rows)))
-        for val, terms in zip(out, self.lists):
-            for coeff, factors in terms:
-                v = coeff
-                for var, p in factors:
-                    v = v * pw[var][p]
-                val += v
-        out = out.T.reshape(pt.shape[:-1] + (len(self.lists),))
-        if not self.symmetric:
-            return out
-        tensor = np.zeros(pt.shape[:-1] + self.shape)
-        tensor[self.index] = out[..., self.source]
-        return tensor
+def _power(x: float, p: int) -> float:
+    try:
+        return x ** p
+    except OverflowError:  # too large for a float: the infinity of its sign
+        return math.copysign(math.inf, x) ** p
 
 
 class _FamilyCalculus:
-    """Exact derivatives of a family with respect to fiber variables.
+    """The one evaluator of a family: its exact derivative tables, each
+    compiled once, evaluated by at() for a batch of points.
 
-    Every method takes a point pt = (parameters..., fiber coordinates...) or
-    an (m, k + d) array of such points, one per row, and then returns one
-    result per row.  For a one-parameter family the gradient and Hessian of
-    dF/dt are kept too (t is differentiated first).
+    The tables are named: value is F; grad, hess and third are its first,
+    second and third derivatives in the fiber variables; a one-parameter
+    family also has grad_dt and hess_dt, the fiber gradient and Hessian of
+    dF/dt.  A table holds the term lists of the independent entries of a
+    symmetric tensor, keyed by sorted fiber indices, each term as
+    (coeff, ((variable, power), ...)) with its zero powers left out, and
+    at() fills in the whole tensor.
     """
 
     def __init__(self, F: PolyFamily):
         k, d = F.param_dim, F.fiber_dim
         self.d = d
-        n = k + d
 
         def fiber_derivatives(terms):
-            grad = [_diff_terms(terms, k + j) for j in range(d)]
-            hess = {(j, l): _diff_terms(grad[j], k + l) for j in range(d) for l in range(j, d)}
+            grad = {(j,): _diff_terms(terms, k + j) for j in range(d)}
+            hess = {(j, l): _diff_terms(grad[(j,)], k + l) for j in range(d) for l in range(j, d)}
             return grad, hess
+
+        def compile_table(entries):
+            lists = tuple(
+                tuple((coeff, tuple((v, p) for v, p in enumerate(powers) if p)) for powers, coeff in terms)
+                for terms in entries.values())
+            exponents = [powers for terms in entries.values() for powers, _ in terms]
+            top = np.array(exponents, dtype=int).reshape(-1, k + d).max(axis=0, initial=0)
+            # the list behind each entry of the dense tensor, in C order
+            position = {key: c for c, key in enumerate(entries)}
+            rank = len(next(iter(entries)))
+            gather = np.array([position[tuple(sorted(idx))]
+                               for idx in itertools.product(range(d), repeat=rank)])
+            return lists, top, gather, (d,) * rank
 
         grad, hess = fiber_derivatives(F.terms)
         third = {(j, l, m): _diff_terms(h, k + m) for (j, l), h in hess.items() for m in range(l, d)}
-        self.terms = _TermLists([F.terms], n)
-        self.grad, self.hess = _TermLists(grad, n), _TermLists(hess, n)
-        self.third = _TermLists(third, n)
+        tables = {"value": {(): F.terms}, "grad": grad, "hess": hess, "third": third}
         if k == 1:
-            grad_dt, hess_dt = fiber_derivatives(_diff_terms(F.terms, 0))
-            self.grad_dt, self.hess_dt = _TermLists(grad_dt, n), _TermLists(hess_dt, n)
+            tables["grad_dt"], tables["hess_dt"] = fiber_derivatives(_diff_terms(F.terms, 0))
+        self.tables = {name: compile_table(entries) for name, entries in tables.items()}
+        self.tops = {}  # each variable's highest power, per tuple of names
 
-    def value(self, pt):
-        v = self.terms.at(pt)[..., 0]
-        return v if v.ndim else float(v)
+    def at(self, pt, *names) -> list:
+        """The named tables at pt, one array each.
 
-    def gradient(self, pt, dt: bool = False) -> np.ndarray:
-        return (self.grad_dt if dt else self.grad).at(pt)
-
-    def hessian(self, pt, dt: bool = False) -> np.ndarray:
-        return (self.hess_dt if dt else self.hess).at(pt)
-
-    def third_tensor(self, pt) -> np.ndarray:
-        """Dense symmetric tensor of third fiber derivatives."""
-        return self.third.at(pt)
+        pt is one point (parameters..., fiber coordinates...) or an
+        (m, k + d) array of points, one per row, which puts a leading axis
+        of length m on every result.  The powers of each coordinate come
+        from one table, shared by the names and made with Python's **:
+        repeated multiplication and numpy's power each differ from it in the
+        last bit for some inputs, and Newton can then stop elsewhere.  A
+        power or product too large for a float reads as infinite or NaN.
+        """
+        pt = np.asarray(pt, dtype=float)
+        rows = pt.reshape(-1, pt.shape[-1])
+        tops = self.tops.get(names)
+        if tops is None:
+            tops = self.tops[names] = np.max([self.tables[n][1] for n in names], axis=0).tolist()
+        pw = []
+        for col, top in zip(rows.T, tops):
+            xs = col.tolist()
+            try:
+                pw.append([None, col] + [np.array([x ** p for x in xs]) for p in range(2, top + 1)])
+            except OverflowError:
+                pw.append([None, col] + [np.array([_power(x, p) for x in xs]) for p in range(2, top + 1)])
+        results = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in names:
+                lists, _, gather, shape = self.tables[name]
+                out = np.zeros((len(lists), len(rows)))
+                for val, terms in zip(out, lists):
+                    for coeff, factors in terms:
+                        v = coeff
+                        for var, p in factors:
+                            v = v * pw[var][p]
+                        val += v
+                results.append(out[gather].T.reshape(pt.shape[:-1] + shape))
+        return results
 
 
 @functools.lru_cache(maxsize=32)
@@ -177,16 +171,26 @@ def _calculus(F: PolyFamily) -> _FamilyCalculus:
     return _FamilyCalculus(F)
 
 
-def fiber_jet3(F: PolyFamily, t, x) -> Jet3:
-    """Degree-3 Taylor data of f_t at x, by exact polynomial differentiation."""
-    t = tuple(float(v) for v in np.atleast_1d(t)) if np.ndim(t) else (float(t),) if F.param_dim == 1 else tuple()
+def _parameter(F: PolyFamily, t) -> tuple:
+    """t as a tuple of param_dim finite floats: () when param_dim is 0, a
+    number or a 1-tuple when it is 1."""
+    t = tuple(np.asarray(t, dtype=float).reshape(-1).tolist())
     if len(t) != F.param_dim:
         raise ValueError(f"parameter has {len(t)} entries, expected {F.param_dim}")
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"parameter {t} is not finite")
+    return t
+
+
+def fiber_jet3(F: PolyFamily, t, x) -> Jet3:
+    """Degree-3 Taylor data of f_t at x, by exact polynomial differentiation.
+
+    A coefficient too large for a float raises ValueError.
+    """
+    t = _parameter(F, t)
     x = np.asarray(x, dtype=float).reshape(F.fiber_dim)
-    calc = _calculus(F)
-    pt = t + tuple(x)
-    return jet_from_parts(F.fiber_dim, calc.value(pt), calc.gradient(pt),
-                          calc.hessian(pt) / 2.0, calc.third_tensor(pt) / 6.0)
+    value, grad, hess, third = _calculus(F).at(t + tuple(x), "value", "grad", "hess", "third")
+    return jet_from_parts(F.fiber_dim, value, grad, hess / 2.0, third / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +227,10 @@ def _newton(system, z0, box):
     off at the first small residual, which would leave distinct copies of
     the same critical point beyond the dedup radius, and near a fold the
     residual can be quadratic in the distance to it.  A run ends on a
-    singular step, on a step or parameters too large to square (non-finite
-    ones included), when its fiber coordinates leave 10 (diam + 1), when its
-    step stalls, or after MAX_ITER steps; the other runs go on without it,
-    and no run's result depends on the other rows.
+    singular step, on a residual, step or parameters too large to square
+    (non-finite ones included), when its fiber coordinates leave
+    10 (diam + 1), when its step stalls, or after MAX_ITER steps; the other
+    runs go on without it, and no run's result depends on the other rows.
     """
     Z = np.array(z0, dtype=float)
     lo, hi = box
@@ -234,24 +238,25 @@ def _newton(system, z0, box):
     diam = float(np.max(hi - lo))
     best = np.full_like(Z, np.nan)
     live = np.arange(len(Z))
-    for _ in range(MAX_ITER):
-        if not live.size:
-            break
-        z = Z[live]
-        r, J = system(z)
-        small = _row_norms(r) <= NEWTON_TOL
-        best[live[small]] = z[small]
-        step, go = _solve_rows(J, r)
-        zn = z - step
-        with np.errstate(over="ignore"):  # norms that overflow end the run below
+    with np.errstate(over="ignore"):  # norms that overflow end the run below
+        for _ in range(MAX_ITER):
+            if not live.size:
+                break
+            z = Z[live]
+            r, J = system(z)
+            res_norm = _row_norms(r)
+            small = res_norm <= NEWTON_TOL
+            best[live[small]] = z[small]
+            step, go = _solve_rows(J, r)
+            zn = z - step
             step_norm, param_norm = _row_norms(step), _row_norms(zn[:, d:])
-        go &= np.isfinite(step_norm) & np.isfinite(param_norm)
-        go[go] = np.abs(zn[go, :d]).max(axis=1) <= 10.0 * (diam + 1.0)
-        live, zn = live[go], zn[go]
-        Z[live] = zn
-        moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
-        live = live[moving]
-    done = _row_norms(system(Z)[0]) <= NEWTON_TOL
+            go &= np.isfinite(res_norm) & np.isfinite(step_norm) & np.isfinite(param_norm)
+            go[go] = np.abs(zn[go, :d]).max(axis=1) <= 10.0 * (diam + 1.0)
+            live, zn = live[go], zn[go]
+            Z[live] = zn
+            moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
+            live = live[moving]
+        done = _row_norms(system(Z)[0]) <= NEWTON_TOL
     return np.where(done[:, None], Z, best)
 
 
@@ -292,8 +297,9 @@ def _with_params(t, X) -> np.ndarray:
 def _box_arrays(box, d):
     lo = np.asarray([b[0] for b in box], dtype=float)
     hi = np.asarray([b[1] for b in box], dtype=float)
-    # hi - lo is NaN or infinite when a bound is
-    if lo.shape != (d,) or not (np.isfinite(hi - lo).all() and (hi > lo).all()):
+    with np.errstate(over="ignore"):  # hi - lo is NaN or infinite when a bound is, or
+        width = hi - lo                # when the box is too wide for a float
+    if lo.shape != (d,) or not (np.isfinite(width).all() and (hi > lo).all()):
         raise ValueError("box must be a list of finite (lo, hi) pairs with lo < hi, "
                          "one per fiber variable")
     return lo, hi
@@ -320,13 +326,10 @@ def fiber_critical_points(F: PolyFamily, t, box):
     The whole seed grid is one batch of rows for _newton, each row with its
     own guards.  Non-converged seeds are dropped (a count is logged).  Each
     point is classified from its fiber 3-jet, whose linear part is the
-    gradient at the point and hence ~0 by construction.
+    gradient at the point and hence ~0 by construction; the points' values
+    and jets come from one evaluation of the batch.
     """
-    t = tuple(np.atleast_1d(np.asarray(t, dtype=float))) if F.param_dim else tuple()
-    if len(t) != F.param_dim:
-        raise ValueError(f"parameter has {len(t)} entries, expected {F.param_dim}")
-    if not all(map(math.isfinite, t)):
-        raise ValueError(f"parameter {t} is not finite")
+    t = _parameter(F, t)
     calc = _calculus(F)
     d = F.fiber_dim
     lo, hi = _box_arrays(box, d)
@@ -334,8 +337,7 @@ def fiber_critical_points(F: PolyFamily, t, box):
     seeds = np.array(list(itertools.product(*axes)))
 
     def system(X):
-        P = _with_params(t, X)
-        return calc.gradient(P), calc.hessian(P)
+        return calc.at(_with_params(t, X), "grad", "hess")
 
     Z = _newton(system, seeds, (lo, hi))
     converged = np.isfinite(Z).all(axis=1)
@@ -343,18 +345,18 @@ def fiber_critical_points(F: PolyFamily, t, box):
     if dropped:
         log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, len(seeds))
     found = list(Z[converged & (Z >= lo - 1e-12).all(axis=1) & (Z <= hi + 1e-12).all(axis=1)])
-    points = []
-    for x in _dedup(found, DEDUP_RADIUS):
-        pt = t + tuple(x)
-        points.append(
-            CriticalPoint(
-                t=t[0] if F.param_dim == 1 else None,
-                x=x,
-                value=calc.value(pt),
-                cls=classify(fiber_jet3(F, t, x), CLASSIFY_TOL),
-                grad_norm=float(np.linalg.norm(calc.gradient(pt))),
-            )
+    X = np.array(_dedup(found, DEDUP_RADIUS)).reshape(-1, d)
+    points = [
+        CriticalPoint(
+            t=t[0] if F.param_dim == 1 else None,
+            x=x,
+            value=float(value),
+            cls=classify(jet_from_parts(d, value, grad, hess / 2.0, third / 6.0), CLASSIFY_TOL),
+            grad_norm=float(np.linalg.norm(grad)),
         )
+        for x, value, grad, hess, third in zip(
+            X, *calc.at(_with_params(t, X), "value", "grad", "hess", "third"))
+    ]
     points.sort(key=lambda p: tuple(p.x))
     return points
 
@@ -386,12 +388,6 @@ class TraceResult:
     samples: tuple  # (t, list of CriticalPoint) per grid value
 
 
-def _min_eig(calc, pt):
-    """Signed smallest-magnitude eigenvalue of the Hessian of f_t."""
-    w = np.linalg.eigvalsh(calc.hessian(pt))
-    return float(w[np.argmin(np.abs(w))])
-
-
 def _refine_fold(calc, t, x, box):
     """Newton on the augmented system (grad f_t(x), mu_min(H_t(x))) = 0 in (x, t).
 
@@ -405,19 +401,20 @@ def _refine_fold(calc, t, x, box):
 
     def system(Z):  # one row
         z = Z[0]
-        pt = (float(z[d]),) + tuple(z[:d])
-        H = calc.hessian(pt)
+        grad, H, T, grad_dt, H_dt = calc.at((float(z[d]),) + tuple(z[:d]),
+                                            "grad", "hess", "third", "grad_dt", "hess_dt")
+        if not np.isfinite(H).all():  # too far out for a float: the run ends
+            return np.full((1, d + 1), np.nan), np.full((1, d + 1, d + 1), np.nan)
         w, V = np.linalg.eigh(H)
         i0 = int(np.argmin(np.abs(w)))
         v = V[:, i0]
         J = np.zeros((d + 1, d + 1))
         J[:d, :d] = H
-        J[:d, d] = calc.gradient(pt, dt=True)
-        T = calc.third_tensor(pt)  # T[:, :, c] = dH/dx_c
-        for c in range(d):
+        J[:d, d] = grad_dt
+        for c in range(d):  # T[:, :, c] = dH/dx_c
             J[d, c] = float(v @ T[:, :, c] @ v)
-        J[d, d] = float(v @ calc.hessian(pt, dt=True) @ v)
-        return np.append(calc.gradient(pt), float(w[i0]))[None], J[None]
+        J[d, d] = float(v @ H_dt @ v)
+        return np.append(grad, float(w[i0]))[None], J[None]
 
     z = _newton(system, np.append(np.asarray(x, dtype=float), float(t))[None], box)[0]
     return None if np.isnan(z).any() else (float(z[d]), z[:d])
@@ -527,9 +524,10 @@ def trace_birth_death(
     for tr in tracks:
         if len(tr) < 2:
             continue
-        pts = [(float(ts[a]),) + tuple(p.x) for a, p in tr]
-        mus = [_min_eig(calc, pt) for pt in pts]
-        dets = [np.linalg.det(calc.hessian(pt)) for pt in pts]
+        (H,) = calc.at(np.array([(float(ts[a]),) + tuple(p.x) for a, p in tr]), "hess")
+        w = np.linalg.eigvalsh(H)
+        mus = w[np.arange(len(w)), np.argmin(np.abs(w), axis=1)].tolist()
+        dets = np.linalg.det(H).tolist()
         for u in range(len(tr) - 1):
             (a, pa), (b, pb) = tr[u], tr[u + 1]
             if mus[u] == 0.0 or mus[u] * mus[u + 1] < 0.0:
@@ -569,13 +567,13 @@ def trace_birth_death(
             and must[0] - slack <= t_star <= must[1] + slack
         ):
             unlocated.append(must)
-        det_h = float(np.linalg.det(calc.hessian((t_star,) + tuple(x_star))))
         if cls.kind == BIRTH_DEATH:
-            if _near_duplicate(events, t_star, x_star, span):
+            if _near_duplicate(((e.t_star, e.x_star) for e in events), t_star, x_star, span):
                 continue
-            events.append(BirthDeathEvent(t_star, x_star, cls.index, det_h))
+            (H,) = calc.at((t_star,) + tuple(x_star), "hess")
+            events.append(BirthDeathEvent(t_star, x_star, cls.index, float(np.linalg.det(H))))
         elif cls.kind == DEGENERATE:
-            if _near_duplicate(degenerate, t_star, x_star, span):
+            if _near_duplicate(((f.t, f.x) for f in degenerate), t_star, x_star, span):
                 continue
             degenerate.append(DegenerateFlag(t_star, x_star, cls.reason))
         # a nondegenerate verdict means the candidate was a benign minimum
@@ -600,13 +598,11 @@ def trace_birth_death(
                        tuple((float(t), pts) for t, pts in zip(ts, samples)))
 
 
-def _near_duplicate(records, t_star, x_star, span):
-    for r in records:
-        t_r = r.t_star if isinstance(r, BirthDeathEvent) else r.t
-        x_r = r.x_star if isinstance(r, BirthDeathEvent) else r.x
-        if abs(t_r - t_star) <= 1e-6 * span and np.linalg.norm(x_r - x_star) <= 1e-4:
-            return True
-    return False
+def _near_duplicate(located, t_star, x_star, span) -> bool:
+    """Whether a (t, x) pair of located lies within 1e-6 span of t_star and
+    1e-4 of x_star."""
+    return any(abs(t - t_star) <= 1e-6 * span and np.linalg.norm(x - x_star) <= 1e-4
+               for t, x in located)
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +644,6 @@ def _boundary_points(lo, hi) -> np.ndarray:
             free = [axes[j] if j != face_var else np.array([face_val]) for j in range(d)]
             points.extend(itertools.product(*free))
     return np.array(points)
-
-
-def _boundary_min(calc, t, boundary) -> float:
-    return float(calc.value(_with_params(t, boundary)).min())
 
 
 def check_family_axioms(
@@ -704,7 +696,7 @@ def check_family_axioms(
     for t, pts in sampled:
         if not pts:
             continue
-        bmin = _boundary_min(calc, t, boundary)
+        bmin = float(calc.at(_with_params(t, boundary), "value")[0].min())
         vmax = max(p.value for p in pts)
         if bmin <= vmax:
             prop_ok = False

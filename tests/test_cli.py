@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -186,6 +187,22 @@ def test_trace_family_swallowtail_fails_axiom(capsys):
     assert rows == []  # degenerate points are flags, not event rows
     assert "reason=KernelCubicVanishes" in out
     assert "axiom_gmf=Fail" in out
+
+
+@pytest.mark.parametrize("box", ["1e80", "5e102", "1e150"])
+def test_trace_family_huge_box_exits_cleanly(capsys, box):
+    """Seeds so far out that their powers overflow end their Newton runs:
+    no warning, no traceback, and the ordinary summary with exit 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trace-family", "--preset", "swallowtail",
+                     "--t0", "-1", "--t1", "1", "--box", box])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.endswith("# events=0 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER)
+    assert main(["trace-family", "--preset", "cusp", "--t0", "-1", "--t1", "1",
+                 "--box", "1e308"]) == 2
+    assert capsys.readouterr().err.startswith("error: box must be")
 
 
 def test_trace_family_from_json_file(tmp_path, capsys):

@@ -157,16 +157,60 @@ def test_calculus_on_rows_matches_the_monomial_sum():
         F = PolyFamily(k, d, _random_cubic_family(rng, k, d).terms + (quartic,))
         calc = family_analysis._calculus(F)
         P = rng.uniform(-2.0, 2.0, size=(7, k + d))
-        values, grads, hessians = calc.value(P), calc.gradient(P), calc.hessian(P)
+        values, grads, hessians = calc.at(P, "value", "grad", "hess")
         for i, pt in enumerate(P):
             assert values[i] == _family_value(F, pt[:k], pt[k:])
-            assert grads[i].tobytes() == calc.gradient(pt).tobytes()
-            assert hessians[i].tobytes() == calc.hessian(pt).tobytes()
+            grad, hess = calc.at(pt, "grad", "hess")
+            assert grads[i].tobytes() == grad.tobytes()
+            assert hessians[i].tobytes() == hess.tobytes()
+
+
+def test_calculus_tables_together_match_each_alone():
+    """A shared power table, as high as the highest table asked for,
+    changes no table's entries: every name evaluated alongside the others
+    is, bit for bit, what it gives alone, on rows and at one point."""
+    rng = np.random.default_rng(83)
+    for _ in range(12):
+        k, d = int(rng.integers(0, 2)), int(rng.integers(1, 4))
+        quartic = (tuple(int(p) for p in rng.integers(0, 5, size=k + d)), float(rng.normal()))
+        F = PolyFamily(k, d, _random_cubic_family(rng, k, d).terms + (quartic,))
+        calc = family_analysis._calculus(F)
+        ranks = {"value": 0, "grad": 1, "hess": 2, "third": 3}
+        if k:
+            ranks.update(grad_dt=1, hess_dt=2)
+        P = rng.uniform(-2.0, 2.0, size=(5, k + d))
+        for pts in (P, P[0]):
+            together = calc.at(pts, *ranks)
+            for (name, rank), got in zip(ranks.items(), together):
+                (alone,) = calc.at(pts, name)
+                assert got.shape == alone.shape == pts.shape[:-1] + (d,) * rank
+                assert got.tobytes() == alone.tobytes(), (name, k, d)
 
 
 def test_fiber_jet3_rejects_wrong_param_count():
     with pytest.raises(ValueError):
         fiber_jet3(CUSP, (1.0, 2.0), [0.0])
+    F0 = PolyFamily(0, 1, (((3,), 1.0),))
+    with pytest.raises(ValueError, match="has 1 entries, expected 0"):
+        fiber_jet3(F0, 0.5, [0.5])
+    assert fiber_jet3(F0, (), [0.5]).constant == 0.125
+    with pytest.raises(ValueError, match=r"parameter \(inf,\) is not finite"):
+        fiber_jet3(CUSP, (float("inf"),), [0.5])
+
+
+def test_huge_points_read_as_non_finite():
+    """Powers and products too large for a float read as infinite or NaN:
+    the evaluator neither raises nor warns, and a jet there is rejected as
+    malformed.  (Tracing on such a box: test_trace_family_huge_box_exits_cleanly.)"""
+    calc = family_analysis._calculus(CUSP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, grad = calc.at((1.0, -1e200), "value", "grad")
+        (products,) = calc.at(np.array([[1e200, 1e200], [1.0, 0.5]]), "value")
+        with pytest.raises(ValueError, match="finite"):
+            fiber_jet3(CUSP, 1e200, [1e200])
+    assert value == -np.inf and grad[0] == np.inf
+    assert np.isnan(products[0]) and products[1] == 0.5 ** 3 - 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +479,14 @@ def test_trace_validation_errors():
     for box in ([(-inf, inf)], [(nan, 1.0)], [(-1.0, nan)], [(-1.0, -1.0)]):
         with pytest.raises(ValueError):
             trace_birth_death(CUSP, -1.0, 1.0, box=box)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"parameter \(nan,\) is not finite"):
         fiber_critical_points(CUSP, nan, [(-2.0, 2.0)])
+    with pytest.raises(ValueError, match=r"parameter \(nan,\) is not finite"):
+        fiber_jet3(CUSP, nan, [0.5])
+    with pytest.raises(ValueError, match="has 1 entries, expected 0"):
+        fiber_critical_points(F0, 0.5, [(-2.0, 2.0)])
+    with pytest.raises(ValueError, match="has 2 entries, expected 1"):
+        fiber_critical_points(CUSP, (0.5, 0.5), [(-2.0, 2.0)])
 
 
 def test_trace_events_are_verified_birth_death_jets():
