@@ -27,7 +27,7 @@ from bisect import insort
 from functools import cache, lru_cache
 from itertools import accumulate
 
-from .graded_f2 import DEFAULT_TRUNCATION, GradedMap, MonomialBasis, rank_f2
+from .graded_f2 import DEFAULT_TRUNCATION, GradedMap, MonomialBasis
 
 
 def _bo_product(ranks, N: int) -> MonomialBasis:
@@ -48,29 +48,27 @@ class RingMap:
     """A cohomology ring map between BO-product rings, one block Whitney-summed.
 
     send(mono) is the one domain basis element whose image contains codomain
-    basis element mono.  columns[n][c] has bit r set when the image of
-    domain element c of degree n contains codomain element r; the columns
-    have disjoint supports that cover the codomain.  The same data read as
-    rows is the degreewise matrix of the induced homology map (target =
-    domain side, source = codomain side).
+    basis element mono, and images[n][r] is its index for the r-th codomain
+    element of degree n.  So the image of domain element c is the sum of the
+    codomain elements r with images[n][r] == c: the columns have disjoint
+    supports that cover the codomain.  Read the other way, images is the
+    induced homology map (source = codomain side, target = domain side).
     """
 
     def __init__(self, domain: MonomialBasis, codomain: MonomialBasis, send):
         self.domain = domain
         self.codomain = codomain
-        index = domain.index
-        self.columns = [[0] * domain.dim(n) for n in range(domain.N + 1)]
-        for n, col in enumerate(self.columns):
-            for r, mono in enumerate(codomain.basis(n)):
-                col[index(n, send(mono))] |= 1 << r
+        self.images = [[index[send(mono)] for mono in codomain.basis(n)]
+                       for n, index in enumerate(domain.positions)]
 
     def cohomology_rank(self, n: int) -> int:
-        return rank_f2(self.columns[n], self.codomain.dim(n))
+        # disjoint column supports: the rank is the number of nonempty columns
+        return len(set(self.images[n]))
 
     def homology_map(self) -> GradedMap:
         N = self.domain.N
         shapes = [(self.domain.dim(n), self.codomain.dim(n)) for n in range(N + 1)]
-        return GradedMap(N, self.columns, shapes)
+        return GradedMap(N, self.images, shapes)
 
 
 # build_zigzag asks for f_0, g_0, f_1, g_1, ...: f_i and g_i share Y1(i), and

@@ -8,8 +8,8 @@ are valid.  All arithmetic tracks the valid range explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 DEFAULT_TRUNCATION = 32
@@ -286,31 +286,19 @@ class MonomialBasis:
             raise ValueError("generator degrees must be positive")
         _check_truncation(N)
         self.N = int(N)
-        self._basis = [[] for _ in range(self.N + 1)]
-        self._enumerate()
-        self._index = [
-            {mono: i for i, mono in enumerate(level)} for level in self._basis
-        ]
+        self._basis = self._enumerate()
+        # positions[n][mono] is the index of mono in basis(n)
+        self.positions = [{mono: i for i, mono in enumerate(level)} for level in self._basis]
 
-    def _enumerate(self):
-        degs = self.degrees
-        k = len(degs)
-        exps = [0] * k
-        basis = self._basis
-        N = self.N
-
-        def rec(pos: int, total: int):
-            if pos == k:
-                basis[total].append(tuple(exps))
-                return
-            d = degs[pos]
-            emax = (N - total) // d
-            for e in range(emax + 1):
-                exps[pos] = e
-                rec(pos + 1, total + e * d)
-            exps[pos] = 0
-
-        rec(0, 0)
+    def _enumerate(self) -> list:
+        # levels[n]: exponent suffixes of degree n, last generator first; the
+        # next exponent put in front in increasing order keeps it lexicographic
+        levels = [[()]] + [[] for _ in range(self.N)]
+        for deg in reversed(self.degrees):
+            prev = levels
+            levels = [[(e,) + rest for e in range(n // deg + 1) for rest in prev[n - e * deg]]
+                      for n in range(self.N + 1)]
+        return levels
 
     def basis(self, n: int):
         if n < 0:
@@ -320,7 +308,7 @@ class MonomialBasis:
         return self._basis[n]
 
     def index(self, n: int, mono: tuple) -> int:
-        return self._index[n][mono]
+        return self.positions[n][mono]
 
     def dim(self, n: int) -> int:
         return len(self.basis(n))
@@ -328,26 +316,31 @@ class MonomialBasis:
 
 @dataclass
 class GradedMap:
-    """Degreewise F2 matrices of a map of graded vector spaces, degrees 0..N.
+    """A map of graded F2 vector spaces, degrees 0..N, that sends each source
+    basis element to one target basis element.
 
-    rows[n] is a list of row bitmasks (rows = target basis, bit j = source
-    basis element j); shape[n] = (target dim, source dim).
+    images[n][s] is the target index of source basis element s in degree n;
+    shapes[n] = (target dim, source dim).  rows is the same map as degreewise
+    matrices of row bitmasks (rows = target basis, bit s = source element s).
     """
 
     N: int
-    rows: list = field(default_factory=list)
-    shapes: list = field(default_factory=list)
+    images: list
+    shapes: list
 
     def __post_init__(self):
-        if len(self.rows) != self.N + 1 or len(self.shapes) != self.N + 1:
-            raise ValueError("need one matrix per degree 0..N")
-        for n in range(self.N + 1):
-            nr, nc = self.shapes[n]
-            if len(self.rows[n]) != nr:
-                raise ValueError(f"degree {n}: row count {len(self.rows[n])} != {nr}")
-            for r in self.rows[n]:
-                if r >> nc:
-                    raise ValueError(f"degree {n}: row has bits beyond {nc} columns")
+        if len(self.images) != self.N + 1 or len(self.shapes) != self.N + 1:
+            raise ValueError("need one map per degree 0..N")
+        for n, (img, (nt, ns)) in enumerate(zip(self.images, self.shapes)):
+            if len(img) != ns:
+                raise ValueError(f"degree {n}: {len(img)} images for {ns} source elements")
+            if img and not 0 <= min(img) <= max(img) < nt:
+                raise ValueError(f"degree {n}: target index outside 0..{nt - 1}")
 
-    def rank(self, n: int) -> int:
-        return rank_f2(self.rows[n], self.shapes[n][1])
+    @cached_property
+    def rows(self) -> list:
+        rows = [[0] * nt for nt, _ in self.shapes]
+        for level, img in zip(rows, self.images):
+            for s, r in enumerate(img):
+                level[r] |= 1 << s
+        return rows

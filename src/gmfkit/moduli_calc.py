@@ -11,14 +11,18 @@ mod-2 homology is computed from the Mayer-Vietoris map
     Phi_n : (+)_i H_n(Y1(i)) -> (+)_j H_n(Y(j)),
 
 the plain F2 sum of the two induced maps out of each Y1(i):
-dim H_n(hocolim) = dim coker(Phi_n) + dim ker(Phi_{n-1}).  Collapsing the
-disjoint union of the Y(j) to a point gives a cofiber whose reduced
-homology comes from the long exact sequence of the pair; it must agree
-degreewise with the closed-form wedge sum_{i} t * BO(i) x BO(1) x BO(d-i-1).
-Since H(Y(j)) maps onto coker(Phi_n), that sequence leaves the cofiber
-series C_n = dim (+)_i H_{n-1}(Y1(i)) whatever the ranks of Phi are, so the
-wedge comparison checks the ring enumeration against partition counts; the
-ranks of Phi_n are checked against a count of components.
+dim H_n(hocolim) = dim coker(Phi_n) + dim ker(Phi_{n-1}).  In the
+monomial-symmetric basis each induced map sends every basis element to one
+basis element, so a map is a list of target indices per degree, Phi_n is
+the incidence matrix of a graph on the basis of the Y(j), and its rank is
+counted by union-find.  Collapsing the disjoint union of the Y(j) to a
+point gives a cofiber whose reduced homology comes from the long exact
+sequence of the pair; it must agree degreewise with the closed-form wedge
+sum_{i} t * BO(i) x BO(1) x BO(d-i-1).  Since H(Y(j)) maps onto
+coker(Phi_n), that sequence leaves the cofiber series
+C_n = dim (+)_i H_{n-1}(Y1(i)) whatever the ranks of Phi are, so the wedge
+comparison checks the ring enumeration against partition counts; the ranks
+of Phi_n are checked against a closed-form count of components.
 
 Thom-spectrum series are Thom-isomorphism shifts: MT(d) = t^{-d} * BO(d).
 The series of the generalized-Morse variant is only pinned by its defining
@@ -31,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .char_class_maps import map_f, map_g
 from .graded_f2 import (
     DEFAULT_TRUNCATION,
     PoincareSeries,
-    rank_f2,
     series_add,
     series_BO,
     series_BSO,
@@ -128,47 +132,52 @@ class HocolimResult:
     S_dims: tuple
 
 
-def _phi_rows(z: ZigzagDiagram, n: int):
-    t_dims = z.bottom_dims(n)
-    s_dims = z.top_dims(n)
-    col_off = [0]
-    for sd in s_dims:
-        col_off.append(col_off[-1] + sd)
-    rows = []
-    for j in range(z.d + 1):
-        for r in range(t_dims[j]):
-            mask = 0
-            if j <= z.d - 1:
-                mask |= z.f_maps[j].rows[n][r] << col_off[j]
-            if j >= 1:
-                mask |= z.g_maps[j - 1].rows[n][r] << col_off[j - 1]
-            rows.append(mask)
-    return rows, sum(t_dims), sum(s_dims)
+def _phi_rank(z: ZigzagDiagram, n: int) -> int:
+    """F2 rank of Phi_n by union-find (Tarjan, J. ACM 22, 1975).
+
+    Source element s of H_n(Y1(i)) is the edge from f_i(s) in the block of
+    Y(i) to g_i(s) in the block of Y(i+1).  Phi_n is the incidence matrix of
+    that graph, so its rank is the number of edges that join two components.
+    """
+    off = list(accumulate(z.bottom_dims(n), initial=0))
+    parent = list(range(off[-1]))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    rank = 0
+    for i, (f, g) in enumerate(zip(z.f_maps, z.g_maps)):
+        for s, t in zip(f.images[n], g.images[n]):
+            u, v = find(off[i] + s), find(off[i + 1] + t)
+            if u != v:
+                parent[u] = v
+                rank += 1
+    return rank
 
 
 def hocolim_series(z: ZigzagDiagram) -> HocolimResult:
     """Mayer-Vietoris homology of the zigzag's homotopy colimit.
 
     Degree-n coefficient = dim coker(Phi_n) + dim ker(Phi_{n-1}).  The
-    rank sequence of Phi is the only input that partition counts do not
-    fix: the induced map (+)H_n(Y(j)) -> H_n(hocolim) is onto the cokernel
-    part, so the collapse cofiber has C_n = S_{n-1} whatever the ranks are.
+    rank sequence of Phi (_phi_rank) is the only input that partition counts
+    do not fix: the induced map (+)H_n(Y(j)) -> H_n(hocolim) is onto the
+    cokernel part, so the collapse cofiber has C_n = S_{n-1} whatever the
+    ranks are.
     """
     N = z.N
-    rank, T_dims, S_dims = [], [], []
-    for n in range(N + 1):
-        rows, T, S = _phi_rows(z, n)
-        rank.append(rank_f2(rows, S))
-        T_dims.append(T)
-        S_dims.append(S)
+    rank = tuple(_phi_rank(z, n) for n in range(N + 1))
+    T_dims = tuple(sum(z.bottom_dims(n)) for n in range(N + 1))
+    S_dims = tuple(sum(z.top_dims(n)) for n in range(N + 1))
     coker = tuple(T - rk for T, rk in zip(T_dims, rank))
     kernel = tuple(S - rk for S, rk in zip(S_dims, rank))
     coeffs = [coker[0]] + [coker[n] + kernel[n - 1] for n in range(1, N + 1)]
     return HocolimResult(
         d=z.d, N=N,
         series=series_from_coeffs(coeffs),
-        rank=tuple(rank), coker=coker, kernel=kernel,
-        T_dims=tuple(T_dims), S_dims=tuple(S_dims),
+        rank=rank, coker=coker, kernel=kernel,
+        T_dims=T_dims, S_dims=S_dims,
     )
 
 

@@ -2,7 +2,8 @@
 The map matrices, written in the monomial-symmetric basis, are checked
 against hand values, against a test-side expansion of each m_lambda as an
 explicit polynomial (parity counted, not set xor), and, through the ranks
-of the Mayer-Vietoris map, against the Whitney expansion in the w basis."""
+of the Mayer-Vietoris map, against the Whitney expansion in the w basis.
+A map's cohomology columns are read off the rows of its homology map."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from itertools import product as iproduct
 import pytest
 
 from gmfkit.char_class_maps import build_Y, build_Y1, map_f, map_g
-from gmfkit.graded_f2 import GradedMap, series_BO, series_mul, series_one, transpose_bits
-from gmfkit.moduli_calc import ZigzagDiagram, build_zigzag, hocolim_series
+from gmfkit.graded_f2 import rank_f2, series_BO, series_mul, series_one, transpose_bits
+from gmfkit.moduli_calc import build_zigzag, hocolim_series
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -78,10 +79,16 @@ def _expected_gen_images(name, i, d) -> list:
     return _summed_block(d, i, lambda j: j - 1, i + 1) + ident
 
 
+def _columns(rm) -> list:
+    """columns[n][c] has bit r set when the image of domain element c of
+    degree n contains codomain element r: the rows of the homology map."""
+    return rm.homology_map().rows
+
+
 def _image(rm, mono) -> frozenset:
     """The codomain monomials in the column of domain monomial mono."""
     n = sum(e * deg for e, deg in zip(mono, rm.domain.degrees))
-    col = rm.columns[n][rm.domain.index(n, mono)]
+    col = _columns(rm)[n][rm.domain.index(n, mono)]
     return frozenset(t for r, t in enumerate(rm.codomain.basis(n)) if col >> r & 1)
 
 
@@ -98,18 +105,32 @@ def _product_image(gen_images, mono, nslots) -> frozenset:
     return want
 
 
-def _whitney_zigzag(d, N) -> ZigzagDiagram:
-    """The zigzag with every map written in the w basis, from _expected_gen_images."""
-    maps = {"f": [], "g": []}
+def _whitney_phi_ranks(d, N) -> tuple:
+    """rank Phi_n with every map written in the w basis, from
+    _expected_gen_images: Phi_n is assembled here from those general
+    matrices and ranked by a general xor basis."""
+    cols, s_dims = {}, []
     for i in range(d):
         for name, rm in (("f", map_f(i, d, N)), ("g", map_g(i, d, N))):
             gens = _expected_gen_images(name, i, d)
             dom, cod = rm.domain, rm.codomain
-            cols = [[sum(1 << cod.index(n, t) for t in _product_image(gens, mono, d))
-                     for mono in dom.basis(n)] for n in range(N + 1)]
-            shapes = [(dom.dim(n), cod.dim(n)) for n in range(N + 1)]
-            maps[name].append(GradedMap(N, cols, shapes))
-    return ZigzagDiagram(d, N, tuple(maps["f"]), tuple(maps["g"]))
+            cols[name, i] = [[sum(1 << cod.index(n, t) for t in _product_image(gens, mono, d))
+                              for mono in dom.basis(n)] for n in range(N + 1)]
+        s_dims.append([cod.dim(n) for n in range(N + 1)])
+    ranks = []
+    for n in range(N + 1):
+        off = [sum(s_dims[k][n] for k in range(i)) for i in range(d)]
+        phi = []
+        for j in range(d + 1):
+            # the rows of Y(j): f_j on the Y1(j) columns, g_{j-1} on Y1(j-1)'s
+            parts = []
+            if j < d:
+                parts.append([c << off[j] for c in cols["f", j][n]])
+            if j > 0:
+                parts.append([c << off[j - 1] for c in cols["g", j - 1][n]])
+            phi += [sum(row) for row in zip(*parts)]  # disjoint bits: sum is or
+        ranks.append(rank_f2(phi))
+    return tuple(ranks)
 
 
 def _partition(e) -> tuple:
@@ -211,7 +232,7 @@ def test_map_f_generator_images_rank_two_block():
     # degree 2: m_(1,1) -> a y and m_(2) -> a^2 + y^2 in the basis y^2, a y, a^2
     assert [fm.domain.basis(2), fm.codomain.basis(2)] == [[(0, 1), (2, 0)],
                                                           [(0, 2), (1, 1), (2, 0)]]
-    assert fm.columns[2] == [0b010, 0b101]
+    assert _columns(fm)[2] == [0b010, 0b101]
 
 
 def test_map_f_generator_images_rank_three_block():
@@ -234,7 +255,7 @@ def test_map_g_generator_images():
         frozenset({(0, 1)}),
     ]
     # line into BO(2): m_(1,1) -> y a, m_(2) -> y^2 + a^2 (basis a^2, y a, y^2)
-    assert map_g(1, 2, 8).columns[2] == [0b010, 0b101]
+    assert _columns(map_g(1, 2, 8))[2] == [0b010, 0b101]
     # into BO(3), codomain slots (w1', w2', a): m_(2,1) -> m_(2,1) + a m_(2) + a^2 m_(1)
     assert _image(map_g(2, 3, 8), (1, 1, 0)) == {(1, 1, 0), (2, 0, 1), (1, 0, 2)}
 
@@ -244,20 +265,20 @@ def test_map_images_are_multiplicative():
     generator w of the domain, products taken as explicit polynomials."""
     N = 8
     for key, rm, dom_ranks, cod_ranks in _maps(4, N):
-        dom, cod = rm.domain, rm.codomain
+        dom, cod, columns = rm.domain, rm.codomain, _columns(rm)
         k = len(dom.generators)
         for g, deg in enumerate(dom.degrees):
             w = _e(k, g)
-            w_img = _poly(rm.columns[deg][dom.index(deg, w)], cod_ranks, cod.basis(deg))
+            w_img = _poly(columns[deg][dom.index(deg, w)], cod_ranks, cod.basis(deg))
             for n in range(N + 1 - deg):
                 for c, x in enumerate(dom.basis(n)):
                     prod = _read(_pmul(_expand(x, dom_ranks), _expand(w, dom_ranks)),
                                  dom_ranks, dom.basis(n + deg))
                     lhs = 0
-                    for b, col in enumerate(rm.columns[n + deg]):
+                    for b, col in enumerate(columns[n + deg]):
                         if prod >> b & 1:
                             lhs ^= col
-                    x_img = _poly(rm.columns[n][c], cod_ranks, cod.basis(n))
+                    x_img = _poly(columns[n][c], cod_ranks, cod.basis(n))
                     rhs = _read(_pmul(x_img, w_img), cod_ranks, cod.basis(n + deg))
                     assert lhs == rhs, (key, x, g)
 
@@ -266,8 +287,9 @@ def test_map_images_preserve_degree():
     """Every column is a nonzero sum of codomain elements of its own degree."""
     for N in range(9):
         for key, rm, _, cod_ranks in _maps(4, N):
+            columns = _columns(rm)
             for n in range(N + 1):
-                for col in rm.columns[n]:
+                for col in columns[n]:
                     assert col and not col >> rm.codomain.dim(n), (key, N, n)
                     for t in _poly(col, cod_ranks, rm.codomain.basis(n)):
                         assert sum(t) == n, (key, N, n)
@@ -278,11 +300,12 @@ def test_map_columns_match_whitney_formula():
     m_lambda as a polynomial in x_1..x_m with one x set to the line class a."""
     for N in range(9):
         for key, rm, dom_ranks, cod_ranks in _maps(4, N):
+            columns = _columns(rm)
             for n in range(N + 1):
                 cod = rm.codomain.basis(n)
                 want = [_read(_expand(mono, dom_ranks), cod_ranks, cod)
                         for mono in rm.domain.basis(n)]
-                assert rm.columns[n] == want, (key, N, n)
+                assert columns[n] == want, (key, N, n)
 
 
 def test_phi_ranks_match_the_w_basis():
@@ -290,7 +313,7 @@ def test_phi_ranks_match_the_w_basis():
     Whitney expansion w_j -> w'_j + a w'_{j-1}, they are the same."""
     for d in range(1, 5):
         for N in range(9):
-            want = hocolim_series(_whitney_zigzag(d, N)).rank
+            want = _whitney_phi_ranks(d, N)
             assert hocolim_series(build_zigzag(d, N)).rank == want, (d, N)
 
 
@@ -311,19 +334,21 @@ def test_homology_matrix_is_transpose_of_cohomology():
     fm = map_f(0, 2, 10)
     hm = fm.homology_map()
     for n in range(11):
-        cols = fm.columns[n]
-        # reading the column masks as rows gives the homology matrix
-        assert hm.rows[n] == cols
         assert hm.shapes[n] == (fm.domain.dim(n), fm.codomain.dim(n))
-        # and the cohomology matrix (rows = codomain basis) transposes back
-        rows = transpose_bits(cols, fm.codomain.dim(n))
-        assert transpose_bits(rows, fm.domain.dim(n)) == cols
+        # homology row c collects the codomain elements sent to domain element c
+        rows = hm.rows[n]
+        assert rows == [sum(1 << r for r, c in enumerate(fm.images[n]) if c == t)
+                        for t in range(fm.domain.dim(n))]
+        # and the cohomology matrix (rows = codomain basis) has one bit per row
+        cohom = transpose_bits(rows, fm.codomain.dim(n))
+        assert cohom == [1 << c for c in fm.images[n]]
+        assert transpose_bits(cohom, fm.domain.dim(n)) == rows
 
 
 def test_degree_one_example():
     # w1 of BO(2) hits both degree-1 classes downstairs: matrix [1 1]
     fm = map_f(0, 2, 8)
-    assert fm.columns[1] == [0b11]
+    assert fm.images[1] == [0, 0]
     hm = fm.homology_map()
     assert hm.rows[1] == [0b11]
     assert hm.shapes[1] == (1, 2)
@@ -342,4 +367,4 @@ def test_homology_and_cohomology_ranks_agree():
     for rm in (map_f(1, 3, 10), map_g(0, 3, 10)):
         hm = rm.homology_map()
         for n in range(11):
-            assert hm.rank(n) == rm.cohomology_rank(n)
+            assert rank_f2(hm.rows[n]) == rm.cohomology_rank(n)

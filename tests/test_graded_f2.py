@@ -332,19 +332,45 @@ def test_monomial_basis_three_generators():
         assert sorted(basis.basis(n)) == sorted(_brute_monomials([1, 2, 3], 9, n))
 
 
+def test_monomial_basis_is_lexicographic():
+    """basis(n) is the lexicographically sorted list of exponent tuples of
+    degree n, including generators above the truncation and N = 0, and
+    index(n, .) inverts it."""
+    import itertools
+
+    for degrees in ([1], [2, 1, 3], [1, 1, 2, 2], [3, 7], [1, 5, 1], [4, 4, 4], []):
+        for N in (0, 1, 4, 9):
+            basis = MonomialBasis([(f"x{j}", d) for j, d in enumerate(degrees)], N)
+            every = sorted(itertools.product(*(range(N // d + 1) for d in degrees)))
+            for n in range(N + 1):
+                want = [e for e in every if sum(a * d for a, d in zip(e, degrees)) == n]
+                assert basis.basis(n) == want, (degrees, N, n)
+                assert [basis.index(n, mono) for mono in want] == list(range(len(want)))
+
+
 def test_graded_map_shapes_ranks():
-    # degree 0: 1x1 identity; degree 1: 2x2 with rank 1; degree 2: 0x3
-    gm = GradedMap(2, rows=[[1], [0b11, 0b11], []], shapes=[(1, 1), (2, 2), (0, 3)])
-    assert [gm.rank(n) for n in range(3)] == [1, 1, 0]
+    # degree 0: 1x1 identity; degree 1: both sources to target 0, rank 1;
+    # degree 2: three targets, no sources
+    gm = GradedMap(2, images=[[0], [0, 0], []], shapes=[(1, 1), (2, 2), (3, 0)])
+    assert gm.rows == [[1], [0b11, 0], [0, 0, 0]]
+    assert [rank_f2(gm.rows[n]) for n in range(3)] == [1, 1, 0]
 
 
 def test_graded_map_validation():
-    with pytest.raises(ValueError):
-        GradedMap(1, rows=[[1]], shapes=[(1, 1)])  # missing degree 1
-    with pytest.raises(ValueError):
-        GradedMap(0, rows=[[0b10]], shapes=[(1, 1)])  # bit beyond column count
-    with pytest.raises(ValueError):
-        GradedMap(0, rows=[[1, 1]], shapes=[(1, 1)])  # row count mismatch
+    with pytest.raises(ValueError, match="one map per degree"):
+        GradedMap(1, images=[[0]], shapes=[(1, 1)])  # missing degree 1
+    with pytest.raises(ValueError, match="one map per degree"):
+        GradedMap(1, images=[[0], []], shapes=[(1, 1)])  # missing shape
+    with pytest.raises(ValueError, match="target index"):
+        GradedMap(0, images=[[1]], shapes=[(1, 1)])  # target index >= target dim
+    with pytest.raises(ValueError, match="target index"):
+        GradedMap(0, images=[[0, -1]], shapes=[(2, 2)])  # negative target index
+    with pytest.raises(ValueError, match="target index"):
+        GradedMap(0, images=[[0]], shapes=[(0, 1)])  # no target to send to
+    with pytest.raises(ValueError, match="images for"):
+        GradedMap(0, images=[[0, 0]], shapes=[(1, 1)])  # more images than sources
+    with pytest.raises(ValueError, match="images for"):
+        GradedMap(1, images=[[0], []], shapes=[(1, 1), (1, 1)])  # fewer
 
 
 def test_poincare_series_is_hashable_value_object():

@@ -48,10 +48,10 @@ from gmfkit.moduli_calc import (
 
 
 def _point_map(N):
-    """The homology map of a point to a point, as a graded matrix."""
-    rows = [[1]] + [[] for _ in range(N)]
+    """The homology map of a point to a point: degree 0 sends 0 to 0."""
+    images = [[0]] + [[] for _ in range(N)]
     shapes = [(1, 1)] + [(0, 0)] * N
-    return GradedMap(N, rows, shapes)
+    return GradedMap(N, images, shapes)
 
 
 def _point_zigzag(d, N):
@@ -91,7 +91,7 @@ def test_point_zigzag_cofiber_is_wedge_of_circles():
 def test_zigzag_validation_errors():
     with pytest.raises(ValueError, match="inconsistent diagram"):
         ZigzagDiagram(2, 4, (_point_map(4),), (_point_map(4),))
-    wide = GradedMap(4, [[0b11]] + [[] for _ in range(4)], [(1, 2)] + [(0, 0)] * 4)
+    wide = GradedMap(4, [[0, 0]] + [[] for _ in range(4)], [(1, 2)] + [(0, 0)] * 4)
     with pytest.raises(ValueError, match="inconsistent diagram"):
         ZigzagDiagram(1, 4, (_point_map(4),), (wide,))
     with pytest.raises(ValueError):
@@ -148,15 +148,10 @@ def test_hocolim_euler_bookkeeping():
             assert 0 <= h.rank[n] <= min(h.T_dims[n], h.S_dims[n])
 
 
-def _iota_rank_by_echelon(z, n):
-    """Rank of (+)H_n(Y(j)) -> coker(Phi_n), built explicitly.
-
-    Phi_n is assembled here from the f and g matrices; each target basis
-    vector is reduced against a reduced echelon basis of im(Phi_n) and read
-    off on the non-pivot coordinates.
-    """
+def _phi_rows(z, n):
+    """Phi_n assembled from the bit rows of the f and g maps: one row per
+    basis element of a Y(j), one column per basis element of a Y1(i)."""
     t_dims, s_dims = z.bottom_dims(n), z.top_dims(n)
-    T, S = sum(t_dims), sum(s_dims)
     rows = []
     for j in range(z.d + 1):
         for r in range(t_dims[j]):
@@ -166,7 +161,17 @@ def _iota_rank_by_echelon(z, n):
             if j > 0:
                 mask |= z.g_maps[j - 1].rows[n][r] << sum(s_dims[: j - 1])
             rows.append(mask)
-    rk, pivots, ech = rref_f2(transpose_bits(rows, S), T)
+    return rows
+
+
+def _iota_rank_by_echelon(z, n):
+    """Rank of (+)H_n(Y(j)) -> coker(Phi_n), built explicitly.
+
+    Each target basis vector is reduced against a reduced echelon basis of
+    im(Phi_n) and read off on the non-pivot coordinates.
+    """
+    T, S = sum(z.bottom_dims(n)), sum(z.top_dims(n))
+    rk, pivots, ech = rref_f2(transpose_bits(_phi_rows(z, n), S), T)
     nonpivots = [c for c in range(T) if c not in pivots]
     images = []
     for k in range(T):
@@ -182,6 +187,34 @@ def test_iota_rank_matches_echelon_construction():
             z = build_zigzag(d, N)
             h = hocolim_series(z)
             assert h.coker == tuple(_iota_rank_by_echelon(z, n) for n in range(N + 1))
+
+
+def _random_zigzag(rng, d, N):
+    """Random index maps on random dimensions: zero-dimensional degrees,
+    targets that no source hits, and sources sharing a target all occur."""
+    t = [[rng.choice([0, 1, 2, 3, 5]) for _ in range(N + 1)] for _ in range(d + 1)]
+    s = [[rng.randint(0, 6) if t[i][n] and t[i + 1][n] else 0 for n in range(N + 1)]
+         for i in range(d)]
+
+    def index_map(i, j):
+        images = [[rng.randrange(t[j][n]) for _ in range(s[i][n])] for n in range(N + 1)]
+        return GradedMap(N, images, [(t[j][n], s[i][n]) for n in range(N + 1)])
+
+    return ZigzagDiagram(d, N, tuple(index_map(i, i) for i in range(d)),
+                         tuple(index_map(i, i + 1) for i in range(d)))
+
+
+def test_union_find_rank_matches_xor_basis_rank():
+    """The graph rank of Phi_n against a general xor-basis rank of Phi_n
+    assembled from the bit rows, on random index-map zigzags."""
+    import random
+
+    rng = random.Random(11)
+    for _ in range(300):
+        d, N = rng.randint(1, 4), rng.randint(0, 3)
+        z = _random_zigzag(rng, d, N)
+        want = tuple(rank_f2(_phi_rows(z, n)) for n in range(N + 1))
+        assert hocolim_series(z).rank == want
 
 
 def test_truncation_below_d_agrees_with_higher_truncation():
@@ -249,10 +282,10 @@ def test_sigma_mf_cofibration_identity():
 def test_sigma_mf_cofibration_checks_the_ranks(monkeypatch, capsys):
     """Ranks of Phi_n lowered above 6 leave the cofibration identity intact;
     the components count catches them."""
-    exact = moduli_calc.rank_f2
+    exact = moduli_calc._phi_rank
 
-    def lowered(rows, ncols):
-        rk = exact(rows, ncols)
+    def lowered(z, n):
+        rk = exact(z, n)
         return rk - 1 if rk > 6 else rk
 
     argv = ["verify", "--check", "sigma-mf-cofibration", "--d", "3", "--max-degree", "10"]
@@ -260,7 +293,7 @@ def test_sigma_mf_cofibration_checks_the_ranks(monkeypatch, capsys):
     try:
         assert cli.main(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(moduli_calc, "rank_f2", lowered)
+        monkeypatch.setattr(moduli_calc, "_phi_rank", lowered)
         moduli_calc._hocolim_std.cache_clear()
         assert cli.main(argv) == 1
         assert "Fail" in capsys.readouterr().out
