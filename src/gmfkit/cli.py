@@ -3,8 +3,9 @@
 Subcommands: classify-jet, trace-family, series, verify.  All output is
 UTF-8 JSON or CSV on stdout (or --out PATH).  Exit codes: 0 success,
 1 check/axiom failure, 2 malformed input or unknown object, 3 dimension
-inconsistency in a jet file.  GMFKIT_MAX_DEGREE overrides the default
-series truncation of 32.
+inconsistency in a jet file.  Series are truncated at --max-degree, 32 by
+default.  trace-family's axiom_gmf fails on a located degenerate point and
+on any sampled critical point that classifies as degenerate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -21,22 +21,10 @@ from . import family_analysis, jet_core, moduli_calc
 from .graded_f2 import DEFAULT_TRUNCATION, series_grassmannian
 
 
-def _truncation(max_degree) -> int:
-    """--max-degree when given, else GMFKIT_MAX_DEGREE, else the default."""
-    if max_degree is not None:
-        if max_degree < 0:
-            raise ValueError("--max-degree must be >= 0")
-        return max_degree
-    raw = os.environ.get("GMFKIT_MAX_DEGREE")
-    if raw is None:
-        return DEFAULT_TRUNCATION
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"GMFKIT_MAX_DEGREE must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("GMFKIT_MAX_DEGREE must be >= 0")
-    return n
+def _truncation(max_degree: int) -> int:
+    if max_degree < 0:
+        raise ValueError("--max-degree must be >= 0")
+    return max_degree
 
 
 def _read_json(path: str) -> dict:
@@ -104,7 +92,7 @@ def cmd_trace_family(args) -> int:
             f"# degenerate t={_g17(flag.t)} x=({','.join(_g17(v) for v in flag.x)})"
             f" reason={flag.reason}\n"
         )
-    gmf_ok = not result.degenerate
+    gmf_ok = not family_analysis.gmf_failures(result.degenerate, result.samples)
     buf.write(
         f"# events={len(result.events)} degenerate={len(result.degenerate)}"
         f" warnings={len(result.warnings)} axiom_gmf={'Pass' if gmf_ok else 'Fail'}"
@@ -235,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--object", required=True, choices=list(_SERIES))
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--n", type=int, default=None, help="codimension (grassmann only)")
-    s.add_argument("--max-degree", type=int, default=None)
+    s.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_series)
 
     v = sub.add_parser("verify", help="run series identity checks")
     v.add_argument("--check", required=True, choices=list(_CHECKS) + ["all"])
     v.add_argument("--d", type=int, default=2)
-    v.add_argument("--max-degree", type=int, default=None)
+    v.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
     v.add_argument("--structure", choices=["o", "so"], default="o")
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)

@@ -305,10 +305,16 @@ def _box_arrays(box, d):
     return lo, hi
 
 
+def _distance(x, y) -> float:
+    """Euclidean distance, inf when it is too large for a float."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(x - y))
+
+
 def _dedup(points, radius):
     kept = []
     for x in points:
-        if all(np.linalg.norm(x - y) > radius for y in kept):
+        if all(_distance(x, y) > radius for y in kept):
             kept.append(x)
     return kept
 
@@ -327,7 +333,8 @@ def fiber_critical_points(F: PolyFamily, t, box):
     own guards.  Non-converged seeds are dropped (a count is logged).  Each
     point is classified from its fiber 3-jet, whose linear part is the
     gradient at the point and hence ~0 by construction; the points' values
-    and jets come from one evaluation of the batch.
+    and jets come from one evaluation of the batch.  A point whose jet is too
+    large for a float is dropped, as there is nothing to classify.
     """
     t = _parameter(F, t)
     calc = _calculus(F)
@@ -346,17 +353,20 @@ def fiber_critical_points(F: PolyFamily, t, box):
         log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, len(seeds))
     found = list(Z[converged & (Z >= lo - 1e-12).all(axis=1) & (Z <= hi + 1e-12).all(axis=1)])
     X = np.array(_dedup(found, DEDUP_RADIUS)).reshape(-1, d)
-    points = [
-        CriticalPoint(
+    points = []
+    for x, value, grad, hess, third in zip(
+            X, *calc.at(_with_params(t, X), "value", "grad", "hess", "third")):
+        try:
+            jet = jet_from_parts(d, value, grad, hess / 2.0, third / 6.0)
+        except ValueError:  # a coefficient too large for a float: nothing to classify
+            continue
+        points.append(CriticalPoint(
             t=t[0] if F.param_dim == 1 else None,
             x=x,
             value=float(value),
-            cls=classify(jet_from_parts(d, value, grad, hess / 2.0, third / 6.0), CLASSIFY_TOL),
+            cls=classify(jet, CLASSIFY_TOL),
             grad_norm=float(np.linalg.norm(grad)),
-        )
-        for x, value, grad, hess, third in zip(
-            X, *calc.at(_with_params(t, X), "value", "grad", "hess", "third"))
-    ]
+        ))
     points.sort(key=lambda p: tuple(p.x))
     return points
 
@@ -423,7 +433,7 @@ def _refine_fold(calc, t, x, box):
 def _match_tracks(prev_pts, next_pts):
     """Greedy nearest-neighbor matching; returns (prev index, next index) pairs."""
     dists = [
-        (np.linalg.norm(p.x - q.x), i, j)
+        (_distance(p.x, q.x), i, j)
         for i, p in enumerate(prev_pts)
         for j, q in enumerate(next_pts)
     ]
@@ -512,7 +522,7 @@ def trace_birth_death(
         why = f"the critical-point count changes by {len(samples[a]) - len(samples[a - 1]):+d}"
         while len(loose) >= 2:
             p, q = min(itertools.combinations(loose, 2),
-                       key=lambda pq: float(np.linalg.norm(pq[0] - pq[1])))
+                       key=lambda pq: _distance(*pq))
             candidates.append((t_mid, (p + q) / 2.0,
                                (float(ts[a - 1]), float(ts[a]), why, p, q)))
             loose = [r for r in loose if r is not p and r is not q]
@@ -560,7 +570,12 @@ def trace_birth_death(
                 and np.all(x_r >= lo - 1e-9) and np.all(x_r <= hi + 1e-9)
             ):
                 t_star, x_star = t_r, np.asarray(x_r)
-        jet = fiber_jet3(F, (t_star,), x_star)
+        try:
+            jet = fiber_jet3(F, (t_star,), x_star)
+        except ValueError:  # a coefficient too large for a float: nothing to classify
+            if must is not None:
+                unlocated.append(must)
+            continue
         cls = classify(jet, EVENT_TOL)
         if must is not None and not (
             cls.kind in (BIRTH_DEATH, DEGENERATE)
@@ -584,10 +599,10 @@ def trace_birth_death(
     # for (a degenerate sample can hold near-copies of one critical point)
     located = [(e.t_star, e.x_star) for e in events] + [(f.t, f.x) for f in degenerate]
     for t_lo, t_hi, why, p, q in unlocated:
-        sep = float(np.linalg.norm(p - q))
+        sep = _distance(p, q)
         if not any(
             t_lo - slack <= t <= t_hi + slack
-            and min(np.linalg.norm(x - p), np.linalg.norm(x - q)) <= sep
+            and min(_distance(x, p), _distance(x, q)) <= sep
             for t, x in located
         ):
             warnings.append(f"fold not located on [{t_lo!r}, {t_hi!r}], where {why}")
@@ -601,12 +616,23 @@ def trace_birth_death(
 def _near_duplicate(located, t_star, x_star, span) -> bool:
     """Whether a (t, x) pair of located lies within 1e-6 span of t_star and
     1e-4 of x_star."""
-    return any(abs(t - t_star) <= 1e-6 * span and np.linalg.norm(x - x_star) <= 1e-4
+    return any(abs(t - t_star) <= 1e-6 * span and _distance(x, x_star) <= 1e-4
                for t, x in located)
 
 
 # ---------------------------------------------------------------------------
 # axiom report
+
+
+def gmf_failures(degenerate, samples) -> tuple:
+    """The points that fail the gmf axiom (iv): the located degenerate flags,
+    then every sampled critical point that classifies as Degenerate.
+
+    samples holds (t, critical points) pairs, as TraceResult.samples does.
+    """
+    return tuple(degenerate) + tuple(
+        DegenerateFlag(0.0 if p.t is None else p.t, p.x, p.cls.reason)
+        for _, pts in samples for p in pts if p.cls.kind == DEGENERATE)
 
 
 PASS = "Pass"
@@ -673,20 +699,14 @@ def check_family_axioms(
     lo, hi = _box_arrays(box, d)
     calc = _calculus(F)
 
-    events: tuple = ()
-    degenerate: list = []
-    warnings: list = []
-
+    events = degenerate = warnings = ()
     if F.param_dim == 0:
-        grids = [tuple()]
         sampled = [(tuple(), fiber_critical_points(F, tuple(), box))]
     elif F.param_dim == 1:
         if t0 is None or t1 is None:
             raise ValueError("one-parameter family needs a t-window")
         trace = trace_birth_death(F, t0, t1, steps, box)
-        events = trace.events
-        degenerate.extend(trace.degenerate)
-        warnings.extend(trace.warnings)
+        events, degenerate, warnings = trace.events, trace.degenerate, trace.warnings
         sampled = [((t,), pts) for t, pts in trace.samples]
     else:
         raise ValueError("axiom checks support param_dim 0 or 1")
@@ -706,12 +726,7 @@ def check_family_axioms(
             )
             break
 
-    for t, pts in sampled:
-        for p in pts:
-            if p.cls.kind == DEGENERATE:
-                degenerate.append(DegenerateFlag(
-                    t[0] if t else 0.0, p.x, p.cls.reason))
-
+    degenerate = gmf_failures(degenerate, sampled)
     iv_ok = not degenerate
     verdicts = (
         AxiomVerdict("properness", PASS if prop_ok else FAIL, prop_note),
@@ -725,7 +740,7 @@ def check_family_axioms(
             else f"degenerate point at t={degenerate[0].t:.6g}: {degenerate[0].reason}",
         ),
     )
-    return FamilyAxiomReport(verdicts, events, tuple(degenerate), tuple(warnings))
+    return FamilyAxiomReport(verdicts, events, degenerate, warnings)
 
 
 # ---------------------------------------------------------------------------

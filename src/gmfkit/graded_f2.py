@@ -43,16 +43,6 @@ class PoincareSeries:
             return 0
         return self.coeffs[n - self.min_degree]
 
-    def to_text(self) -> str:
-        return " ".join(f"{n}:{self.coeff(n)}" for n in range(self.min_degree, self.truncation + 1))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_degree": self.min_degree,
-            "coeffs": list(self.coeffs),
-            "truncation": self.truncation,
-        }
-
 
 def series_from_coeffs(coeffs: Sequence[int], min_degree: int = 0) -> PoincareSeries:
     coeffs = [int(c) for c in coeffs]

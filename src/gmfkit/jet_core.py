@@ -148,9 +148,8 @@ def compose_linear(jet: Jet3, M) -> Jet3:
 
 def scale(jet: Jet3) -> float:
     """max(1, largest absolute coefficient)."""
-    m = abs(jet.constant)
-    if jet.dim:
-        m = max(m, float(np.max(np.abs(jet.linear))), float(np.max(np.abs(jet.quadratic))))
+    m = max(abs(jet.constant), float(np.max(np.abs(jet.linear))),
+            float(np.max(np.abs(jet.quadratic))))
     if jet.cubic:
         m = max(m, max(abs(v) for v in jet.cubic.values()))
     return max(1.0, m)
@@ -204,7 +203,9 @@ def classify(jet: Jet3, tol: float = DEFAULT_TOL) -> GmfClass:
     """Stratify the jet: Regular / NondegenerateCritical(i) / BirthDeath(i) / Degenerate."""
     _check_tol(tol)
     s = scale(jet)
-    if float(np.linalg.norm(jet.linear)) > tol * s:
+    with np.errstate(over="ignore"):  # a gradient too large to square reads as inf: Regular
+        grad_norm = float(np.linalg.norm(jet.linear))
+    if grad_norm > tol * s:
         return GmfClass(REGULAR)
     split = spectral_split(jet.quadratic, tol)
     if split.zero_dim == 0:
@@ -261,10 +262,8 @@ def birth_death_linear_normal_form(jet: Jet3, tol: float = DEFAULT_TOL) -> Norma
     reduced_raw = compose_linear(rotated, np.diag(s))
 
     target_diag = np.array([0.0] + [-1.0] * i + [1.0] * (d - 1 - i))
-    residual = float(np.max(np.abs(reduced_raw.linear))) if d else 0.0
     off = reduced_raw.quadratic - np.diag(np.diag(reduced_raw.quadratic))
-    if d > 1:
-        residual = max(residual, float(np.max(np.abs(off))))
+    residual = max(float(np.max(np.abs(reduced_raw.linear))), float(np.max(np.abs(off))))
     for idx, v in reduced_raw.cubic.items():
         if idx != (1, 1, 1):
             residual = max(residual, abs(v))

@@ -34,7 +34,7 @@ the bounds are tight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 from .char_class_maps import map_f, map_g
@@ -66,12 +66,6 @@ class SpectrumSeries:
     series: PoincareSeries
     provenance: str
     derivation: tuple = ()
-
-    def to_json_dict(self) -> dict:
-        out = self.series.to_json_dict()
-        out["provenance"] = self.provenance
-        out["derivation"] = list(self.derivation)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +213,20 @@ def cofiber_series(d: int, N: int = DEFAULT_TRUNCATION) -> CofiberResult:
     return CofiberResult(d, N, series_from_coeffs(coeffs), h.rank)
 
 
+def _block_sum(d: int, N: int, inner: tuple = ()) -> PoincareSeries:
+    """sum_{i=0}^{r} BO(i) * BO(inner...) * BO(r-i), with r = d - sum(inner):
+    the products of BO blocks whose ranks add up to d, the inner ones fixed."""
+    r = d - sum(inner)
+    if r < 0:
+        raise ValueError(f"need d >= {sum(inner)}")
+    return reduce(series_add, (
+        reduce(series_mul, [series_BO(m, N) for m in (i, *inner, r - i)])
+        for i in range(r + 1)))
+
+
 def wedge_target_series(d: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """sum_{i=0}^{d-1} t * BO(i) * BO(1) * BO(d-i-1): the cofiber's wedge model."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    total = None
-    for i in range(d):
-        piece = series_mul(
-            series_mul(series_BO(i, N), series_BO(1, N)), series_BO(d - i - 1, N)
-        )
-        piece = series_shift(piece, 1)
-        total = piece if total is None else series_add(total, piece)
-    return total
+    return series_shift(_block_sum(d, N, (1,)), 1)
 
 
 def sigma_mf_series(d: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
@@ -239,15 +235,21 @@ def sigma_mf_series(d: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     The index-product description is read as a union of components, so
     series add; the degree-0 coefficient is d + 1.
     """
-    total = None
-    for i in range(d + 1):
-        piece = series_mul(series_BO(i, N), series_BO(d - i, N))
-        total = piece if total is None else series_add(total, piece)
-    return total
+    return _block_sum(d, N)
 
 
 # ---------------------------------------------------------------------------
 # Thom-spectrum series and identity checks
+
+
+# structure -> series of the base space BO(d) or BSO(d)
+_BASE_SERIES = {"o": series_BO, "so": series_BSO}
+
+
+def _base_series(structure: str):
+    if structure not in _BASE_SERIES:
+        raise ValueError(f"unknown structure {structure!r}")
+    return _BASE_SERIES[structure]
 
 
 def mt_series(d: int, N: int = DEFAULT_TRUNCATION, structure: str = "o") -> SpectrumSeries:
@@ -261,19 +263,9 @@ def mt_series(d: int, N: int = DEFAULT_TRUNCATION, structure: str = "o") -> Spec
     if N < 0:
         raise ValueError(f"truncation must be nonnegative, got {N}")
     structure = structure.lower()
-    if structure == "o":
-        base = series_BO(d, N + d)
-        name = f"BO({d})"
-    elif structure == "so":
-        base = series_BSO(d, N + d)
-        name = f"BSO({d})"
-    else:
-        raise ValueError(f"unknown structure {structure!r}")
-    return SpectrumSeries(
-        series_shift(base, -d),
-        EXACT,
-        (f"Thom isomorphism: shift the series of {name} by -{d}",),
-    )
+    base = _base_series(structure)(d, N + d)
+    return SpectrumSeries(series_shift(base, -d), EXACT, (
+        f"Thom isomorphism: shift the series of B{structure.upper()}({d}) by -{d}",))
 
 
 @dataclass(frozen=True)
@@ -305,12 +297,9 @@ def gysin_check(d: int, N: int = DEFAULT_TRUNCATION, structure: str = "o") -> Ch
     if d < 1:
         raise ValueError("need d >= 1")
     structure = structure.lower()
-    fam = series_BO if structure == "o" else series_BSO
-    if structure not in ("o", "so"):
-        raise ValueError(f"unknown structure {structure!r}")
+    fam = _base_series(structure)
     P = fam(d, N)
-    Pm1 = fam(d - 1, N)
-    rhs = series_add(series_shift(fam(d, N), d), Pm1)
+    rhs = series_add(series_shift(P, d), fam(d - 1, N))
     ok, mismatch = series_equal(P, rhs, up_to=N)
     holds = structure == "o" or d >= 2
     notes = (

@@ -1,5 +1,5 @@
-"""End-to-end command-line behavior: output schemas, exit codes, environment
-overrides, and determinism of repeated runs."""
+"""End-to-end command-line behavior: output schemas, exit codes and
+determinism of repeated runs."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 from gmfkit.cli import main
+from gmfkit.family_analysis import check_family_axioms, family_from_json_dict
 
 NORMAL_FORM_3D = {
     "dim": 3,
@@ -189,17 +190,56 @@ def test_trace_family_swallowtail_fails_axiom(capsys):
     assert "axiom_gmf=Fail" in out
 
 
-@pytest.mark.parametrize("box", ["1e80", "5e102", "1e150"])
-def test_trace_family_huge_box_exits_cleanly(capsys, box):
-    """Seeds so far out that their powers overflow end their Newton runs:
-    no warning, no traceback, and the ordinary summary with exit 0."""
+def test_trace_family_degenerate_sample_fails_axiom(tmp_path, capsys):
+    """f = -0.14 + 0.78 t x is constant at the grid value t = 0, so every
+    critical point found there is degenerate, though no fold is located:
+    axiom_gmf follows check_family_axioms and fails."""
+    family = {"param_dim": 1, "fiber_dim": 1,
+              "terms": [{"powers": [0, 0], "coeff": -0.14}, {"powers": [1, 1], "coeff": 0.78}]}
+    path = _write(tmp_path, "family.json", family)
+    assert main(["trace-family", "--family", path,
+                 "--t0", "-1", "--t1", "1", "--steps", "11"]) == 1
+    out = capsys.readouterr().out
+    assert "# degenerate" not in out
+    assert out.endswith("# events=0 degenerate=0 warnings=8 axiom_gmf=Fail "
+                        "window=[-1,1] steps=11\n")
+    report = check_family_axioms(family_from_json_dict(family), -1.0, 1.0, steps=11)
+    assert report.verdict("gmf") == "Fail"
+    assert len(report.degenerate) == 8 and {f.t for f in report.degenerate} == {0.0}
+
+
+@pytest.mark.parametrize("box, terms, steps, code, summary", [
+    (box, None, "41", 0, "# events=0 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER)
+    for box in ("1e80", "5e102", "1e150")
+] + [
+    # f = 1.06 t x^4 - 1.41 t x^3 vanishes at the grid value t = 0, where
+    # every seed converges on the spot and has a jet too large for a float
+    ("1e97", {(1, 4): 1.06, (1, 3): -1.41}, "5", 0,
+     "# events=0 degenerate=0 warnings=0 axiom_gmf=Pass window=[-1,1] steps=5\n"),
+    # f = -1.11 t x - 0.77 t x^4 vanishes at t = 0 too, where its critical
+    # points lie too far apart to square their distance, and are degenerate
+    ("1e69", {(1, 1): -1.11, (1, 4): -0.77}, "5", 1,
+     "# events=0 degenerate=0 warnings=8 axiom_gmf=Fail window=[-1,1] steps=5\n"),
+], ids=["1e80", "5e102", "1e150", "tx4-tx3-1e97", "tx-tx4-1e69"])
+def test_trace_family_huge_box_exits_cleanly(tmp_path, capsys, box, terms, steps, code,
+                                             summary):
+    """Seeds so far out that their powers overflow end their Newton runs, a
+    distance too large for a float reads as distinct, and a point whose jet
+    overflows is dropped: no warning, no traceback, and the ordinary
+    summary with exit 0 or 1."""
+    if terms is None:
+        source = ["--preset", "swallowtail"]
+    else:
+        family = {"param_dim": 1, "fiber_dim": 1,
+                  "terms": [{"powers": list(p), "coeff": c} for p, c in terms.items()]}
+        source = ["--family", _write(tmp_path, "family.json", family)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["trace-family", "--preset", "swallowtail",
-                     "--t0", "-1", "--t1", "1", "--box", box])
+        got = main(["trace-family", *source, "--t0", "-1", "--t1", "1",
+                    "--steps", steps, "--box", box])
     out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert out.endswith("# events=0 degenerate=0 warnings=0 axiom_gmf=Pass " + _TRACE_FOOTER)
+    assert (got, err) == (code, "")
+    assert out.endswith(summary)
     assert main(["trace-family", "--preset", "cusp", "--t0", "-1", "--t1", "1",
                  "--box", "1e308"]) == 2
     assert capsys.readouterr().err.startswith("error: box must be")
@@ -288,19 +328,8 @@ def test_series_grassmann(capsys):
     assert out["coefficients"] == [1, 1, 2, 1, 1]
 
 
-def test_series_env_truncation(monkeypatch, capsys):
-    monkeypatch.setenv("GMFKIT_MAX_DEGREE", "5")
-    assert main(["series", "--object", "bo", "--d", "1"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["N"] == 5
-    assert out["coefficients"] == [1] * 6
-
-    monkeypatch.setenv("GMFKIT_MAX_DEGREE", "abc")
-    assert main(["series", "--object", "bo", "--d", "1"]) == 2
-    monkeypatch.setenv("GMFKIT_MAX_DEGREE", "-3")
-    assert main(["series", "--object", "bo", "--d", "1"]) == 2
-
-    monkeypatch.delenv("GMFKIT_MAX_DEGREE")
+def test_series_env_truncation(capsys):
+    """A negative --max-degree is malformed input."""
     for argv in (["series", "--object", "bo", "--d", "2"],
                  ["series", "--object", "sigma-gmf", "--d", "2"],
                  ["verify", "--check", "gysin"],

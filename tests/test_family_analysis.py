@@ -404,14 +404,19 @@ def test_trace_tangential_touch():
 def test_trace_simultaneous_events():
     """Two separated fold pairs appear at the same parameter value t=c; the
     count jumps by four and both merging pairs must be reported, on the
-    grid (c=0.3) and off it (c=0.313)."""
-    for c in (0.3, 0.313):
+    grid (c=0.2, 0.25, 0.3) and off it (c=0.313), with no warning.  On the
+    grid the degenerate sample holds near-copies of the fold points about
+    1e-9 apart: c=0.2 loses both events if the dedup radius grows to 1e-7,
+    and c=0.25 warns twice without the near-copy rule that ends
+    trace_birth_death."""
+    for c in (0.2, 0.25, 0.3, 0.313):
         F = PolyFamily(1, 2, (
             ((0, 3, 0), 1.0), ((1, 1, 0), -1.0), ((0, 1, 0), c),
             ((0, 0, 3), 1.0), ((1, 0, 1), -1.0), ((0, 0, 1), -c),
         ))
         res = trace_birth_death(F, -1.0, 1.0)
         assert len(res.events) == 2, c
+        assert res.warnings == (), c
         assert sorted(ev.index for ev in res.events) == [0, 1]
         for ev in res.events:
             assert ev.t_star == pytest.approx(c, abs=1e-8)

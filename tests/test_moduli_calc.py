@@ -351,13 +351,6 @@ def test_mtgmf_bounds_ordering():
         mtgmf_series(0)
 
 
-def test_spectrum_series_json():
-    out = mt_series(2, 6, "o").to_json_dict()
-    assert out["provenance"] == EXACT
-    assert out["min_degree"] == -2
-    assert isinstance(out["derivation"], list) and out["derivation"]
-
-
 # ---------------------------------------------------------------------------
 # identity checks and reports
 
