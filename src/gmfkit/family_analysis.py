@@ -5,12 +5,13 @@ tracing code exercises).  Its value and fiber derivatives come from exact
 polynomial differentiation, never finite differences: one evaluator per
 family compiles each derivative table once and evaluates the tables a caller
 names in one call per batch of points, on one shared table of powers.
-Critical points are found by Newton iteration from a seed grid, the whole
-grid as one batch with guards that act seed by seed.  Birth-death parameter
-values start as grid-scale candidates (critical-point count changes, and
-sign changes or local minima of the smallest-magnitude Hessian eigenvalue
-along matched tracks) and are located by Newton on the augmented fold
-system.
+Critical points are found by Newton iteration from a seed grid, with guards
+that act seed by seed; a trace runs the seed grids of all its parameter
+values as one batch, so its memory grows with the number of values.
+Birth-death parameter values start as grid-scale candidates (critical-point
+count changes, and sign changes or local minima of the smallest-magnitude
+Hessian eigenvalue along matched tracks) and are located by Newton on the
+augmented fold system.
 """
 
 from __future__ import annotations
@@ -213,13 +214,15 @@ class CriticalPoint:
 
 
 def _newton(system, z0, box):
-    """Newton iteration for system(Z) = (residuals, Jacobians), run from every
-    row of the (m, n) start array z0 at once.
+    """Newton iteration for system(Z, live) = (residuals, Jacobians), run
+    from every row of the (m, n) start array z0 at once.
 
     A row holds the fiber coordinates first, then any unknown parameters;
     box is the fiber box (lo, hi).  system maps a (p, n) array of rows to
-    their (p, n) residuals and (p, n, n) Jacobians.  Row i of the returned
-    (m, n) array is run i's final iterate if its residual norm is within
+    their (p, n) residuals and (p, n, n) Jacobians; live holds the indices
+    of those rows in z0, so that a system can close over data known per
+    run, such as each row's parameter value.  Row i of the returned (m, n)
+    array is run i's final iterate if its residual norm is within
     NEWTON_TOL, else the last iterate of run i that was, else NaN.
 
     Iteration continues after the residual criterion is met: at a multiple
@@ -243,7 +246,7 @@ def _newton(system, z0, box):
             if not live.size:
                 break
             z = Z[live]
-            r, J = system(z)
+            r, J = system(z, live)
             res_norm = _row_norms(r)
             small = res_norm <= NEWTON_TOL
             best[live[small]] = z[small]
@@ -256,24 +259,26 @@ def _newton(system, z0, box):
             Z[live] = zn
             moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
             live = live[moving]
-        done = _row_norms(system(Z)[0]) <= NEWTON_TOL
+        done = _row_norms(system(Z, np.arange(len(Z)))[0]) <= NEWTON_TOL
     return np.where(done[:, None], Z, best)
 
 
 def _solve_rows(J, r):
-    """Steps J_i^-1 r_i, and which rows have one: a singular J_i makes the
-    stacked solve raise, and then the rows are solved one by one."""
+    """Steps J_i^-1 r_i, and which rows have one.
+
+    A singular J_i makes the stacked solve raise.  Then slogdet, whose LU
+    factorization is the one solve makes, reads a zero determinant on
+    exactly the rows whose one-row solve would raise, and the others are
+    solved again as one stack, each step as it would be alone.
+    """
     try:
         return np.linalg.solve(J, r[:, :, None])[:, :, 0], np.ones(len(r), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    step, solved = np.zeros_like(r), np.zeros(len(r), dtype=bool)
-    for i in range(len(r)):
-        try:
-            step[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            continue
-        solved[i] = True
+    with np.errstate(invalid="ignore"):  # a NaN entry: not singular, the step is NaN
+        solved = np.linalg.slogdet(J)[0] != 0.0
+    step = np.zeros_like(r)
+    step[solved] = np.linalg.solve(J[solved], r[solved, :, None])[:, :, 0]
     return step, solved
 
 
@@ -329,46 +334,66 @@ def _auto_grid(d: int) -> int:
 def fiber_critical_points(F: PolyFamily, t, box):
     """Newton from a seed grid; converged in-box points, deduplicated.
 
-    The whole seed grid is one batch of rows for _newton, each row with its
-    own guards.  Non-converged seeds are dropped (a count is logged).  Each
-    point is classified from its fiber 3-jet, whose linear part is the
-    gradient at the point and hence ~0 by construction; the points' values
-    and jets come from one evaluation of the batch.  A point whose jet is too
-    large for a float is dropped, as there is nothing to classify.
+    Non-converged seeds are dropped (a count is logged).  Each point is
+    classified from its fiber 3-jet, whose linear part is the gradient at
+    the point and hence ~0 by construction.  A point whose jet is too large
+    for a float is dropped, as there is nothing to classify.  This is the
+    one-fiber case of _critical_points, which trace_birth_death runs on all
+    its grid values at once.
     """
-    t = _parameter(F, t)
+    return _critical_points(F, [_parameter(F, t)], box)[0]
+
+
+def _critical_points(F: PolyFamily, ts, box) -> list:
+    """fiber_critical_points for every parameter tuple of ts, one list each.
+
+    The seed grids of all the fibers are one batch of rows for _newton, each
+    row with its own parameter value and its own guards, and the jets of all
+    the points kept come from one evaluation.  A row's result does not depend
+    on the other rows, so each list is what its fiber would give alone.
+    """
     calc = _calculus(F)
     d = F.fiber_dim
     lo, hi = _box_arrays(box, d)
     axes = [np.linspace(lo[j], hi[j], _auto_grid(d)) for j in range(d)]
     seeds = np.array(list(itertools.product(*axes)))
+    m = len(seeds)
+    T = np.array(ts, dtype=float).reshape(len(ts), F.param_dim)
+    params = np.repeat(T, m, axis=0)  # the parameters of each seed row
 
-    def system(X):
-        return calc.at(_with_params(t, X), "grad", "hess")
+    def system(X, live):
+        return calc.at(np.hstack((params[live], X)), "grad", "hess")
 
-    Z = _newton(system, seeds, (lo, hi))
-    converged = np.isfinite(Z).all(axis=1)
-    dropped = len(Z) - int(converged.sum())
-    if dropped:
-        log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, len(seeds))
-    found = list(Z[converged & (Z >= lo - 1e-12).all(axis=1) & (Z <= hi + 1e-12).all(axis=1)])
-    X = np.array(_dedup(found, DEDUP_RADIUS)).reshape(-1, d)
-    points = []
-    for x, value, grad, hess, third in zip(
-            X, *calc.at(_with_params(t, X), "value", "grad", "hess", "third")):
-        try:
-            jet = jet_from_parts(d, value, grad, hess / 2.0, third / 6.0)
-        except ValueError:  # a coefficient too large for a float: nothing to classify
-            continue
-        points.append(CriticalPoint(
-            t=t[0] if F.param_dim == 1 else None,
-            x=x,
-            value=float(value),
-            cls=classify(jet, CLASSIFY_TOL),
-            grad_norm=float(np.linalg.norm(grad)),
-        ))
-    points.sort(key=lambda p: tuple(p.x))
-    return points
+    Z = _newton(system, np.tile(seeds, (len(ts), 1)), (lo, hi))
+    kept = []  # per fiber, the deduplicated in-box points
+    for Zt in np.split(Z, len(ts)):
+        converged = np.isfinite(Zt).all(axis=1)
+        dropped = m - int(converged.sum())
+        if dropped:
+            log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, m)
+        inside = (Zt >= lo - 1e-12).all(axis=1) & (Zt <= hi + 1e-12).all(axis=1)
+        kept.append(np.array(_dedup(list(Zt[converged & inside]), DEDUP_RADIUS)).reshape(-1, d))
+    X = np.concatenate(kept)
+    P = np.hstack((np.repeat(T, [len(Xt) for Xt in kept], axis=0), X))
+    jets = zip(X, *calc.at(P, "value", "grad", "hess", "third"))
+    out = []
+    for t, Xt in zip(ts, kept):
+        points = []
+        for x, value, grad, hess, third in itertools.islice(jets, len(Xt)):
+            try:
+                jet = jet_from_parts(d, value, grad, hess / 2.0, third / 6.0)
+            except ValueError:  # a coefficient too large for a float: nothing to classify
+                continue
+            points.append(CriticalPoint(
+                t=t[0] if F.param_dim == 1 else None,
+                x=x,
+                value=float(value),
+                cls=classify(jet, CLASSIFY_TOL),
+                grad_norm=float(np.linalg.norm(grad)),
+            ))
+        points.sort(key=lambda p: tuple(p.x))
+        out.append(points)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +434,7 @@ def _refine_fold(calc, t, x, box):
     """
     d = calc.d
 
-    def system(Z):  # one row
+    def system(Z, live):  # one row
         z = Z[0]
         grad, H, T, grad_dt, H_dt = calc.at((float(z[d]),) + tuple(z[:d]),
                                             "grad", "hess", "third", "grad_dt", "hess_dt")
@@ -484,7 +509,7 @@ def trace_birth_death(
     warnings: list = []
 
     ts = np.linspace(t0, t1, steps)
-    samples = [fiber_critical_points(F, (t,), box) for t in ts]
+    samples = _critical_points(F, [_parameter(F, t) for t in ts], box)
 
     # (t, x, must) at grid scale; must = (t_lo, t_hi, why, p, q) when the
     # bracket [t_lo, t_hi] is sure to hold a degenerate point that the sample

@@ -272,18 +272,41 @@ def _cubic_pair(a):
                              ((0, 0, 2, 0), -1.0), ((0, 0, 0, 2), 1.0)))
 
 
-def _seed_batch(monkeypatch, F, t):
-    """The (system, seeds, box) that fiber_critical_points hands _newton."""
-    newton, batches = family_analysis._newton, []
+def _rotated_cusp(c):
+    """u^3 - (t - c) u + v^2 with u = (x + y)/sqrt2, v = (y - x)/sqrt2: one
+    fold at t = c, (x, y) = 0, along the diagonal."""
+    r = 1.0 / np.sqrt(2.0)
+    return PolyFamily(1, 2, (
+        ((0, 3, 0), r ** 3), ((0, 2, 1), 3 * r ** 3), ((0, 1, 2), 3 * r ** 3), ((0, 0, 3), r ** 3),
+        ((1, 1, 0), -r), ((1, 0, 1), -r), ((0, 1, 0), c * r), ((0, 0, 1), c * r),
+        ((0, 2, 0), 0.5), ((0, 1, 1), -1.0), ((0, 0, 2), 0.5)))
+
+
+def _newton_calls(monkeypatch, run):
+    """The (system, z0, box) of every _newton call that run() makes."""
+    newton, calls = family_analysis._newton, []
 
     def capture(*args):
-        batches.append(args)
+        calls.append(args)
         return newton(*args)
 
     monkeypatch.setattr(family_analysis, "_newton", capture)
-    fiber_critical_points(F, t, [(-2.0, 2.0)] * F.fiber_dim)
+    run()
     monkeypatch.undo()
-    (batch,) = batches
+    return calls
+
+
+def _trace_seed_batch(F, steps):
+    """The (system, seeds, box) of the seed run of trace_birth_death."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _newton_calls(mp, lambda: trace_birth_death(F, -1.0, 1.0, steps=steps))
+    return calls[0]
+
+
+def _seed_batch(monkeypatch, F, t):
+    """The (system, seeds, box) that fiber_critical_points hands _newton."""
+    (batch,) = _newton_calls(monkeypatch,
+                             lambda: fiber_critical_points(F, t, [(-2.0, 2.0)] * F.fiber_dim))
     return batch
 
 
@@ -306,7 +329,7 @@ def test_batched_newton_singular_and_failing_rows(monkeypatch):
     # suspended-cusp-2 at t = 0: the 3-point grid puts seeds at x = 0, where
     # f_xx = 0, so the stacked solve of the first step raises
     system, seeds, box = _seed_batch(monkeypatch, preset_family("suspended-cusp-2"), 0.0)
-    r, J = system(seeds)
+    r, J = system(seeds, np.arange(len(seeds)))
     singular = np.linalg.det(J) == 0.0
     assert singular.any() and not singular.all()
     with pytest.raises(np.linalg.LinAlgError):
@@ -318,12 +341,65 @@ def test_batched_newton_singular_and_failing_rows(monkeypatch):
     assert np.isnan(family_analysis._newton(system, seeds, box)).all()
 
 
+def _one_row_solves(J, r):
+    """Each row's step solved on its own, and which rows have one."""
+    steps, solved = np.zeros_like(r), np.zeros(len(r), dtype=bool)
+    for i in range(len(r)):
+        try:
+            steps[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            continue
+        solved[i] = True
+    return steps, solved
+
+
+def _first_step_batches():
+    """(name, J, r) of the first Newton step of every trace the benchmark runs."""
+    families = [(name, preset_family(name)) for name in
+                ("cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1", "suspended-cusp-2")]
+    families += [("cubic-pair", _cubic_pair(0.37)), ("rotated-cusp", _rotated_cusp(0.113))]
+    for name, F in families:
+        system, seeds, _ = _trace_seed_batch(F, 41)
+        r, J = system(seeds, np.arange(len(seeds)))
+        yield name, J, r
+
+
+def _singular_stacks():
+    """Random stacks with exactly singular members: a zero column, two equal
+    integer rows, and one NaN matrix, which is not singular."""
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4):
+        J = rng.normal(size=(60, n, n))
+        J[::7, :, rng.integers(n)] = 0.0
+        ints = rng.integers(-3, 4, size=(20, n, n)).astype(float)
+        if n > 1:
+            ints[::2, -1] = ints[::2, 0]
+        J[1::3] = ints
+        J[5, 0, 0] = np.nan
+        yield f"random-{n}", J, rng.normal(size=(60, n))
+
+
+def test_singular_fallback_matches_one_row_solves():
+    """When a stacked solve raises, the rows that are solved and their steps
+    are exactly what one-row solves give."""
+    fell_back = []
+    for name, J, r in list(_first_step_batches()) + list(_singular_stacks()):
+        step, solved = family_analysis._solve_rows(J, r)
+        alone, alone_solved = _one_row_solves(J, r)
+        assert np.array_equal(solved, alone_solved), name
+        assert step[solved].tobytes() == alone[solved].tobytes(), name
+        if not solved.all():
+            fell_back.append(name)
+    assert set(fell_back) == {"suspended-cusp-2", "rotated-cusp",
+                              "random-1", "random-2", "random-3", "random-4"}
+
+
 def test_newton_overflowing_step_ends_the_run():
     """A step whose norm overflows ends its run as a non-finite step does:
     the iterate is not taken and no overflow warning is raised."""
     box = (np.array([-1.0]), np.array([1.0]))
 
-    def system(Z):
+    def system(Z, live):
         # one fiber coordinate, one parameter; the parameter's step is 1e300
         J = np.tile(np.diag([1.0, 1e-300]), (len(Z), 1, 1))
         return np.ones_like(Z), J
@@ -492,6 +568,50 @@ def test_trace_validation_errors():
         fiber_critical_points(F0, 0.5, [(-2.0, 2.0)])
     with pytest.raises(ValueError, match="has 2 entries, expected 1"):
         fiber_critical_points(CUSP, (0.5, 0.5), [(-2.0, 2.0)])
+
+
+def _point_bits(p):
+    return (p.t, p.x.tobytes(), np.float64(p.value).tobytes(), p.cls,
+            np.float64(p.grad_norm).tobytes())
+
+
+@pytest.mark.parametrize("F, half, steps", [
+    (preset_family(name), 2.0, 41) for name in
+    ("cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1", "suspended-cusp-2")
+] + [
+    (_cubic_pair(0.37), 2.0, 41),
+    (_rotated_cusp(0.113), 2.0, 41),
+    # the two families of test_trace_family_huge_box_exits_cleanly
+    (PolyFamily(1, 1, (((1, 4), 1.06), ((1, 3), -1.41))), 1e97, 5),
+    (PolyFamily(1, 1, (((1, 1), -1.11), ((1, 4), -0.77))), 1e69, 5),
+], ids=["cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1", "suspended-cusp-2",
+        "cubic-pair", "rotated-cusp", "tx4-tx3-1e97", "tx-tx4-1e69"])
+def test_trace_samples_are_the_fibers_alone(F, half, steps):
+    """trace_birth_death finds all its fibers in one batch; each sample is,
+    bit for bit, what fiber_critical_points gives for that t alone."""
+    box = [(-half, half)] * F.fiber_dim
+    res = trace_birth_death(F, -1.0, 1.0, steps=steps, box=box)
+    assert len(res.samples) == steps
+    for t, pts in res.samples:
+        alone = fiber_critical_points(F, (t,), box)
+        assert [_point_bits(p) for p in pts] == [_point_bits(q) for q in alone], t
+
+
+@pytest.mark.parametrize("name, steps", [("cusp", 41), ("suspended-cusp-2", 11)])
+def test_trace_one_newton_run_for_all_seeds(monkeypatch, name, steps):
+    """The seed grids of all the grid values are one _newton batch: the
+    fiber's seed grid once per value, in order.  Every other call is a fold
+    polish, one row of (x, t)."""
+    F = preset_family(name)
+    d = F.fiber_dim
+    calls = _newton_calls(monkeypatch, lambda: trace_birth_death(F, -1.0, 1.0, steps=steps))
+    seed_runs = [z0 for _, z0, _ in calls if z0.shape[1] == d]
+    assert len(seed_runs) == 1
+    grid = family_analysis._auto_grid(d) ** d
+    assert seed_runs[0].shape == (steps * grid, d)
+    _, seeds, _ = _seed_batch(monkeypatch, F, 0.0)
+    assert np.array_equal(seed_runs[0], np.tile(seeds, (steps, 1)))
+    assert all(z0.shape == (1, d + 1) for _, z0, _ in calls if z0.shape[1] != d)
 
 
 def test_trace_events_are_verified_birth_death_jets():
