@@ -107,7 +107,7 @@ class ZigzagDiagram:
 def build_zigzag(d: int, N: int = DEFAULT_TRUNCATION) -> ZigzagDiagram:
     if d < 1:
         raise ValueError("need d >= 1")
-    # f_i then g_i, in i order: build_Y/build_Y1 keep only the last ring
+    # every map reads the one cached set of BO(0..d) tables for (d, N)
     pairs = [(map_f(i, d, N).homology_map(), map_g(i, d, N).homology_map())
              for i in range(d)]
     f_maps, g_maps = zip(*pairs)

@@ -1,14 +1,17 @@
 """Cohomology rings of BO-products and the line-summing maps between them.
 The map matrices, written in the monomial-symmetric basis, are checked
-against hand values, against a test-side expansion of each m_lambda as an
-explicit polynomial (parity counted, not set xor), and, through the ranks
-of the Mayer-Vietoris map, against the Whitney expansion in the w basis.
+against the per-monomial insertion rule (the reference for the index maps
+that char_class_maps builds from single-block tables), against hand values,
+against a test-side expansion of each m_lambda as an explicit polynomial
+(parity counted, not set xor), and, through the ranks of the
+Mayer-Vietoris map, against the Whitney expansion in the w basis.
 A map's cohomology columns are read off the rows of its homology map."""
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, permutations
 from itertools import product as iproduct
 
 import pytest
@@ -133,6 +136,27 @@ def _whitney_phi_ranks(d, N) -> tuple:
     return tuple(ranks)
 
 
+def _insert(e: tuple, k: int) -> tuple:
+    """The exponent tuple of partition e with one more part, k."""
+    parts = list(accumulate(reversed(e)))  # lambda_m' <= ... <= lambda_1
+    insort(parts, k)
+    return tuple(b - a for a, b in zip([0] + parts, parts))[::-1]
+
+
+def _reference_map(name, i, d, N):
+    """images and shapes of map_f/map_g one product monomial at a time: the
+    line's exponent inserted as a part into one block's exponent tuple, looked
+    up in the product rings' positions."""
+    def send(mono):
+        if name == "f":
+            return mono[:i] + _insert(mono[i + 1:], mono[i])
+        return _insert(mono[:i], mono[i]) + mono[i + 1:]
+
+    dom, cod = build_Y(i if name == "f" else i + 1, d, N), build_Y1(i, d, N)
+    images = [[dom.index(n, send(mono)) for mono in cod.basis(n)] for n in range(N + 1)]
+    return images, [(dom.dim(n), cod.dim(n)) for n in range(N + 1)]
+
+
 def _partition(e) -> tuple:
     """The partition lambda_j = e_j + ... + e_m that exponent tuple e stands for."""
     return tuple(sum(e[j:]) for j in range(len(e)))
@@ -219,10 +243,32 @@ def test_ring_validation():
         build_Y(3, 2, 8)
     with pytest.raises(ValueError):
         build_Y1(2, 2, 8)
+    # the line is split off Y1(i) for 0 <= i <= d-1 only
+    for fn in (map_f, map_g):
+        for i in (-1, 3):
+            with pytest.raises(ValueError):
+                fn(i, 3, 8)
+    # d > N is a valid shape: the maps stop at degree N
+    for i in range(4):
+        for name, fn in (("f", map_f), ("g", map_g)):
+            rm = fn(i, 4, 3)
+            assert (rm.images, rm.homology_map().shapes) == _reference_map(name, i, 4, 3)
 
 
 # ---------------------------------------------------------------------------
 # the two line-summing maps
+
+
+def test_maps_match_the_per_monomial_rule():
+    """The table-built index maps equal the per-monomial insertion rule, for
+    every map at d <= 6, N < d among them."""
+    for d in range(1, 7):
+        for N in (0, 1, 2, 5, 12):
+            for i in range(d):
+                for name, fn in (("f", map_f), ("g", map_g)):
+                    rm = fn(i, d, N)
+                    got = rm.images, rm.homology_map().shapes
+                    assert got == _reference_map(name, i, d, N), (name, i, d, N)
 
 
 def test_map_f_generator_images_rank_two_block():

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from gmfkit import cli, moduli_calc
-from gmfkit.char_class_maps import build_Y, build_Y1
+from gmfkit.char_class_maps import _tables, build_Y, build_Y1
 from gmfkit.graded_f2 import (
     GradedMap,
     MonomialBasis,
@@ -99,7 +99,9 @@ def test_zigzag_validation_errors():
 
 
 def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
-    """f_i, g_i are built in turn, so one cached Y and one cached Y1 suffice."""
+    """The maps are read off single-block tables: build_zigzag lists each of
+    BO(0..d) once, builds no product-ring basis, and a second build of the
+    same shape lists nothing."""
     built = []
     init = MonomialBasis.__init__
 
@@ -109,12 +111,15 @@ def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
 
     monkeypatch.setattr(MonomialBasis, "__init__", counting_init)
     for d in (3, 5):
-        for cache in (build_Y, build_Y1):
+        for cache in (_tables, build_Y, build_Y1):
             cache.cache_clear()
         built.clear()
         build_zigzag(d, 8)
-        # Y(0..d) and Y1(0..d-1), nothing else
-        assert len(built) == 2 * d + 1, d
+        assert built == [[(f"w{j}[0]", j) for j in range(1, m + 1)]
+                         for m in range(d + 1)], d
+        built.clear()
+        build_zigzag(d, 8)
+        assert built == [], d
 
 
 def test_hocolim_d1_equals_line_classifier():
