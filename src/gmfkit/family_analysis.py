@@ -12,6 +12,9 @@ Birth-death parameter values start as grid-scale candidates (critical-point
 count changes, and sign changes or local minima of the smallest-magnitude
 Hessian eigenvalue along matched tracks) and are located by Newton on the
 augmented fold system.
+
+Like `jet_core`, this module imports numpy at the first `np.<name>` a function
+evaluates, not when it loads.
 """
 
 from __future__ import annotations
@@ -20,18 +23,20 @@ import functools
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .jet_core import (
     BIRTH_DEATH,
     DEGENERATE,
     GmfClass,
     Jet3,
+    _LazyNumpy,
     classify,
     jet_from_parts,
 )
+
+np = _LazyNumpy(globals())
 
 log = logging.getLogger(__name__)
 
@@ -786,13 +791,10 @@ def preset_family(name: str) -> PolyFamily:
         return PolyFamily(1, 1, (((0, 3), 1.0), ((1, 1), -1.0)))
     if name == "swallowtail":
         return PolyFamily(1, 1, (((0, 4), 1.0), ((1, 1), -1.0)))
-    if name.startswith("suspended-cusp-"):
-        try:
-            i = int(name.rsplit("-", 1)[1])
-        except ValueError:
-            raise KeyError(name) from None
-        if i < 0:
-            raise KeyError(name)
+    # i is written in ASCII digits with no leading zero: one name per family
+    m = re.fullmatch(r"suspended-cusp-(0|[1-9][0-9]*)", name)
+    if m:
+        i = int(m[1])
         d = i + 2
         terms = [((0,) + (3,) + (0,) * (d - 1), 1.0), ((1,) + (1,) + (0,) * (d - 1), -1.0)]
         for j in range(i):

@@ -10,6 +10,10 @@ v * m * x_i x_j x_k to the value.
 Critical jets split along the spectrum of q into negative / zero / positive
 blocks; a one-dimensional kernel with nonvanishing cubic on it is the
 birth-death stratum, modelled on x1^3 - sum_{j<=i+1} x_j^2 + sum x_k^2.
+
+numpy is imported at the first `np.<name>` a function evaluates, not when the
+module loads (see `_LazyNumpy`), so importing gmfkit, and running its series
+commands, never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+
+class _LazyNumpy:
+    """A module's `np` until first used: the first attribute read imports
+    numpy and rebinds that module's global `np` to it, so later reads are
+    plain global lookups.  `np.ndarray` annotations are never evaluated
+    (postponed by `from __future__ import annotations`)."""
+
+    def __init__(self, module_globals: dict):
+        self._globals = module_globals
+
+    def __getattr__(self, name):
+        import numpy
+
+        self._globals["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 DEFAULT_TOL = 1e-9
 

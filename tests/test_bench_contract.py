@@ -1,18 +1,24 @@
 """The names and result shapes that the benchmark in bench/ reaches from
-outside the library: every function its tracer wraps must exist, and the
-zigzag it checks with its own oracle must give the library's sigma-gmf."""
+outside the library: every function its tracer wraps must exist, a traced
+worker must run, and the zigzag it checks with its own oracle must give the
+library's sigma-gmf."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gmfkit.moduli_calc import build_zigzag, sigma_gmf_series
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _load(name: str):
@@ -30,6 +36,23 @@ def test_every_traced_name_resolves():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (modname, attr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-family", "--preset", "cusp", "--t0", "-1", "--t1", "1"],
+    ["series", "--object", "sigma-gmf", "--d", "2"],
+])
+def test_traced_worker_runs(argv):
+    # the tracer reads gmfkit's modules from sys.modules in a fresh worker,
+    # which resolving each name above (importing it first) cannot show
+    job = {"kind": "cli", "argv": argv, "stdin": None, "trace": True}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(BENCH / "worker.py")], input=json.dumps(job),
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0, result["stderr"]
+    assert isinstance(result["layers"], dict) and result["layers"]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

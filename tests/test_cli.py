@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from gmfkit.cli import main
+from gmfkit.cli import _SERIES, main
 from gmfkit.family_analysis import check_family_axioms, family_from_json_dict
 
 NORMAL_FORM_3D = {
@@ -263,7 +266,9 @@ def test_trace_family_from_json_file(tmp_path, capsys):
 
 
 def test_trace_family_error_exits(tmp_path, capsys):
-    assert main(["trace-family", "--preset", "no-such", "--t0", "-1", "--t1", "1"]) == 2
+    for name in ("no-such", "suspended-cusp--1", "suspended-cusp-+1", "suspended-cusp-01",
+                 "suspended-cusp-", "suspended-cusp-1 ", "suspended-cusp-\u0661"):
+        assert main(["trace-family", "--preset", name, "--t0", "-1", "--t1", "1"]) == 2
     assert main(["trace-family", "--preset", "cusp", "--t0", "1", "--t1", "-1"]) == 2
     assert main(["trace-family", "--preset", "cusp",
                  "--t0", "-1", "--t1", "1", "--steps", "1"]) == 2
@@ -501,3 +506,29 @@ def test_trace_runs_are_byte_identical(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def test_series_and_verify_never_load_numpy(tmp_path):
+    # a fresh interpreter: this one has numpy loaded already
+    jet = _write(tmp_path, "jet.json", NORMAL_FORM_3D)
+    script = f"""
+import contextlib, io, sys
+from gmfkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--check", "all", "--d", "3", "--max-degree", "8"]) == 0
+    for name in {list(_SERIES)!r}:
+        assert main(["series", "--object", name, "--d", "3", "--n", "2",
+                     "--max-degree", "8"]) == 0, name
+    assert "numpy" not in sys.modules, "series or verify loaded numpy"
+    assert main(["classify-jet", "--input", {jet!r}]) == 0
+assert "numpy" in sys.modules, "classify-jet ran without numpy"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
