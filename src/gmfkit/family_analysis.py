@@ -7,7 +7,13 @@ family compiles each derivative table once and evaluates the tables a caller
 names in one call per batch of points, on one shared table of powers.
 Critical points are found by Newton iteration from a seed grid, with guards
 that act seed by seed; a trace runs the seed grids of all its parameter
-values as one batch, so its memory grows with the number of values.
+values as one batch, so its memory grows with the number of values.  A
+fiber whose gradient a natural interval bound keeps away from zero on the
+whole region Newton can reach has no critical point there, and its seeds are
+left out of the batch; this covers the fibers on the side of a birth-death
+value without the cancelling pair, but not a gradient whose entries mix odd
+powers of several coordinates (the rotated cusp), where no single
+coordinate interval excludes zero.
 Birth-death parameter values start as grid-scale candidates (critical-point
 count changes, and sign changes or local minima of the smallest-magnitude
 Hessian eigenvalue along matched tracks) and are located by Newton on the
@@ -24,6 +30,7 @@ import itertools
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .jet_core import (
@@ -106,7 +113,7 @@ class _FamilyCalculus:
 
     def __init__(self, F: PolyFamily):
         k, d = F.param_dim, F.fiber_dim
-        self.d = d
+        self.k, self.d = k, d
 
         def fiber_derivatives(terms):
             grad = {(j,): _diff_terms(terms, k + j) for j in range(d)}
@@ -170,6 +177,70 @@ class _FamilyCalculus:
                         val += v
                 results.append(out[gather].T.reshape(pt.shape[:-1] + shape))
         return results
+
+    def rootless(self, T, box) -> np.ndarray:
+        """Which fibers f_t, one per row t of the (n, k) array T, provably
+        hold no point where the residual of a _newton run on box = (lo, hi)
+        passes NEWTON_TOL: such a run then ends NaN from every seed.
+
+        The run evaluates points of the box and points within _reach of the
+        origin, so all of them lie in the region |x_j| <= R_j, with R_j the
+        larger of _reach, |lo_j| and |hi_j|.  Each fiber-gradient entry is
+        bounded over that region by the natural interval extension of its
+        term list (Moore, Interval Analysis): the parameter powers are taken
+        at t, and each fiber monomial ranges over _monomial_range.  A fiber
+        is proven rootless when some entry's interval lies beyond +-_margin;
+        an interval whose ends or margin overflow proves nothing.
+        """
+        lo, hi = box
+        R = np.maximum(_reach(lo, hi), np.maximum(np.abs(lo), np.abs(hi)))
+        T = np.asarray(T, dtype=float)
+        proven = np.zeros(len(T), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for terms in self.tables["grad"][0]:
+                lower, upper, size = np.zeros((3, len(T)))
+                for coeff, factors in terms:
+                    a = np.full(len(T), coeff)
+                    for v, p in factors:
+                        if v < self.k:
+                            a = a * T[:, v] ** p
+                    lo_m, hi_m = _monomial_range([(v - self.k, p) for v, p in factors if v >= self.k], R)
+                    lower += np.minimum(a * lo_m, a * hi_m)
+                    upper += np.maximum(a * lo_m, a * hi_m)
+                    size += np.abs(a) * hi_m
+                margin = _margin(size, len(terms) + 2 * max((len(f) for _, f in terms), default=0))
+                proven |= np.isfinite(margin) & ((lower > margin) | (upper < -margin))
+        return proven
+
+
+def _monomial_range(factors, R) -> tuple:
+    """[lo, hi] of the monomial prod x_j^p, factors holding its (j, p), over
+    |x_j| <= R[j]: [0, prod R_j^p] when every p is even, else its negative too."""
+    if not factors:  # the constant 1
+        return 1.0, 1.0
+    top = 1.0
+    for j, p in factors:
+        top *= _power(float(R[j]), p)
+    return (0.0 if all(p % 2 == 0 for _, p in factors) else -top), top
+
+
+def _margin(size, ops):
+    """How far beyond +-NEWTON_TOL a gradient entry must lie for its residual
+    to fail the test, given the summed magnitudes size of its terms over the
+    region and ops, the entry's term count plus twice its largest factor
+    count.
+
+    at() forms a term as a chain of correctly rounded products of Python
+    powers, each within eps of its exact value, so each term is within
+    2 f eps of its own with f factors, and the sum of the terms adds less than
+    n eps size.  The entry at() computes is hence within ops eps size of the
+    exact one, and rootless() forms each end of an interval from the same
+    kind of powers, products and sums, within the same bound.  An interval
+    beyond +-(2 NEWTON_TOL + 2 ops eps size) thus puts the computed entry,
+    and with it the residual norm of the row, beyond 2 NEWTON_TOL, up to a
+    rounding of the norm, at every point of the region.
+    """
+    return 2.0 * NEWTON_TOL + 2.0 * ops * sys.float_info.epsilon * size
 
 
 @functools.lru_cache(maxsize=32)
@@ -243,7 +314,7 @@ def _newton(system, z0, box):
     Z = np.array(z0, dtype=float)
     lo, hi = box
     d = len(lo)
-    diam = float(np.max(hi - lo))
+    reach = _reach(lo, hi)
     best = np.full_like(Z, np.nan)
     live = np.arange(len(Z))
     with np.errstate(over="ignore"):  # norms that overflow end the run below
@@ -259,13 +330,19 @@ def _newton(system, z0, box):
             zn = z - step
             step_norm, param_norm = _row_norms(step), _row_norms(zn[:, d:])
             go &= np.isfinite(res_norm) & np.isfinite(step_norm) & np.isfinite(param_norm)
-            go[go] = np.abs(zn[go, :d]).max(axis=1) <= 10.0 * (diam + 1.0)
+            go[go] = np.abs(zn[go, :d]).max(axis=1) <= reach
             live, zn = live[go], zn[go]
             Z[live] = zn
             moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
             live = live[moving]
         done = _row_norms(system(Z, np.arange(len(Z)))[0]) <= NEWTON_TOL
     return np.where(done[:, None], Z, best)
+
+
+def _reach(lo, hi) -> float:
+    """10 (diam + 1) for the box (lo, hi): a _newton run ends when a fiber
+    coordinate of its iterate leaves it."""
+    return 10.0 * (float(np.max(hi - lo)) + 1.0)
 
 
 def _solve_rows(J, r):
@@ -322,11 +399,28 @@ def _distance(x, y) -> float:
 
 
 def _dedup(points, radius):
-    kept = []
-    for x in points:
-        if all(_distance(x, y) > radius for y in kept):
-            kept.append(x)
-    return kept
+    """The rows of points in order, less each within radius of one kept before it.
+
+    Within means _distance <= radius, but most pairs are settled by the
+    largest difference c = max |x_j - y_j| of their d coordinates, each the
+    same float difference that _distance takes the norm of.  That norm lies
+    in [c, sqrt(d) c] and is computed within (d + 2) eps of itself, far less
+    than 1e-12, so c > radius (1 + 1e-12) puts the computed norm above
+    radius and c <= radius / (sqrt(d) (1 + 1e-12)) puts it within; only the
+    pairs between call _distance.  A difference too large for a float makes
+    c and the norm both infinite, and squares that underflow only lower the
+    norm of a pair whose c is already within.
+    """
+    far, near = radius * (1.0 + 1e-12), radius / (math.sqrt(points.shape[1]) * (1.0 + 1e-12))
+    kept = []  # (point, its coordinates as floats)
+    for x, xs in zip(points, points.tolist()):
+        for y, ys in kept:
+            c = max(abs(a - b) for a, b in zip(xs, ys))
+            if c <= near or (c <= far and _distance(x, y) <= radius):
+                break
+        else:
+            kept.append((x, xs))
+    return [x for x, _ in kept]
 
 
 def _auto_grid(d: int) -> int:
@@ -339,12 +433,14 @@ def _auto_grid(d: int) -> int:
 def fiber_critical_points(F: PolyFamily, t, box):
     """Newton from a seed grid; converged in-box points, deduplicated.
 
-    Non-converged seeds are dropped (a count is logged).  Each point is
-    classified from its fiber 3-jet, whose linear part is the gradient at
-    the point and hence ~0 by construction.  A point whose jet is too large
-    for a float is dropped, as there is nothing to classify.  This is the
-    one-fiber case of _critical_points, which trace_birth_death runs on all
-    its grid values at once.
+    Non-converged seeds are dropped (a count is logged); a fiber whose
+    gradient an interval bound keeps away from zero (_FamilyCalculus.rootless)
+    runs no Newton and counts all its seeds so.  Each point is classified
+    from its fiber 3-jet, whose linear part is the gradient at the point and
+    hence ~0 by construction.  A point whose jet is too large for a float is
+    dropped, as there is nothing to classify.  This is the one-fiber case of
+    _critical_points, which trace_birth_death runs on all its grid values at
+    once.
     """
     return _critical_points(F, [_parameter(F, t)], box)[0]
 
@@ -355,7 +451,10 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     The seed grids of all the fibers are one batch of rows for _newton, each
     row with its own parameter value and its own guards, and the jets of all
     the points kept come from one evaluation.  A row's result does not depend
-    on the other rows, so each list is what its fiber would give alone.
+    on the other rows, so each list is what its fiber would give alone.  The
+    fibers that rootless proves to have no critical point leave their seed
+    grids out of the batch: every one of those rows would end NaN, and they
+    read NaN without running.
     """
     calc = _calculus(F)
     d = F.fiber_dim
@@ -364,20 +463,26 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     seeds = np.array(list(itertools.product(*axes)))
     m = len(seeds)
     T = np.array(ts, dtype=float).reshape(len(ts), F.param_dim)
-    params = np.repeat(T, m, axis=0)  # the parameters of each seed row
+    run = ~calc.rootless(T, (lo, hi))  # the fibers whose seeds go to _newton
+    pruned = len(ts) - int(run.sum())
+    if pruned:
+        log.info("fiber_critical_points: %d of %d fibers have no critical point by an interval "
+                 "bound; %d seed rows skipped", pruned, len(ts), pruned * m)
+    params = np.repeat(T[run], m, axis=0)  # the parameters of each seed row
 
     def system(X, live):
         return calc.at(np.hstack((params[live], X)), "grad", "hess")
 
-    Z = _newton(system, np.tile(seeds, (len(ts), 1)), (lo, hi))
+    Z = np.full((len(ts), m, d), np.nan)
+    Z[run] = _newton(system, np.tile(seeds, (len(ts) - pruned, 1)), (lo, hi)).reshape(-1, m, d)
     kept = []  # per fiber, the deduplicated in-box points
-    for Zt in np.split(Z, len(ts)):
+    for Zt in Z:
         converged = np.isfinite(Zt).all(axis=1)
         dropped = m - int(converged.sum())
         if dropped:
             log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, m)
         inside = (Zt >= lo - 1e-12).all(axis=1) & (Zt <= hi + 1e-12).all(axis=1)
-        kept.append(np.array(_dedup(list(Zt[converged & inside]), DEDUP_RADIUS)).reshape(-1, d))
+        kept.append(np.array(_dedup(Zt[converged & inside], DEDUP_RADIUS)).reshape(-1, d))
     X = np.concatenate(kept)
     P = np.hstack((np.repeat(T, [len(Xt) for Xt in kept], axis=0), X))
     jets = zip(X, *calc.at(P, "value", "grad", "hess", "third"))

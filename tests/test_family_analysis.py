@@ -4,7 +4,9 @@ finite differences and with the exactness of cubic Taylor data."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -303,21 +305,45 @@ def _trace_seed_batch(F, steps):
     return calls[0]
 
 
-def _seed_batch(monkeypatch, F, t):
-    """The (system, seeds, box) that fiber_critical_points hands _newton."""
-    (batch,) = _newton_calls(monkeypatch,
-                             lambda: fiber_critical_points(F, t, [(-2.0, 2.0)] * F.fiber_dim))
-    return batch
+def _seed_batch(F, ts, half=2.0):
+    """The (system, seeds, box) of an unpruned seed run on [-half, half]^d:
+    the full seed grid once per parameter value of ts, in order, built here
+    so that a fiber the interval bound prunes still gets its whole grid."""
+    d = F.fiber_dim
+    axis = np.linspace(-half, half, family_analysis._auto_grid(d))
+    grid = np.array(list(itertools.product(axis, repeat=d)))
+    T = np.array(ts, dtype=float).reshape(-1, F.param_dim)
+    params = np.repeat(T, len(grid), axis=0)
+    calc = family_analysis._calculus(F)
+
+    def system(X, live):
+        return calc.at(np.hstack((params[live], X)), "grad", "hess")
+
+    return system, np.tile(grid, (len(T), 1)), (np.full(d, -half), np.full(d, half))
+
+
+def test_seed_batch_is_what_fiber_critical_points_runs(monkeypatch):
+    """Where the bound does not prune, _seed_batch is the batch that
+    fiber_critical_points hands _newton, seeds and residuals alike."""
+    for name, t in [("cusp", 0.37), ("swallowtail", -1.0), ("suspended-cusp-2", 0.0)]:
+        F = preset_family(name)
+        ((system, seeds, box),) = _newton_calls(
+            monkeypatch, lambda: fiber_critical_points(F, t, [(-2.0, 2.0)] * F.fiber_dim))
+        own_system, own_seeds, own_box = _seed_batch(F, [t])
+        assert np.array_equal(seeds, own_seeds) and np.array_equal(box, own_box)
+        rows = np.arange(len(seeds))
+        for got, want in zip(system(seeds, rows), own_system(seeds, rows)):
+            assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("name", ["cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1",
                                   "suspended-cusp-2", "cubic-pair"])
 @pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.37, 1.0])
-def test_batched_newton_rows_are_independent(monkeypatch, name, t):
+def test_batched_newton_rows_are_independent(name, t):
     """Each row of a batched _newton run gives, bit for bit, what the same
     seed gives alone, whichever guard ends its run."""
     F = _cubic_pair(0.37) if name == "cubic-pair" else preset_family(name)
-    system, seeds, box = _seed_batch(monkeypatch, F, t)
+    system, seeds, box = _seed_batch(F, [t])
     batch = family_analysis._newton(system, seeds, box)
     assert batch.shape == seeds.shape
     for i in range(len(seeds)):
@@ -325,10 +351,10 @@ def test_batched_newton_rows_are_independent(monkeypatch, name, t):
         assert batch[i].tobytes() == alone[0].tobytes(), (name, t, i)
 
 
-def test_batched_newton_singular_and_failing_rows(monkeypatch):
+def test_batched_newton_singular_and_failing_rows():
     # suspended-cusp-2 at t = 0: the 3-point grid puts seeds at x = 0, where
     # f_xx = 0, so the stacked solve of the first step raises
-    system, seeds, box = _seed_batch(monkeypatch, preset_family("suspended-cusp-2"), 0.0)
+    system, seeds, box = _seed_batch(preset_family("suspended-cusp-2"), [0.0])
     r, J = system(seeds, np.arange(len(seeds)))
     singular = np.linalg.det(J) == 0.0
     assert singular.any() and not singular.all()
@@ -337,8 +363,38 @@ def test_batched_newton_singular_and_failing_rows(monkeypatch):
     out = family_analysis._newton(system, seeds, box)
     assert np.isfinite(out).all(axis=1).any()
     # the cusp at t = -1 has no critical points: every row fails
-    system, seeds, box = _seed_batch(monkeypatch, CUSP, -1.0)
-    assert np.isnan(family_analysis._newton(system, seeds, box)).all()
+    system, seeds, box = _seed_batch(CUSP, [-1.0])
+    assert len(seeds) == 8 and np.isnan(family_analysis._newton(system, seeds, box)).all()
+
+
+def test_dedup_matches_the_pairwise_norm(monkeypatch):
+    """_dedup keeps, bit for bit and in order, the points that the pairwise
+    rule keeps: a point goes when its _distance to one kept before it is
+    within the radius.  The copies lie on both sides of the two prefilter
+    thresholds, radius and radius / sqrt(d), along axes and diagonals."""
+    rng = np.random.default_rng(5)
+    r = family_analysis.DEDUP_RADIUS
+    calls = []
+    distance = family_analysis._distance
+    monkeypatch.setattr(family_analysis, "_distance", lambda x, y: calls.append(1) or distance(x, y))
+    for d in (1, 2, 3, 6):
+        base = rng.uniform(-2.0, 2.0, size=(5, d))
+        dirs = np.concatenate([rng.normal(size=(40, d)), np.eye(d), np.ones((1, d))])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        scales = r * np.concatenate([rng.uniform(0.3, 1.3, size=len(dirs)),
+                                     [1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 / np.sqrt(d)]])
+        offsets = dirs[rng.integers(len(dirs), size=len(scales))] * scales[:, None]
+        copies = base[rng.integers(len(base), size=len(scales))] + offsets
+        pts = np.concatenate([base, copies, [[1e308] * d, [-1e308] * d]])
+        rng.shuffle(pts)
+        want = []
+        for x in pts:
+            if all(distance(x, y) > r for y in want):
+                want.append(x)
+        got = family_analysis._dedup(pts, r)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], d
+        assert len(base) + 2 <= len(got) < len(pts)
+    assert calls  # some pairs fall between the thresholds
 
 
 def _one_row_solves(J, r):
@@ -413,6 +469,73 @@ def test_newton_overflowing_step_ends_the_run():
         rep = check_family_axioms(F, -1.0, 1.0, steps=11)
     assert np.isnan(out).all()
     assert rep.verdict("gmf") == "Pass" and rep.warnings == ()
+
+
+# ---------------------------------------------------------------------------
+# the interval bound that prunes rootless fibers
+
+
+_BOUND_FAMILIES = [(name, preset_family(name)) for name in
+                   ("cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1",
+                    "suspended-cusp-2", "suspended-cusp-3", "suspended-cusp-4")]
+_BOUND_FAMILIES += [("cubic-pair", _cubic_pair(0.37)), ("rotated-cusp", _rotated_cusp(0.113))]
+# the 41-point grid on [-1, 1] and seeded random values beyond it
+_BOUND_TS = np.concatenate([np.linspace(-1.0, 1.0, 41),
+                            np.random.default_rng(11).uniform(-1.5, 1.5, 24)])
+
+
+def _bound_verdicts():
+    """(name, half, ts, proven) for every family and box half-width."""
+    for name, F in _BOUND_FAMILIES:
+        for half in (0.5, 2.0, 7.0):
+            _, _, box = _seed_batch(F, _BOUND_TS, half)
+            yield name, half, _BOUND_TS, family_analysis._calculus(F).rootless(_BOUND_TS[:, None], box)
+
+
+def _unsound_fibers():
+    """Each (name, half, t) whose fiber the bound proves rootless although
+    _newton from the full seed grid converges on it."""
+    families = dict(_BOUND_FAMILIES)
+    for name, half, ts, proven in _bound_verdicts():
+        d = families[name].fiber_dim
+        system, seeds, box = _seed_batch(families[name], ts[proven], half)
+        Z = family_analysis._newton(system, seeds, box).reshape(-1, family_analysis._auto_grid(d) ** d, d)
+        for t in ts[proven][np.isfinite(Z).all(axis=2).any(axis=1)]:
+            yield name, half, float(t)
+
+
+def test_interval_bound_is_sound():
+    """On every fiber the bound proves rootless, _newton from the full seed
+    grid ends NaN in every row, so pruning drops no point it would find."""
+    assert list(_unsound_fibers()) == []
+
+
+def test_interval_bound_fires_only_off_the_critical_points():
+    """The bound proves the cusp-type fibers at t < 0 (and |t| > a for the
+    cubic pair) rootless and none where a critical point lies in the box:
+    the cusp at t > 0, the swallowtail at every t.  The rotated cusp mixes
+    odd powers of x and y in each gradient entry and is never proven."""
+    for name, half, ts, proven in _bound_verdicts():
+        if name == "cubic-pair":
+            assert np.array_equal(proven, np.abs(ts) > 0.37), half
+        elif name in ("swallowtail", "rotated-cusp"):
+            assert not proven.any(), (name, half)
+        else:
+            assert np.array_equal(proven, ts < 0.0), (name, half)
+
+
+@pytest.mark.parametrize("broken", ["margin -1", "odd powers as even"])
+def test_interval_bound_check_catches_broken_bounds(monkeypatch, broken):
+    """The soundness check fails when the margin is -1 or when odd powers
+    are bounded as even ones."""
+    if broken == "margin -1":
+        monkeypatch.setattr(family_analysis, "_margin", lambda size, ops: -1.0)
+    else:
+        monomial_range = family_analysis._monomial_range
+        monkeypatch.setattr(family_analysis, "_monomial_range",
+                            lambda factors, R: (min(0.0, monomial_range(factors, R)[1]) if factors else 1.0,
+                                                monomial_range(factors, R)[1]))
+    assert next(_unsound_fibers(), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +723,36 @@ def test_trace_samples_are_the_fibers_alone(F, half, steps):
 @pytest.mark.parametrize("name, steps", [("cusp", 41), ("suspended-cusp-2", 11)])
 def test_trace_one_newton_run_for_all_seeds(monkeypatch, name, steps):
     """The seed grids of all the grid values are one _newton batch: the
-    fiber's seed grid once per value, in order.  Every other call is a fold
-    polish, one row of (x, t)."""
+    fiber's seed grid once per value the interval bound leaves unproven, in
+    order.  Every other call is a fold polish, one row of (x, t)."""
     F = preset_family(name)
     d = F.fiber_dim
     calls = _newton_calls(monkeypatch, lambda: trace_birth_death(F, -1.0, 1.0, steps=steps))
-    seed_runs = [z0 for _, z0, _ in calls if z0.shape[1] == d]
+    seed_runs = [(system, z0) for system, z0, _ in calls if z0.shape[1] == d]
     assert len(seed_runs) == 1
-    grid = family_analysis._auto_grid(d) ** d
-    assert seed_runs[0].shape == (steps * grid, d)
-    _, seeds, _ = _seed_batch(monkeypatch, F, 0.0)
-    assert np.array_equal(seed_runs[0], np.tile(seeds, (steps, 1)))
+    (system, z0), = seed_runs
+    # 3x^2 - t > 0 for t < 0: the bound proves exactly those fibers rootless
+    ts = np.linspace(-1.0, 1.0, steps)
+    _, _, box = _seed_batch(F, ts)
+    proven = family_analysis._calculus(F).rootless(ts[:, None], box)
+    assert np.array_equal(proven, ts < 0.0)
+    own_system, seeds, _ = _seed_batch(F, ts[~proven])
+    assert np.array_equal(z0, seeds)
+    rows = np.arange(len(z0))
+    assert system(z0, rows)[0].tobytes() == own_system(z0, rows)[0].tobytes()
     assert all(z0.shape == (1, d + 1) for _, z0, _ in calls if z0.shape[1] != d)
+
+
+def test_pruned_fibers_are_logged_apart_from_unconverged_seeds(caplog):
+    """A trace logs the fibers the bound prunes and the seed rows they skip
+    on a line of their own; each pruned fiber still counts all its seeds as
+    not converged."""
+    with caplog.at_level(logging.INFO, logger="gmfkit.family_analysis"):
+        trace_birth_death(CUSP, -1.0, 1.0, steps=9)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages.count("fiber_critical_points: 4 of 9 fibers have no critical point "
+                          "by an interval bound; 32 seed rows skipped") == 1
+    assert messages.count("fiber_critical_points: 8 of 8 seeds did not converge") >= 4
 
 
 def test_trace_events_are_verified_birth_death_jets():
