@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .graded_f2 import DEFAULT_TRUNCATION, GradedMap, MonomialBasis
+from .graded_f2 import DEFAULT_TRUNCATION, GradedMap, MonomialBasis, _partition_counts
 
 
 def _bo_product(ranks, N: int) -> MonomialBasis:
@@ -49,17 +49,6 @@ def _bo_product(ranks, N: int) -> MonomialBasis:
     return MonomialBasis(
         [(f"w{j}[{p}]", j) for p, m in enumerate(ranks) for j in range(1, m + 1)], N
     )
-
-
-def _bo_product_dims(ranks, N: int) -> list:
-    """The degree-0..N dimensions of _bo_product(ranks, N), counted as the
-    coefficients of the product over the blocks of prod_{k=1..m} 1/(1-t^k)."""
-    dims = [1] + [0] * N
-    for m in ranks:
-        for k in range(1, m + 1):
-            for n in range(k, N + 1):
-                dims[n] += dims[n - k]
-    return dims
 
 
 class _Block:
@@ -134,8 +123,10 @@ class RingMap:
 
     def homology_map(self) -> GradedMap:
         j, i, d, N = self.j, self.i, self.d, self.N
-        shapes = zip(_bo_product_dims([j, d - j], N), _bo_product_dims([i, 1, d - i - 1], N))
-        return GradedMap(N, self.images, list(shapes))
+        # the dimensions: partitions into the blocks' generator degrees 1..m
+        Y = _partition_counts([*range(1, j + 1), *range(1, d - j + 1)], N)
+        Y1 = _partition_counts([*range(1, i + 1), 1, *range(1, d - i)], N)
+        return GradedMap(N, self.images, list(zip(Y.coeffs, Y1.coeffs)))
 
 
 # the tests and criterion 4 read the rings of f_0, g_0, f_1, ... in turn:

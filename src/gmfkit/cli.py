@@ -5,7 +5,9 @@ UTF-8 JSON or CSV on stdout (or --out PATH).  Exit codes: 0 success,
 1 check/axiom failure, 2 malformed input or unknown object, 3 dimension
 inconsistency in a jet file.  Series are truncated at --max-degree, 32 by
 default.  trace-family's axiom_gmf fails on a located degenerate point and
-on any sampled critical point that classifies as degenerate.
+on any sampled critical point that classifies as degenerate; when it fails
+with no located point, each failing sampled point gets a `# failing sample`
+line.
 """
 
 from __future__ import annotations
@@ -87,12 +89,17 @@ def cmd_trace_family(args) -> int:
             + [_g17(v) for v in ev.x_star]
             + [ev.index, _g17(ev.det_hessian)]
         )
-    for flag in result.degenerate:
+    failures = family_analysis.gmf_failures(result.degenerate, result.samples)
+    if result.degenerate:
+        named, prefix = result.degenerate, "# degenerate"
+    else:  # no point located: name the sampled points that fail instead
+        named, prefix = failures, "# failing sample"
+    for flag in named:
         buf.write(
-            f"# degenerate t={_g17(flag.t)} x=({','.join(_g17(v) for v in flag.x)})"
+            f"{prefix} t={_g17(flag.t)} x=({','.join(_g17(v) for v in flag.x)})"
             f" reason={flag.reason}\n"
         )
-    gmf_ok = not family_analysis.gmf_failures(result.degenerate, result.samples)
+    gmf_ok = not failures
     buf.write(
         f"# events={len(result.events)} degenerate={len(result.degenerate)}"
         f" warnings={len(result.warnings)} axiom_gmf={'Pass' if gmf_ok else 'Fail'}"

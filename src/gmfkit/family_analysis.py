@@ -373,14 +373,6 @@ def _row_norms(V) -> np.ndarray:
     return np.sqrt(s)
 
 
-def _with_params(t, X) -> np.ndarray:
-    """The points (t, x), one per row x of X."""
-    P = np.empty((len(X), len(t) + X.shape[1]))
-    P[:, :len(t)] = t
-    P[:, len(t):] = X
-    return P
-
-
 def _box_arrays(box, d):
     lo = np.asarray([b[0] for b in box], dtype=float)
     hi = np.asarray([b[1] for b in box], dtype=float)
@@ -851,7 +843,8 @@ def check_family_axioms(
     for t, pts in sampled:
         if not pts:
             continue
-        bmin = float(calc.at(_with_params(t, boundary), "value")[0].min())
+        on_boundary = np.hstack((np.tile(t, (len(boundary), 1)), boundary))  # rows (t, x)
+        bmin = float(calc.at(on_boundary, "value")[0].min())
         vmax = max(p.value for p in pts)
         if bmin <= vmax:
             prop_ok = False

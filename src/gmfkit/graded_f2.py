@@ -55,11 +55,6 @@ def _check_truncation(N: int) -> None:
         raise ValueError(f"truncation must be nonnegative, got {N}")
 
 
-def series_zero(N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
-    _check_truncation(N)
-    return series_from_coeffs([0] * (N + 1))
-
-
 def series_one(N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     _check_truncation(N)
     return series_from_coeffs([1] + [0] * N)
@@ -129,16 +124,20 @@ def series_equal(a: PoincareSeries, b: PoincareSeries, up_to: int | None = None)
 # classifying-space series
 
 
-def _partition_counts(smallest: int, m: int, N: int) -> PoincareSeries:
-    """prod_{i=smallest..m} 1/(1-t^i): partitions into parts in smallest..m."""
-    if m < 0:
-        raise ValueError("rank must be nonnegative")
+def _partition_counts(parts, N: int) -> PoincareSeries:
+    """prod over parts k of 1/(1-t^k): partitions into the given parts, a
+    part listed twice counted as two kinds."""
     _check_truncation(N)
     coeffs = [1] + [0] * N
-    for part in range(smallest, m + 1):
+    for part in parts:
         for n in range(part, N + 1):
             coeffs[n] += coeffs[n - part]
     return series_from_coeffs(coeffs)
+
+
+def _check_rank(m: int) -> None:
+    if m < 0:
+        raise ValueError("rank must be nonnegative")
 
 
 def series_BO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
@@ -147,12 +146,14 @@ def series_BO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     Degree-n coefficient = dim_F2 H_n(BO(m)) = number of monomials of
     weighted degree n in generators of degrees 1..m.
     """
-    return _partition_counts(1, m, N)
+    _check_rank(m)
+    return _partition_counts(range(1, m + 1), N)
 
 
 def series_BSO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """prod_{i=2..m} 1/(1-t^i): generators of degrees 2..m (empty for m <= 1)."""
-    return _partition_counts(2, m, N)
+    _check_rank(m)
+    return _partition_counts(range(2, m + 1), N)
 
 
 @lru_cache(maxsize=None)

@@ -93,7 +93,7 @@ class SpectralSplit:
     zero_dim: int
     pos_dim: int
     basis: np.ndarray       # columns: negative block, zero block, positive block
-    eigenvalues: np.ndarray # matching order, ascending within blocks
+    eigenvalues: np.ndarray # matching order, ascending
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,8 @@ def spectral_split(q, tol: float = DEFAULT_TOL) -> SpectralSplit:
 
     An eigenvalue counts as zero when |lambda| <= tol * max(1, ||q||_2).
     Blocks are ordered negative, zero, positive; ascending eigenvalue
-    within each block.
+    within each block.  A spectrum that the three blocks do not cover (a NaN
+    eigenvalue, or tol = 0 with an infinite one) raises ValueError.
     """
     _check_tol(tol)
     q = np.asarray(q, dtype=float)
@@ -194,19 +195,16 @@ def spectral_split(q, tol: float = DEFAULT_TOL) -> SpectralSplit:
         raise ValueError("q must be square")
     if not np.array_equal(q, q.T):
         raise ValueError("q must be exactly symmetric")
+    # eigh returns w ascending, so the blocks are already contiguous and in order
     w, V = np.linalg.eigh(q)
-    thresh = tol * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    neg = [i for i in range(len(w)) if w[i] < -thresh]
-    zero = [i for i in range(len(w)) if abs(w[i]) <= thresh]
-    pos = [i for i in range(len(w)) if w[i] > thresh]
-    order = neg + zero + pos
-    return SpectralSplit(
-        neg_dim=len(neg),
-        zero_dim=len(zero),
-        pos_dim=len(pos),
-        basis=V[:, order].copy(),
-        eigenvalues=w[order].copy(),
-    )
+    wl = w.tolist()
+    thresh = tol * max(1.0, max(map(abs, wl), default=0.0))
+    neg = sum(x < -thresh for x in wl)
+    zero = sum(abs(x) <= thresh for x in wl)
+    pos = sum(x > thresh for x in wl)
+    if neg + zero + pos != len(wl):  # a NaN eigenvalue, or a NaN threshold
+        raise ValueError(f"spectrum {wl} does not split at tol {tol}")
+    return SpectralSplit(neg_dim=neg, zero_dim=zero, pos_dim=pos, basis=V, eigenvalues=w)
 
 
 def restrict_cubic(jet: Jet3, v) -> float:
@@ -266,21 +264,14 @@ def birth_death_linear_normal_form(jet: Jet3, tol: float = DEFAULT_TOL) -> Norma
     d = jet.dim
     i = split.neg_dim
     kernel_col = split.basis[:, i] / np.linalg.norm(split.basis[:, i])
-    neg_cols = split.basis[:, :i]
-    pos_cols = split.basis[:, i + 1 :]
-    if restrict_cubic(jet, kernel_col) < 0:
-        kernel_col = -kernel_col
-    U = np.column_stack([kernel_col] + [neg_cols[:, j] for j in range(i)]
-                        + [pos_cols[:, j] for j in range(d - 1 - i)])
-
-    eig = np.concatenate(([0.0], split.eigenvalues[:i], split.eigenvalues[i + 1 :]))
-    rotated = compose_linear(jet, U)
-    b111 = rotated.cubic.get((1, 1, 1), 0.0)
-    s = np.ones(d)
-    s[0] = b111 ** (-1.0 / 3.0)
-    for j in range(1, d):
-        s[j] = 1.0 / np.sqrt(abs(eig[j]))
-    reduced_raw = compose_linear(rotated, np.diag(s))
+    # r(v, v, v) on the kernel axis is the axis-1 cubic coefficient after x -> U x
+    b111 = restrict_cubic(jet, kernel_col)
+    if b111 < 0:
+        kernel_col, b111 = -kernel_col, -b111
+    U = np.column_stack([kernel_col, split.basis[:, :i], split.basis[:, i + 1 :]])
+    s = np.concatenate(([b111 ** (-1.0 / 3.0)],
+                        1.0 / np.sqrt(np.abs(np.delete(split.eigenvalues, i)))))
+    reduced_raw = compose_linear(jet, U * s)
 
     target_diag = np.array([0.0] + [-1.0] * i + [1.0] * (d - 1 - i))
     off = reduced_raw.quadratic - np.diag(np.diag(reduced_raw.quadratic))
@@ -289,8 +280,8 @@ def birth_death_linear_normal_form(jet: Jet3, tol: float = DEFAULT_TOL) -> Norma
         if idx != (1, 1, 1):
             residual = max(residual, abs(v))
 
-    cubic = dict(reduced_raw.cubic)
-    reduced = Jet3(d, reduced_raw.constant, reduced_raw.linear, np.diag(target_diag), cubic)
+    reduced = Jet3(d, reduced_raw.constant, reduced_raw.linear, np.diag(target_diag),
+                   reduced_raw.cubic)
     return NormalFormResult(reduced=reduced, orthogonal=U, scaling=s,
                             residual=residual, index=i)
 

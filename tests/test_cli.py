@@ -196,7 +196,8 @@ def test_trace_family_swallowtail_fails_axiom(capsys):
 def test_trace_family_degenerate_sample_fails_axiom(tmp_path, capsys):
     """f = -0.14 + 0.78 t x is constant at the grid value t = 0, so every
     critical point found there is degenerate, though no fold is located:
-    axiom_gmf follows check_family_axioms and fails."""
+    axiom_gmf follows check_family_axioms and fails, and the output names
+    each failing sampled point on a `# failing sample` line."""
     family = {"param_dim": 1, "fiber_dim": 1,
               "terms": [{"powers": [0, 0], "coeff": -0.14}, {"powers": [1, 1], "coeff": 0.78}]}
     path = _write(tmp_path, "family.json", family)
@@ -209,6 +210,10 @@ def test_trace_family_degenerate_sample_fails_axiom(tmp_path, capsys):
     report = check_family_axioms(family_from_json_dict(family), -1.0, 1.0, steps=11)
     assert report.verdict("gmf") == "Fail"
     assert len(report.degenerate) == 8 and {f.t for f in report.degenerate} == {0.0}
+    named = [line for line in out.splitlines() if line.startswith("# failing sample ")]
+    assert named == [f"# failing sample t=0 x=({format(f.x[0], '.17g')}) reason={f.reason}"
+                     for f in report.degenerate]
+    assert out.splitlines()[1:-1] == named  # after the header, before the summary
 
 
 @pytest.mark.parametrize("box, terms, steps, code, summary", [

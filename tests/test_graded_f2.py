@@ -22,7 +22,6 @@ from gmfkit.graded_f2 import (
     series_mul,
     series_one,
     series_shift,
-    series_zero,
     transpose_bits,
 )
 
@@ -150,9 +149,8 @@ def test_series_shift_and_equal():
         series_equal(s, series_from_coeffs([1]), up_to=2)
 
 
-def test_series_zero_one():
-    z, o = series_zero(4), series_one(4)
-    assert [z.coeff(n) for n in range(5)] == [0, 0, 0, 0, 0]
+def test_series_one():
+    o = series_one(4)
     assert [o.coeff(n) for n in range(5)] == [1, 0, 0, 0, 0]
 
 

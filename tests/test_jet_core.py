@@ -247,6 +247,8 @@ def test_spectral_split_reconstructs_and_orders():
         s = spectral_split(q)
         assert s.neg_dim + s.zero_dim + s.pos_dim == d
         V, w = s.basis, s.eigenvalues
+        # eigh's ascending order already puts the blocks in order
+        assert all(map(np.array_equal, (w, V), np.linalg.eigh(q)))
         assert np.allclose(V.T @ V, np.eye(d), atol=1e-12)
         assert np.allclose(V @ np.diag(w) @ V.T, q, atol=1e-10)
         blocks = (w[: s.neg_dim], w[s.neg_dim: s.neg_dim + s.zero_dim],
@@ -276,6 +278,19 @@ def test_spectral_split_rejects_bad_input():
             spectral_split(np.eye(2), tol)
         with pytest.raises(ValueError, match="tol"):
             classify(regular, tol)
+
+
+def test_spectral_split_rejects_an_uncovered_spectrum():
+    """An eigenvalue that no block holds (NaN, or infinite at tol = 0 where
+    the threshold is NaN) is refused, not split into dims that sum short."""
+    with pytest.raises(ValueError, match="does not split"):
+        spectral_split([[float("inf"), 0.0], [0.0, 1.0]])
+    huge = np.full((2, 2), 1e308)  # finite, with an eigenvalue that overflows
+    assert spectral_split(huge).zero_dim == 2
+    with pytest.raises(ValueError, match="does not split"):
+        spectral_split(huge, 0.0)
+    with pytest.raises(ValueError, match="does not split"):
+        classify(Jet3(2, 0.0, np.zeros(2), huge, {}), 0.0)
 
 
 def test_split_dims_orthogonally_invariant():

@@ -19,7 +19,6 @@ from gmfkit.graded_f2 import (
     series_equal,
     series_grassmannian,
     series_one,
-    series_zero,
     transpose_bits,
 )
 from gmfkit.moduli_calc import (
@@ -414,7 +413,6 @@ def test_negative_truncation_is_rejected():
     # every series function refuses N < 0 rather than return an empty or
     # truncation-0 series, or fail later with an IndexError
     calls = [
-        lambda: series_zero(-1),
         lambda: series_one(-1),
         lambda: series_BO(2, -1),
         lambda: series_BSO(2, -1),
