@@ -52,8 +52,9 @@ def _g17(x: float) -> str:
 
 def cmd_classify_jet(args) -> int:
     jet = jet_core.jet_from_json_dict(_read_json(args.input))
-    cls = jet_core.classify(jet, tol=args.tol)
-    split = jet_core.spectral_split(jet.quadratic, args.tol)
+    cls, split = jet_core._classify_split(jet, args.tol)
+    if split is None:  # classify reads no split of a regular jet; the output still names one
+        split = jet_core.spectral_split(jet.quadratic, args.tol)
     out = {k: v for k, v in cls.to_json_dict(split).items() if v is not None}
     out["dim"] = jet.dim
     out["tol"] = args.tol

@@ -7,7 +7,8 @@ family compiles each derivative table once and evaluates the tables a caller
 names in one call per batch of points, on one shared table of powers.
 Critical points are found by Newton iteration from a seed grid, with guards
 that act seed by seed; a trace runs the seed grids of all its parameter
-values as one batch, so its memory grows with the number of values.  A
+values as one batch, so its memory grows with the number of values; seeds
+that converge to the same floats are merged before any distance is taken.  A
 fiber whose gradient a natural interval bound keeps away from zero on the
 whole region Newton can reach has no critical point there, and its seeds are
 left out of the batch; this covers the fibers on the side of a birth-death
@@ -17,7 +18,8 @@ coordinate interval excludes zero.
 Birth-death parameter values start as grid-scale candidates (critical-point
 count changes, and sign changes or local minima of the smallest-magnitude
 Hessian eigenvalue along matched tracks) and are located by Newton on the
-augmented fold system.
+augmented fold system.  A bracket sure to hold a fold that locates none
+warns, unless a sample point it starts from is itself degenerate.
 
 Like `jet_core`, this module imports numpy at the first `np.<name>` a function
 evaluates, not when it loads.
@@ -393,26 +395,17 @@ def _distance(x, y) -> float:
 def _dedup(points, radius):
     """The rows of points in order, less each within radius of one kept before it.
 
-    Within means _distance <= radius, but most pairs are settled by the
-    largest difference c = max |x_j - y_j| of their d coordinates, each the
-    same float difference that _distance takes the norm of.  That norm lies
-    in [c, sqrt(d) c] and is computed within (d + 2) eps of itself, far less
-    than 1e-12, so c > radius (1 + 1e-12) puts the computed norm above
-    radius and c <= radius / (sqrt(d) (1 + 1e-12)) puts it within; only the
-    pairs between call _distance.  A difference too large for a float makes
-    c and the norm both infinite, and squares that underflow only lower the
-    norm of a pair whose c is already within.
+    Within means _distance <= radius.  Newton sends many seeds to the same
+    floats; a row equal to an earlier one (as a tuple, where -0.0 equals 0.0)
+    is dropped unmeasured: its distance to every row is its first copy's, so
+    whichever kept row covered the first copy covers it too.
     """
-    far, near = radius * (1.0 + 1e-12), radius / (math.sqrt(points.shape[1]) * (1.0 + 1e-12))
-    kept = []  # (point, its coordinates as floats)
-    for x, xs in zip(points, points.tolist()):
-        for y, ys in kept:
-            c = max(abs(a - b) for a, b in zip(xs, ys))
-            if c <= near or (c <= far and _distance(x, y) <= radius):
-                break
-        else:
-            kept.append((x, xs))
-    return [x for x, _ in kept]
+    seen, kept = set(), []
+    for x, xs in zip(points, map(tuple, points.tolist())):
+        if xs not in seen and all(_distance(x, y) > radius for y in kept):
+            kept.append(x)
+        seen.add(xs)
+    return kept
 
 
 def _auto_grid(d: int) -> int:
@@ -442,7 +435,8 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
 
     The seed grids of all the fibers are one batch of rows for _newton, each
     row with its own parameter value and its own guards, and the jets of all
-    the points kept come from one evaluation.  A row's result does not depend
+    the points kept come from one evaluation, after _dedup has dropped each
+    fiber's repeated and near rows.  A row's result does not depend
     on the other rows, so each list is what its fiber would give alone.  The
     fibers that rootless proves to have no critical point leave their seed
     grids out of the batch: every one of those rows would end NaN, and they
@@ -557,22 +551,20 @@ def _refine_fold(calc, t, x, box):
     return None if np.isnan(z).any() else (float(z[d]), z[:d])
 
 
-def _match_tracks(prev_pts, next_pts):
-    """Greedy nearest-neighbor matching; returns (prev index, next index) pairs."""
+def _match_tracks(prev_pts, next_pts) -> dict:
+    """Greedy nearest-neighbor matching: {prev index: next index}."""
     dists = [
         (_distance(p.x, q.x), i, j)
         for i, p in enumerate(prev_pts)
         for j, q in enumerate(next_pts)
     ]
     dists.sort(key=lambda r: r[0])
-    used_i, used_j = set(), set()
-    pairs = []
+    matched, used = {}, set()
     for _, i, j in dists:
-        if i not in used_i and j not in used_j:
-            used_i.add(i)
-            used_j.add(j)
-            pairs.append((i, j))
-    return pairs
+        if i not in matched and j not in used:
+            matched[i] = j
+            used.add(j)
+    return matched
 
 
 def trace_birth_death(
@@ -592,7 +584,9 @@ def trace_birth_death(
     fold system (grad f_t(x), mu_min(H_t(x))) = 0 and then verified through
     classification of the fiber jet at (t*, x*); a degenerate verdict is
     reported as a flag, not an event.  A count change or a sign change of
-    det H whose bracket yields no event or flag is reported as a warning.
+    det H whose bracket yields no event or flag is reported as a warning,
+    unless one of its two sample points classifies Degenerate (gmf_failures
+    names that point).
     """
     if F.param_dim != 1:
         raise ValueError("tracing requires a one-parameter family")
@@ -614,8 +608,8 @@ def trace_birth_death(
     samples = _critical_points(F, [_parameter(F, t) for t in ts], box)
 
     # (t, x, must) at grid scale; must = (t_lo, t_hi, why, p, q) when the
-    # bracket [t_lo, t_hi] is sure to hold a degenerate point that the sample
-    # points p and q lead into
+    # bracket [t_lo, t_hi] is sure to hold a degenerate point that the sampled
+    # critical points p and q lead into
     candidates = []
 
     # tracks by nearest-neighbor matching; at a count change the points of
@@ -624,33 +618,30 @@ def trace_birth_death(
     tracks = []  # list of lists of (sample_index, CriticalPoint)
     open_tracks = [[(0, p)] for p in samples[0]]
     for a in range(1, steps):
-        pairs = _match_tracks([tr[-1][1] for tr in open_tracks], samples[a])
-        matched_next = set()
+        by_prev = _match_tracks([tr[-1][1] for tr in open_tracks], samples[a])
         still_open = []
         loose = []
-        by_prev = {i: j for i, j in pairs}
         for i, tr in enumerate(open_tracks):
             if i in by_prev:
-                j = by_prev[i]
-                tr.append((a, samples[a][j]))
-                matched_next.add(j)
+                tr.append((a, samples[a][by_prev[i]]))
                 still_open.append(tr)
             else:
                 tracks.append(tr)
-                loose.append(tr[-1][1].x)
+                loose.append(tr[-1][1])
+        matched_next = set(by_prev.values())
         for j, p in enumerate(samples[a]):
             if j not in matched_next:
                 still_open.append([(a, p)])
-                loose.append(p.x)
+                loose.append(p)
         open_tracks = still_open
         t_mid = 0.5 * float(ts[a - 1] + ts[a])
         if len(loose) == 1:
-            candidates.append((t_mid, loose[0], None))
+            candidates.append((t_mid, loose[0].x, None))
         why = f"the critical-point count changes by {len(samples[a]) - len(samples[a - 1]):+d}"
         while len(loose) >= 2:
             p, q = min(itertools.combinations(loose, 2),
-                       key=lambda pq: _distance(*pq))
-            candidates.append((t_mid, (p + q) / 2.0,
+                       key=lambda pq: _distance(pq[0].x, pq[1].x))
+            candidates.append((t_mid, (p.x + q.x) / 2.0,
                                (float(ts[a - 1]), float(ts[a]), why, p, q)))
             loose = [r for r in loose if r is not p and r is not q]
     tracks.extend(open_tracks)
@@ -669,7 +660,7 @@ def trace_birth_death(
             (a, pa), (b, pb) = tr[u], tr[u + 1]
             if mus[u] == 0.0 or mus[u] * mus[u + 1] < 0.0:
                 must = ((float(ts[a]), float(ts[b]), "det H changes sign along a track",
-                         pa.x, pb.x) if dets[u] * dets[u + 1] <= 0.0 else None)
+                         pa, pb) if dets[u] * dets[u + 1] <= 0.0 else None)
                 candidates.append((0.5 * float(ts[a] + ts[b]), (pa.x + pb.x) / 2.0, must))
         # interior local minima of |mu| without a sign change
         for u in range(1, len(tr) - 1):
@@ -721,15 +712,16 @@ def trace_birth_death(
         # a nondegenerate verdict means the candidate was a benign minimum
 
     # a candidate that must hold a degenerate point but located none is
-    # surfaced, unless a point located in its bracket lies closer to p or q
-    # than they lie to each other: then one of them was already accounted
-    # for (a degenerate sample can hold near-copies of one critical point)
+    # surfaced, unless p or q is a degenerate sample, or a point located in
+    # its bracket lies closer to p or q than they lie to each other: then
+    # one of them was already accounted for (a degenerate sample can hold
+    # near-copies of one critical point)
     located = [(e.t_star, e.x_star) for e in events] + [(f.t, f.x) for f in degenerate]
     for t_lo, t_hi, why, p, q in unlocated:
-        sep = _distance(p, q)
-        if not any(
+        sep = _distance(p.x, q.x)
+        if DEGENERATE not in (p.cls.kind, q.cls.kind) and not any(
             t_lo - slack <= t <= t_hi + slack
-            and min(_distance(x, p), _distance(x, q)) <= sep
+            and min(_distance(x, p.x), _distance(x, q.x)) <= sep
             for t, x in located
         ):
             warnings.append(f"fold not located on [{t_lo!r}, {t_hi!r}], where {why}")

@@ -218,24 +218,29 @@ def restrict_cubic(jet: Jet3, v) -> float:
     return val
 
 
-def classify(jet: Jet3, tol: float = DEFAULT_TOL) -> GmfClass:
-    """Stratify the jet: Regular / NondegenerateCritical(i) / BirthDeath(i) / Degenerate."""
+def _classify_split(jet: Jet3, tol: float) -> tuple:
+    """classify's verdict and the spectral split it read, None for a regular jet."""
     _check_tol(tol)
     s = scale(jet)
     with np.errstate(over="ignore"):  # a gradient too large to square reads as inf: Regular
         grad_norm = float(np.linalg.norm(jet.linear))
     if grad_norm > tol * s:
-        return GmfClass(REGULAR)
+        return GmfClass(REGULAR), None
     split = spectral_split(jet.quadratic, tol)
     if split.zero_dim == 0:
-        return GmfClass(NONDEGENERATE, index=split.neg_dim)
+        return GmfClass(NONDEGENERATE, index=split.neg_dim), split
     if split.zero_dim == 1:
         v = split.basis[:, split.neg_dim]
         v = v / np.linalg.norm(v)
         if abs(restrict_cubic(jet, v)) > tol * s:
-            return GmfClass(BIRTH_DEATH, index=split.neg_dim)
-        return GmfClass(DEGENERATE, reason=KERNEL_CUBIC_VANISHES)
-    return GmfClass(DEGENERATE, reason=KERNEL_DIM_AT_LEAST_2)
+            return GmfClass(BIRTH_DEATH, index=split.neg_dim), split
+        return GmfClass(DEGENERATE, reason=KERNEL_CUBIC_VANISHES), split
+    return GmfClass(DEGENERATE, reason=KERNEL_DIM_AT_LEAST_2), split
+
+
+def classify(jet: Jet3, tol: float = DEFAULT_TOL) -> GmfClass:
+    """Stratify the jet: Regular / NondegenerateCritical(i) / BirthDeath(i) / Degenerate."""
+    return _classify_split(jet, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -257,10 +262,9 @@ def birth_death_linear_normal_form(jet: Jet3, tol: float = DEFAULT_TOL) -> Norma
     linear change of coordinates; their largest coefficient is reported as
     the residual, not eliminated.
     """
-    cls = classify(jet, tol)
+    cls, split = _classify_split(jet, tol)
     if cls.kind != BIRTH_DEATH:
         raise ValueError(f"normal form requires a BirthDeath jet, got {cls.kind}")
-    split = spectral_split(jet.quadratic, tol)
     d = jet.dim
     i = split.neg_dim
     kernel_col = split.basis[:, i] / np.linalg.norm(split.basis[:, i])
@@ -315,6 +319,8 @@ def jet_from_json_dict(data: dict) -> Jet3:
         raise IndexError(f"linear part has {len(linear)} entries, expected {d}")
     if len(quad_flat) != d * d:
         raise IndexError(f"quadratic part has {len(quad_flat)} entries, expected {d * d}")
+    # Jet3 repeats these checks, but raises ValueError (exit 2) for all: here a non-finite
+    # coefficient is exit 2 before an asymmetric matrix or out-of-range index is exit 3
     if not all(map(math.isfinite, [constant, *linear, *quad_flat])):
         raise ValueError("jet coefficients must be finite")
     quad = np.array(quad_flat).reshape(d, d)

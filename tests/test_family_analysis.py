@@ -370,8 +370,9 @@ def test_batched_newton_singular_and_failing_rows():
 def test_dedup_matches_the_pairwise_norm(monkeypatch):
     """_dedup keeps, bit for bit and in order, the points that the pairwise
     rule keeps: a point goes when its _distance to one kept before it is
-    within the radius.  The copies lie on both sides of the two prefilter
-    thresholds, radius and radius / sqrt(d), along axes and diagonals."""
+    within the radius.  The near copies lie on both sides of the radius,
+    along random directions, axes and diagonals; the exact repeats copy
+    points the rule keeps and points it drops, and a +-0.0 pair."""
     rng = np.random.default_rng(5)
     r = family_analysis.DEDUP_RADIUS
     calls = []
@@ -385,16 +386,25 @@ def test_dedup_matches_the_pairwise_norm(monkeypatch):
                                      [1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 / np.sqrt(d)]])
         offsets = dirs[rng.integers(len(dirs), size=len(scales))] * scales[:, None]
         copies = base[rng.integers(len(base), size=len(scales))] + offsets
-        pts = np.concatenate([base, copies, [[1e308] * d, [-1e308] * d]])
+        pts = np.concatenate([base, copies, [[1e308] * d, [-1e308] * d], [[0.0] * d]])
         rng.shuffle(pts)
+        # exact repeats of every kind of row, after their first copies
+        pts = np.concatenate([pts, pts[rng.integers(len(pts), size=20)], [[-0.0] * d]])
         want = []
         for x in pts:
             if all(distance(x, y) > r for y in want):
                 want.append(x)
+        calls.clear()
         got = family_analysis._dedup(pts, r)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want], d
         assert len(base) + 2 <= len(got) < len(pts)
-    assert calls  # some pairs fall between the thresholds
+        kept = {x.tobytes() for x in want}
+        assert {x.tobytes() in kept for x in pts[-21:-1]} == {True, False}, d
+        # the repeats are dropped unmeasured
+        measured = len(calls)
+        calls.clear()
+        family_analysis._dedup(pts[:-21], r)
+        assert len(calls) == measured, d
 
 
 def _one_row_solves(J, r):

@@ -9,6 +9,8 @@ import json
 import numpy as np
 import pytest
 
+from gmfkit import jet_core
+from gmfkit.cli import main
 from gmfkit.jet_core import (
     BIRTH_DEATH,
     DEGENERATE,
@@ -487,6 +489,30 @@ def test_normal_form_is_the_substituted_jet():
             lhs = evaluate(res.reduced, z)
             rhs = evaluate(jet, M @ z)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+
+
+def test_each_classified_jet_is_split_once(monkeypatch, tmp_path, capsys):
+    """The normal form and classify-jet use the split that classification
+    read: one spectral_split (one eigh) per jet, whatever its stratum."""
+    calls = []
+    split = jet_core.spectral_split
+    monkeypatch.setattr(jet_core, "spectral_split",
+                        lambda *a, **k: calls.append(1) or split(*a, **k))
+    rng = np.random.default_rng(67)
+    for stratum, kind in (("regular", REGULAR), ("nondegenerate", NONDEGENERATE),
+                          ("birth-death", BIRTH_DEATH), ("kernel-cubic-vanishes", DEGENERATE),
+                          ("kernel-dim-2", DEGENERATE)):
+        jet = _stratified_jet(rng, 3, stratum)
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(jet_to_json_dict(jet)))
+        calls.clear()
+        assert main(["classify-jet", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == kind
+        assert len(calls) == 1, stratum
+        if kind == BIRTH_DEATH:
+            calls.clear()
+            birth_death_linear_normal_form(jet)
+            assert len(calls) == 1
 
 
 def test_normal_form_rejects_other_strata():
