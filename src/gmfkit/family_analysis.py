@@ -33,8 +33,8 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .jet_core import (
     BIRTH_DEATH,
     DEGENERATE,
@@ -54,7 +54,7 @@ log = logging.getLogger(__name__)
 # polynomial families
 
 
-@dataclass(frozen=True)
+@record
 class PolyFamily:
     """Terms are (powers, coeff) with powers of length param_dim + fiber_dim.
 
@@ -282,7 +282,7 @@ MAX_ITER = 50           # Newton steps per run
 DEDUP_RADIUS = 10.0 * NEWTON_TOL
 
 
-@dataclass(frozen=True)
+@record
 class CriticalPoint:
     t: float | None
     x: np.ndarray
@@ -496,7 +496,7 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
 # birth-death tracing along a one-parameter family
 
 
-@dataclass(frozen=True)
+@record
 class BirthDeathEvent:
     t_star: float
     x_star: np.ndarray
@@ -504,14 +504,14 @@ class BirthDeathEvent:
     det_hessian: float
 
 
-@dataclass(frozen=True)
+@record
 class DegenerateFlag:
     t: float
     x: np.ndarray
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class TraceResult:
     events: tuple
     degenerate: tuple
@@ -758,14 +758,14 @@ PASS = "Pass"
 FAIL = "Fail"
 
 
-@dataclass(frozen=True)
+@record
 class AxiomVerdict:
     axiom: str
     verdict: str
     note: str
 
 
-@dataclass(frozen=True)
+@record
 class FamilyAxiomReport:
     verdicts: tuple
     events: tuple

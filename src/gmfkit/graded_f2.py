@@ -8,9 +8,10 @@ are valid.  All arithmetic tracks the valid range explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from typing import Sequence
+
+from ._record import record
 
 DEFAULT_TRUNCATION = 32
 
@@ -19,7 +20,7 @@ DEFAULT_TRUNCATION = 32
 # truncated Laurent series with nonnegative integer coefficients
 
 
-@dataclass(frozen=True)
+@record
 class PoincareSeries:
     """Coefficients for degrees min_degree..truncation inclusive."""
 
@@ -305,7 +306,7 @@ class MonomialBasis:
         return len(self.basis(n))
 
 
-@dataclass
+@record
 class GradedMap:
     """A map of graded F2 vector spaces, degrees 0..N, that sends each source
     basis element to one target basis element.

@@ -19,7 +19,8 @@ commands, never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 
 class _LazyNumpy:
@@ -51,7 +52,7 @@ KERNEL_CUBIC_VANISHES = "KernelCubicVanishes"
 KERNEL_DIM_AT_LEAST_2 = "KernelDimAtLeast2"
 
 
-@dataclass(frozen=True)
+@record
 class Jet3:
     dim: int
     constant: float
@@ -68,7 +69,7 @@ class Jet3:
         quad = np.asarray(self.quadratic, dtype=float).reshape(d, d)
         if not all(map(math.isfinite, [c, *lin.tolist(), *quad.ravel().tolist()])):
             raise ValueError("jet coefficients must be finite")
-        if not np.array_equal(quad, quad.T):
+        if quad.tolist() != quad.T.tolist():
             raise ValueError("quadratic matrix must be stored exactly symmetric")
         cub = {}
         for idx, v in dict(self.cubic).items():
@@ -87,7 +88,7 @@ class Jet3:
         object.__setattr__(self, "cubic", cub)
 
 
-@dataclass(frozen=True)
+@record
 class SpectralSplit:
     neg_dim: int
     zero_dim: int
@@ -96,7 +97,7 @@ class SpectralSplit:
     eigenvalues: np.ndarray # matching order, ascending
 
 
-@dataclass(frozen=True)
+@record
 class GmfClass:
     kind: str
     index: int | None = None
@@ -193,7 +194,9 @@ def spectral_split(q, tol: float = DEFAULT_TOL) -> SpectralSplit:
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("q must be square")
-    if not np.array_equal(q, q.T):
+    # nested lists compare equal where array_equal does: -0.0 == 0.0, a NaN never
+    # equals itself (tolist makes fresh floats, so no identity shortcut applies)
+    if q.tolist() != q.T.tolist():
         raise ValueError("q must be exactly symmetric")
     # eigh returns w ascending, so the blocks are already contiguous and in order
     w, V = np.linalg.eigh(q)
@@ -243,7 +246,7 @@ def classify(jet: Jet3, tol: float = DEFAULT_TOL) -> GmfClass:
     return _classify_split(jet, tol)[0]
 
 
-@dataclass(frozen=True)
+@record
 class NormalFormResult:
     reduced: Jet3
     orthogonal: np.ndarray  # U, columns: kernel axis first, then -1 block, then +1 block
@@ -324,7 +327,7 @@ def jet_from_json_dict(data: dict) -> Jet3:
     if not all(map(math.isfinite, [constant, *linear, *quad_flat])):
         raise ValueError("jet coefficients must be finite")
     quad = np.array(quad_flat).reshape(d, d)
-    if not np.array_equal(quad, quad.T):
+    if quad.tolist() != quad.T.tolist():
         raise IndexError("quadratic matrix is not symmetric")
     cubic = {}
     for item in cubic_items:

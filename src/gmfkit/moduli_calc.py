@@ -33,10 +33,10 @@ the bounds are tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 
+from ._record import record
 from .char_class_maps import map_f, map_g
 from .graded_f2 import (
     DEFAULT_TRUNCATION,
@@ -61,7 +61,7 @@ COMPONENTS_READING = (
 SPLIT_NOTE = "cofibration long exact sequence assumed to split (connecting map zero)"
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumSeries:
     series: PoincareSeries
     provenance: str
@@ -72,7 +72,7 @@ class SpectrumSeries:
 # the zigzag and its homotopy colimit
 
 
-@dataclass(frozen=True)
+@record
 class ZigzagDiagram:
     d: int
     N: int
@@ -114,7 +114,7 @@ def build_zigzag(d: int, N: int = DEFAULT_TRUNCATION) -> ZigzagDiagram:
     return ZigzagDiagram(d, N, f_maps, g_maps)
 
 
-@dataclass(frozen=True)
+@record
 class HocolimResult:
     d: int
     N: int
@@ -190,7 +190,7 @@ def sigma_gmf_series(d: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
 # cofiber of collapsing the nondegenerate strata, and its wedge model
 
 
-@dataclass(frozen=True)
+@record
 class CofiberResult:
     d: int
     N: int
@@ -268,7 +268,7 @@ def mt_series(d: int, N: int = DEFAULT_TRUNCATION, structure: str = "o") -> Spec
         f"Thom isomorphism: shift the series of B{structure.upper()}({d}) by -{d}",))
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     check: str
     d: int
@@ -330,7 +330,7 @@ def d1_oracle_check(N: int = DEFAULT_TRUNCATION) -> CheckReport:
                        ("hocolim(1) vs BO(1); cofiber(1) vs t*BO(1)",))
 
 
-@dataclass(frozen=True)
+@record
 class MtgmfResult:
     d: int
     N: int

@@ -540,3 +540,19 @@ assert "numpy" in sys.modules, "classify-jet ran without numpy"
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter; only what `import gmfkit.cli` itself loads counts
+    script = """
+import sys
+before = set(sys.modules)
+import gmfkit.cli
+loaded = set(sys.modules) - before
+assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

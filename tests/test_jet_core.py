@@ -295,6 +295,21 @@ def test_spectral_split_rejects_an_uncovered_spectrum():
         classify(Jet3(2, 0.0, np.zeros(2), huge, {}), 0.0)
 
 
+def test_symmetry_check_treats_nan_and_signed_zero_as_array_equal_does():
+    """A NaN never equals itself, on the diagonal or off it, so the matrix is
+    not exactly symmetric; -0.0 and 0.0 are equal, so that pair is."""
+    nan = float("nan")
+    for q in ([[nan, 0.0], [0.0, 1.0]], [[1.0, nan], [nan, 1.0]], [[1.0, nan], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            spectral_split(q)
+    s = spectral_split([[1.0, -0.0], [0.0, -1.0]])
+    assert (s.neg_dim, s.zero_dim, s.pos_dim) == (1, 0, 1)
+    assert Jet3(2, 0.0, np.zeros(2), [[0.0, 0.0], [-0.0, 0.0]], {}).quadratic[1, 0] == 0.0
+    data = {"dim": 2, "constant": 0.0, "linear": [0.0, 0.0],
+            "quadratic": [1.0, -0.0, 0.0, 1.0], "cubic": []}
+    assert jet_from_json_dict(data).quadratic.tolist() == [[1.0, -0.0], [0.0, 1.0]]
+
+
 def test_split_dims_orthogonally_invariant():
     rng = np.random.default_rng(17)
     for _ in range(50):
