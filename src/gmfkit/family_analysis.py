@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import re
 import sys
@@ -47,7 +46,14 @@ from .jet_core import (
 
 np = _LazyNumpy(globals())
 
-log = logging.getLogger(__name__)
+
+def _log_info(msg, *args):
+    # INFO goes out only if something has loaded logging: until then no
+    # handler or level is configured, and the root's default WARNING drops
+    # INFO, so the import (about 7 ms) is not paid for nothing
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(msg, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +458,8 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     run = ~calc.rootless(T, (lo, hi))  # the fibers whose seeds go to _newton
     pruned = len(ts) - int(run.sum())
     if pruned:
-        log.info("fiber_critical_points: %d of %d fibers have no critical point by an interval "
-                 "bound; %d seed rows skipped", pruned, len(ts), pruned * m)
+        _log_info("fiber_critical_points: %d of %d fibers have no critical point by an interval "
+                  "bound; %d seed rows skipped", pruned, len(ts), pruned * m)
     params = np.repeat(T[run], m, axis=0)  # the parameters of each seed row
 
     def system(X, live):
@@ -466,7 +472,7 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
         converged = np.isfinite(Zt).all(axis=1)
         dropped = m - int(converged.sum())
         if dropped:
-            log.info("fiber_critical_points: %d of %d seeds did not converge", dropped, m)
+            _log_info("fiber_critical_points: %d of %d seeds did not converge", dropped, m)
         inside = (Zt >= lo - 1e-12).all(axis=1) & (Zt <= hi + 1e-12).all(axis=1)
         kept.append(np.array(_dedup(Zt[converged & inside], DEDUP_RADIUS)).reshape(-1, d))
     X = np.concatenate(kept)

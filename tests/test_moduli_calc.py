@@ -305,6 +305,50 @@ def test_sigma_mf_cofibration_checks_the_ranks(monkeypatch, capsys):
         moduli_calc._hocolim_std.cache_clear()
 
 
+@pytest.mark.parametrize("d, N", [(1, 12), (2, 20), (3, 20), (4, 24), (5, 32), (6, 24), (7, 20)])
+def test_closed_form_equals_the_zigzag(d, N):
+    """BO(d) + t * (S - T + BO(d)) and C = t * S against the union-find over
+    the enumerated zigzag, ranks included."""
+    h = hocolim_series(build_zigzag(d, N))
+    assert sigma_gmf_series(d, N) == h.series
+    cof = cofiber_series(d, N)
+    assert cof.k == h.rank
+    assert list(cof.series.coeffs) == [0] + list(h.S_dims[:N])
+
+
+def test_series_commands_build_no_zigzag(monkeypatch, capsys):
+    """sigma-gmf, cofiber, mtgmf and the connectivity check read the closed
+    form alone."""
+    def refuse(*args):
+        raise AssertionError("build_zigzag called")
+
+    monkeypatch.setattr(moduli_calc, "build_zigzag", refuse)
+    moduli_calc._hocolim_std.cache_clear()
+    try:
+        for obj in ("sigma-gmf", "cofiber", "mtgmf"):
+            assert cli.main(["series", "--object", obj, "--d", "5", "--max-degree", "12"]) == 0
+        assert cli.main(["verify", "--check", "connectivity", "--d", "5",
+                         "--max-degree", "12"]) == 0
+        assert '"verdict": "Fail"' not in capsys.readouterr().out
+    finally:
+        moduli_calc._hocolim_std.cache_clear()
+
+
+@pytest.mark.parametrize("check, d", [("sigma-mf-cofibration", 2), ("sigma-mf-cofibration", 4),
+                                      ("d1-oracle", 1)])
+def test_zigzag_checks_fail_under_a_lowered_rank(monkeypatch, capsys, check, d):
+    """Every rank of Phi_n lowered by one: the checks that read the zigzag's
+    ranks turn Fail."""
+    exact = moduli_calc._phi_rank
+    monkeypatch.setattr(moduli_calc, "_phi_rank", lambda z, n: exact(z, n) - 1)
+    moduli_calc._hocolim_std.cache_clear()
+    try:
+        assert cli.main(["verify", "--check", check, "--d", str(d), "--max-degree", "10"]) == 1
+        assert '"verdict": "Fail"' in capsys.readouterr().out
+    finally:
+        moduli_calc._hocolim_std.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Thom-spectrum series
 
