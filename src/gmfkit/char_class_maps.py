@@ -185,13 +185,15 @@ def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     blocks, insertions = _line_tables(i, d, N)
     outer, inner, upper = blocks[i], blocks[d - i - 1], blocks[i + 1]
     ins = insertions[i]
-    images = []
+    images, low = [], []
     for n in range(N + 1):
         # off[p]: the index in Y(i+1)_n where the run under upper's element p starts
         width = inner.dims[n::-1] + [0] * (N - n)
         off = list(accumulate(map(width.__getitem__, upper.degrees), initial=0))
+        # (p, insertion row, degree) of outer's elements of degree <= n, in order
+        low = sorted(low + [(p, ins[p], n) for p in outer.members[n]])
         level = []
-        for row, a in zip(ins, outer.degrees):
+        for _, row, a in low:
             for k in range(n - a + 1):
                 o = off[row[k]]
                 level += range(o, o + inner.dims[n - a - k])

@@ -14,7 +14,10 @@ whole region Newton can reach has no critical point there, and its seeds are
 left out of the batch; this covers the fibers on the side of a birth-death
 value without the cancelling pair, but not a gradient whose entries mix odd
 powers of several coordinates (the rotated cusp), where no single
-coordinate interval excludes zero.
+coordinate interval excludes zero.  A fiber none of whose seeds has reached
+a point of the box after a few Newton steps gets the same bound on a
+bisection of the box instead, and its seeds stop if every sub-box is
+excluded.
 Birth-death parameter values start as grid-scale candidates (critical-point
 count changes, and sign changes or local minima of the smallest-magnitude
 Hessian eigenvalue along matched tracks) and are located by Newton on the
@@ -202,23 +205,75 @@ class _FamilyCalculus:
         """
         lo, hi = box
         R = np.maximum(_reach(lo, hi), np.maximum(np.abs(lo), np.abs(hi)))
-        T = np.asarray(T, dtype=float)
-        proven = np.zeros(len(T), dtype=bool)
+        return self._gradient_excluded(np.asarray(T, dtype=float), lambda factors: _monomial_range(factors, R))
+
+    def rootless_in_box(self, T, box) -> np.ndarray:
+        """Which fibers f_t, one per row t of the (n, k) array T, provably
+        hold no point of box = (lo, hi) where at() computes a gradient of
+        norm within NEWTON_TOL: no _newton row of theirs can end on a point
+        of the box.
+
+        The box is bisected across its widest side, one level of sub-boxes
+        of all the fibers at a time as one set of arrays; a sub-box goes
+        when some gradient entry's natural interval extension over it lies
+        beyond +-_margin, exactly as for rootless, and a fiber is proven
+        when none of its sub-boxes is left.  Every float point of a box lies
+        in one of its halves, so a proven fiber's computed gradient exceeds
+        the margin everywhere in the box.  BISECT_HALVINGS and BISECT_BOXES
+        cap the work: a fiber still unproven at either cap proves nothing.
+        """
+        n, d = T.shape[0], self.d
+        owner = np.arange(n)  # the fiber of each sub-box
+        blo, bhi = np.tile(box[0], (n, 1)), np.tile(box[1], (n, 1))
+        capped = np.zeros(n, dtype=bool)
+        for level in range(BISECT_HALVINGS * d + 1):
+            # a monomial recurs across the gradient entries: range it once a level
+            monomial = functools.lru_cache(maxsize=None)(lambda factors: _box_range(factors, blo, bhi))
+            keep = ~self._gradient_excluded(T[owner], monomial)
+            owner, blo, bhi = owner[keep], blo[keep], bhi[keep]
+            if level == BISECT_HALVINGS * d:
+                break
+            if 2 * len(owner) > BISECT_BOXES:  # a fiber may be about to pass the cap
+                capped |= 2 * np.bincount(owner, minlength=n) > BISECT_BOXES
+                keep = ~capped[owner]
+                owner, blo, bhi = owner[keep], blo[keep], bhi[keep]
+            if not owner.size:
+                break
+            width = bhi - blo
+            widest = np.arange(d) == np.argmax(width, axis=1)[:, None]
+            mid = blo + 0.5 * width  # not (blo + bhi) / 2, which can overflow
+            owner = np.concatenate((owner, owner))
+            blo = np.concatenate((blo, np.where(widest, mid, blo)))
+            bhi = np.concatenate((np.where(widest, mid, bhi), bhi))
+        return (np.bincount(owner, minlength=n) == 0) & ~capped
+
+    def _gradient_excluded(self, T, monomial) -> np.ndarray:
+        """Which rows t of T have a fiber-gradient entry whose natural
+        interval extension over the row's region lies beyond +-_margin.
+
+        monomial(factors) is [lo, hi] of the fiber monomial prod x_j^p,
+        factors holding its (j, p), over each row's region; the parameter
+        powers are taken at t.  An interval whose ends or margin overflow
+        proves nothing.
+        """
+        excluded = np.zeros(len(T), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for terms in self.tables["grad"][0]:
                 lower, upper, size = np.zeros((3, len(T)))
                 for coeff, factors in terms:
-                    a = np.full(len(T), coeff)
+                    a = coeff
                     for v, p in factors:
                         if v < self.k:
                             a = a * T[:, v] ** p
-                    lo_m, hi_m = _monomial_range([(v - self.k, p) for v, p in factors if v >= self.k], R)
-                    lower += np.minimum(a * lo_m, a * hi_m)
-                    upper += np.maximum(a * lo_m, a * hi_m)
-                    size += np.abs(a) * hi_m
+                    lo_m, hi_m = monomial(tuple((v - self.k, p) for v, p in factors if v >= self.k))
+                    ends = a * lo_m, a * hi_m
+                    low, high = np.minimum(*ends), np.maximum(*ends)
+                    lower += low
+                    upper += high
+                    size += np.maximum(-low, high)  # |a| max(|lo_m|, |hi_m|), the same float
                 margin = _margin(size, len(terms) + 2 * max((len(f) for _, f in terms), default=0))
-                proven |= np.isfinite(margin) & ((lower > margin) | (upper < -margin))
-        return proven
+                excluded |= np.isfinite(margin) & ((lower > margin) | (upper < -margin))
+        return excluded
 
 
 def _monomial_range(factors, R) -> tuple:
@@ -230,6 +285,30 @@ def _monomial_range(factors, R) -> tuple:
     for j, p in factors:
         top *= _power(float(R[j]), p)
     return (0.0 if all(p % 2 == 0 for _, p in factors) else -top), top
+
+
+def _box_range(factors, lo, hi) -> tuple:
+    """[lo, hi] of the monomial prod x_j^p, factors holding its (j, p), over
+    each box lo[i] <= x <= hi[i]: the interval product of the _power_range
+    of its factors, each end a chain of products of powers."""
+    if not factors:  # the constant 1
+        return 1.0, 1.0
+    (j, p), *rest = factors
+    low, high = _power_range(lo[:, j], hi[:, j], p)
+    for j, p in rest:
+        a, b = _power_range(lo[:, j], hi[:, j], p)
+        ends = low * a, low * b, high * a, high * b
+        low = np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3]))
+        high = np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
+    return low, high
+
+
+def _power_range(a, b, p) -> tuple:
+    """[lo, hi] of x^p over a <= x <= b, elementwise: monotone for odd p,
+    and for even p 0 at the bottom when the interval holds 0."""
+    if p % 2:
+        return a ** p, b ** p
+    return np.maximum(np.maximum(a, -b), 0.0) ** p, np.maximum(-a, b) ** p
 
 
 def _margin(size, ops):
@@ -286,6 +365,21 @@ CLASSIFY_TOL = 1e-9     # classification of sampled critical points
 EVENT_TOL = 1e-5        # classification of polished fold candidates
 MAX_ITER = 50           # Newton steps per run
 DEDUP_RADIUS = 10.0 * NEWTON_TOL
+# the Newton step at which a seed run hands rootless_in_box its fibers with no
+# in-box point yet: a row of a fiber with a simple in-box root passes
+# NEWTON_TOL within a few quadratic steps from the seed grid, so such fibers
+# do not reach it, and the rows of a proven fiber are spared the other
+# MAX_ITER - PRUNE_STEP steps
+PRUNE_STEP = 10
+# rootless_in_box's caps.  Bisecting the widest side halves each side in
+# turn, so BISECT_HALVINGS * fiber_dim levels cut every side to 1/512 of the
+# box's: enough to prove the rotated cusp's fibers short of its fold at box
+# half-widths up to 2 (18 levels), while a fiber with an in-box root, never
+# proven, pays for every level.  A fiber whose next level would hold more
+# than BISECT_BOXES sub-boxes stops unproven, so that no level's arrays grow
+# without bound (the rotated cusp needs 44 at half-width 2).
+BISECT_HALVINGS = 9
+BISECT_BOXES = 512
 
 
 @record
@@ -297,7 +391,7 @@ class CriticalPoint:
     grad_norm: float
 
 
-def _newton(system, z0, box):
+def _newton(system, z0, box, prune=None):
     """Newton iteration for system(Z, live) = (residuals, Jacobians), run
     from every row of the (m, n) start array z0 at once.
 
@@ -318,6 +412,11 @@ def _newton(system, z0, box):
     (non-finite ones included), when its fiber coordinates leave
     10 (diam + 1), when its step stalls, or after MAX_ITER steps; the other
     runs go on without it, and no run's result depends on the other rows.
+
+    prune, if given, is called once, before step PRUNE_STEP, with the
+    indices of the live rows and the array of last iterates within
+    NEWTON_TOL (NaN where none yet); the rows it leaves out of the indices
+    it returns end there, as if their runs had ended on a guard.
     """
     Z = np.array(z0, dtype=float)
     lo, hi = box
@@ -326,7 +425,9 @@ def _newton(system, z0, box):
     best = np.full_like(Z, np.nan)
     live = np.arange(len(Z))
     with np.errstate(over="ignore"):  # norms that overflow end the run below
-        for _ in range(MAX_ITER):
+        for step in range(MAX_ITER):
+            if step == PRUNE_STEP and prune is not None:
+                live = prune(live, best)
             if not live.size:
                 break
             z = Z[live]
@@ -447,6 +548,14 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     fibers that rootless proves to have no critical point leave their seed
     grids out of the batch: every one of those rows would end NaN, and they
     read NaN without running.
+
+    At step PRUNE_STEP the run hands prune the fibers with a live row and no
+    row yet within NEWTON_TOL inside the box (the bounds of the in-box test
+    below), and rootless_in_box subdivides their box; the rows of a fiber it
+    proves stop there.  Such a fiber holds no in-box point whose residual
+    passes, so no row of it, run on, would have ended on a kept point: every
+    list is bit for bit the same, and only a row's count in the log of
+    unconverged seeds can change.
     """
     calc = _calculus(F)
     d = F.fiber_dim
@@ -460,21 +569,39 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     if pruned:
         _log_info("fiber_critical_points: %d of %d fibers have no critical point by an interval "
                   "bound; %d seed rows skipped", pruned, len(ts), pruned * m)
-    params = np.repeat(T[run], m, axis=0)  # the parameters of each seed row
+    T_run = T[run]
+    params = np.repeat(T_run, m, axis=0)  # the parameters of each seed row
+    inner = (lo - 1e-12, hi + 1e-12)  # a kept point lies in this box
+
+    def inside(Z):  # a NaN row does not
+        return (Z >= inner[0]).all(axis=-1) & (Z <= inner[1]).all(axis=-1)
 
     def system(X, live):
         return calc.at(np.hstack((params[live], X)), "grad", "hess")
 
+    def prune(live, best):
+        candidates = np.zeros(len(T_run), dtype=bool)
+        candidates[live // m] = True
+        candidates &= ~inside(best).reshape(-1, m).any(axis=1)
+        if not candidates.any():
+            return live
+        proven = np.zeros_like(candidates)
+        proven[candidates] = calc.rootless_in_box(T_run[candidates], inner)
+        _log_info("fiber_critical_points: %d of %d fibers with no in-box point at Newton step %d "
+                  "have none by box subdivision; their rows stop", int(proven.sum()),
+                  int(candidates.sum()), PRUNE_STEP)
+        return live[~proven[live // m]]
+
     Z = np.full((len(ts), m, d), np.nan)
-    Z[run] = _newton(system, np.tile(seeds, (len(ts) - pruned, 1)), (lo, hi)).reshape(-1, m, d)
+    Z[run] = _newton(system, np.tile(seeds, (len(ts) - pruned, 1)), (lo, hi),
+                     prune=prune).reshape(-1, m, d)
     kept = []  # per fiber, the deduplicated in-box points
     for Zt in Z:
         converged = np.isfinite(Zt).all(axis=1)
         dropped = m - int(converged.sum())
         if dropped:
             _log_info("fiber_critical_points: %d of %d seeds did not converge", dropped, m)
-        inside = (Zt >= lo - 1e-12).all(axis=1) & (Zt <= hi + 1e-12).all(axis=1)
-        kept.append(np.array(_dedup(Zt[converged & inside], DEDUP_RADIUS)).reshape(-1, d))
+        kept.append(np.array(_dedup(Zt[converged & inside(Zt)], DEDUP_RADIUS)).reshape(-1, d))
     X = np.concatenate(kept)
     P = np.hstack((np.repeat(T, [len(Xt) for Xt in kept], axis=0), X))
     jets = zip(X, *calc.at(P, "value", "grad", "hess", "third"))
@@ -525,36 +652,44 @@ class TraceResult:
     samples: tuple  # (t, list of CriticalPoint) per grid value
 
 
-def _refine_fold(calc, t, x, box):
+def _refine_fold(calc, candidates, box) -> list:
     """Newton on the augmented system (grad f_t(x), mu_min(H_t(x))) = 0 in (x, t).
 
     Locates the degenerate point itself rather than a nearby critical
     point, which one-dimensional refinements cannot do when the smallest
     eigenvalue touches zero without crossing (the kernel-cubic test at the
     returned point then reads the true local model, not grid-scale noise).
-    Returns (t, x) or None if the iteration fails to converge.
+    Every (t, x, ...) of candidates starts one row of a single _newton run:
+    at() evaluates the live rows in one call per step, and each row's eigh
+    and kernel products are its own, so a row gives, bit for bit, what it
+    gives alone.  Returns, per candidate, (t, x) or None if its iteration
+    fails to converge.
     """
     d = calc.d
 
-    def system(Z, live):  # one row
-        z = Z[0]
-        grad, H, T, grad_dt, H_dt = calc.at((float(z[d]),) + tuple(z[:d]),
+    def system(Z, live):
+        grad, H, T, grad_dt, H_dt = calc.at(np.hstack((Z[:, d:], Z[:, :d])),
                                             "grad", "hess", "third", "grad_dt", "hess_dt")
-        if not np.isfinite(H).all():  # too far out for a float: the run ends
-            return np.full((1, d + 1), np.nan), np.full((1, d + 1, d + 1), np.nan)
-        w, V = np.linalg.eigh(H)
-        i0 = int(np.argmin(np.abs(w)))
-        v = V[:, i0]
-        J = np.zeros((d + 1, d + 1))
-        J[:d, :d] = H
-        J[:d, d] = grad_dt
-        for c in range(d):  # T[:, :, c] = dH/dx_c
-            J[d, c] = float(v @ T[:, :, c] @ v)
-        J[d, d] = float(v @ H_dt @ v)
-        return np.append(grad, float(w[i0]))[None], J[None]
+        r, J = np.full((len(Z), d + 1), np.nan), np.full((len(Z), d + 1, d + 1), np.nan)
+        for i in range(len(Z)):
+            if not np.isfinite(H[i]).all():  # too far out for a float: the run ends
+                continue
+            w, V = np.linalg.eigh(H[i])
+            i0 = int(np.argmin(np.abs(w)))
+            v = V[:, i0]
+            J[i, :d, :d] = H[i]
+            J[i, :d, d] = grad_dt[i]
+            for c in range(d):  # T[i, :, :, c] = dH/dx_c
+                J[i, d, c] = float(v @ T[i, :, :, c] @ v)
+            J[i, d, d] = float(v @ H_dt[i] @ v)
+            r[i, :d], r[i, d] = grad[i], float(w[i0])
+        return r, J
 
-    z = _newton(system, np.append(np.asarray(x, dtype=float), float(t))[None], box)[0]
-    return None if np.isnan(z).any() else (float(z[d]), z[:d])
+    if not candidates:  # a _newton run needs a row
+        return []
+    z0 = np.array([tuple(x) + (t,) for t, x, *_ in candidates], dtype=float)
+    Z = _newton(system, z0, box)
+    return [None if np.isnan(z).any() else (float(z[d]), z[:d]) for z in Z]
 
 
 def _match_tracks(prev_pts, next_pts) -> dict:
@@ -676,17 +811,16 @@ def trace_birth_death(
                 a, p = tr[u]
                 candidates.append((float(ts[a]), p.x, None))
 
-    # polish each candidate on the augmented fold system, rejecting a result
-    # more than two grid cells away in t or outside the fiber box; an
-    # unpolished candidate is classified as it stands, and as it is rarely
-    # degenerate at grid scale it is usually dropped
+    # polish the candidates on the augmented fold system, all in one batch,
+    # rejecting a result more than two grid cells away in t or outside the
+    # fiber box; an unpolished candidate is classified as it stands, and as
+    # it is rarely degenerate at grid scale it is usually dropped
     grid_dt = span / (steps - 1)
     slack = 1e-6 * span
     events: list = []
     degenerate: list = []
     unlocated = []
-    for t_star, x_star, must in candidates:
-        ref = _refine_fold(calc, t_star, x_star, (lo, hi))
+    for (t_star, x_star, must), ref in zip(candidates, _refine_fold(calc, candidates, (lo, hi))):
         if ref is not None:
             t_r, x_r = ref
             if (

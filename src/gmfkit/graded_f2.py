@@ -81,17 +81,12 @@ def series_mul(a: PoincareSeries, b: PoincareSeries) -> PoincareSeries:
     hi = min(a.truncation + b.min_degree, b.truncation + a.min_degree)
     if hi < lo:
         raise ValueError("empty overlap of valid ranges")
+    am, bm = a.min_degree, b.min_degree
     out = []
     for n in range(lo, hi + 1):
-        s = 0
-        for i in range(a.min_degree, a.truncation + 1):
-            j = n - i
-            if j < b.min_degree:
-                break
-            if j > b.truncation:
-                continue
-            s += a.coeffs[i - a.min_degree] * b.coeff(j)
-        out.append(s)
+        # the degrees i + j = n with i and j in a's and b's known ranges
+        i0, i1 = max(am, n - b.truncation), min(a.truncation, n - bm)
+        out.append(sum(a.coeffs[i - am] * b.coeffs[n - i - bm] for i in range(i0, i1 + 1)))
     return series_from_coeffs(out, lo)
 
 

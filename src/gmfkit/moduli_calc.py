@@ -143,15 +143,16 @@ def _phi_rank(z: ZigzagDiagram, n: int) -> int:
     off = list(accumulate(z.bottom_dims(n), initial=0))
     parent = list(range(off[-1]))
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]  # path halving
-        return v
-
     rank = 0
     for i, (f, g) in enumerate(zip(z.f_maps, z.g_maps)):
         for s, t in zip(f.images[n], g.images[n]):
-            u, v = find(off[i] + s), find(off[i + 1] + t)
+            # find both roots, halving the paths, inline: a call per vertex
+            # costs more than the search
+            u, v = off[i] + s, off[i + 1] + t
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
             if u != v:
                 parent[u] = v
                 rank += 1
@@ -189,6 +190,8 @@ def _hocolim_std(d: int, N: int) -> HocolimResult:
     return hocolim_series(build_zigzag(d, N))
 
 
+# a verify run reads it in three checks; each entry is three tuples
+@lru_cache(maxsize=64)
 def _closed_form(d: int, N: int):
     """Coefficients 0..N of S, T and BO(d), the closed form's three inputs."""
     S = _block_sum(d, N, (1,))  # first: it rejects d < 1
@@ -248,9 +251,9 @@ def _block_sum(d: int, N: int, inner: tuple = ()) -> PoincareSeries:
     r = d - sum(inner)
     if r < 0:
         raise ValueError(f"need d >= {sum(inner)}")
-    return reduce(series_add, (
-        reduce(series_mul, [series_BO(m, N) for m in (i, *inner, r - i)])
-        for i in range(r + 1)))
+    bo = [series_BO(m, N) for m in range(r + 1)]
+    fixed = [series_BO(m, N) for m in inner]
+    return reduce(series_add, (reduce(series_mul, [bo[i], *fixed, bo[r - i]]) for i in range(r + 1)))
 
 
 def wedge_target_series(d: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:

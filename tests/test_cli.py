@@ -542,6 +542,26 @@ assert "numpy" in sys.modules, "classify-jet ran without numpy"
     assert proc.returncode == 0, proc.stderr
 
 
+def test_trace_and_classify_never_load_numpy_ma(tmp_path):
+    # a fresh interpreter; numpy.ma (pulled in by e.g. np.unique) costs a
+    # cold trace-family about 12 ms and 0.6 MB
+    jet = _write(tmp_path, "jet.json", NORMAL_FORM_3D)
+    script = f"""
+import contextlib, io, sys
+from gmfkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["trace-family", "--preset", "cusp", "--t0", "-1", "--t1", "1"]) == 0
+    assert main(["classify-jet", "--input", {jet!r}]) == 0
+assert "numpy" in sys.modules, "trace-family ran without numpy"
+assert "numpy.ma" not in sys.modules, "trace-family or classify-jet loaded numpy.ma"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter; only what `import gmfkit.cli` itself loads counts
     script = """

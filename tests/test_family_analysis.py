@@ -255,9 +255,9 @@ def test_fiber_critical_points_one_newton_run_per_seed(monkeypatch):
     calls = []
     newton = family_analysis._newton
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return newton(*args)
+        return newton(*args, **kwargs)
 
     monkeypatch.setattr(family_analysis, "_newton", counting)
     pts = fiber_critical_points(CUSP, 3.0, [(-2.0, 2.0)])
@@ -285,12 +285,13 @@ def _rotated_cusp(c):
 
 
 def _newton_calls(monkeypatch, run):
-    """The (system, z0, box) of every _newton call that run() makes."""
+    """The (system, z0, box) of every _newton call that run() makes; the
+    prune hook of a seed run is passed on, not recorded."""
     newton, calls = family_analysis._newton, []
 
-    def capture(*args):
+    def capture(*args, **kwargs):
         calls.append(args)
-        return newton(*args)
+        return newton(*args, **kwargs)
 
     monkeypatch.setattr(family_analysis, "_newton", capture)
     run()
@@ -549,6 +550,152 @@ def test_interval_bound_check_catches_broken_bounds(monkeypatch, broken):
 
 
 # ---------------------------------------------------------------------------
+# the box subdivision that stops Newton on fibers with no in-box point
+
+
+def _inner(box):
+    """The bounds of the test a kept point must pass to lie in box."""
+    return box[0] - 1e-12, box[1] + 1e-12
+
+
+def _subdivision_verdicts():
+    """(name, half, ts, proven, rootless) for every family and box half-width:
+    what rootless_in_box and rootless prove."""
+    for name, F in _BOUND_FAMILIES:
+        calc = family_analysis._calculus(F)
+        for half in (0.5, 2.0, 7.0):
+            _, _, box = _seed_batch(F, _BOUND_TS, half)
+            T = _BOUND_TS[:, None]
+            yield name, half, _BOUND_TS, calc.rootless_in_box(T, _inner(box)), calc.rootless(T, box)
+
+
+def _unsound_subdivisions():
+    """Each (name, half, t) whose fiber the subdivision proves although
+    _newton from the full seed grid keeps an in-box point there."""
+    families = dict(_BOUND_FAMILIES)
+    for name, half, ts, proven, _ in _subdivision_verdicts():
+        d = families[name].fiber_dim
+        system, seeds, box = _seed_batch(families[name], ts[proven], half)
+        Z = family_analysis._newton(system, seeds, box).reshape(-1, family_analysis._auto_grid(d) ** d, d)
+        lo, hi = _inner(box)
+        for t in ts[proven][((Z >= lo) & (Z <= hi)).all(axis=2).any(axis=1)]:
+            yield name, half, float(t)
+
+
+def test_box_subdivision_is_sound():
+    """On every fiber the subdivision proves, _newton from the full seed
+    grid keeps no in-box point, so stopping its rows drops no sample."""
+    assert list(_unsound_subdivisions()) == []
+
+
+def test_box_subdivision_proves_more_than_the_bound():
+    """The box lies in the region rootless bounds, so the subdivision proves
+    every fiber rootless proves; it also proves the rotated cusp's fibers
+    short of the fold, which rootless never does (on the widest box, all
+    but t = 0.1, which would need more levels), and the cusp-type fibers
+    whose critical points have left the box of half-width 1/2."""
+    for name, half, ts, proven, rootless in _subdivision_verdicts():
+        assert (proven >= rootless).all(), (name, half)
+        if name == "rotated-cusp":
+            short = (ts < 0.113) & ((half < 7.0) | (np.abs(ts - 0.1) > 1e-9))
+            assert np.array_equal(proven, short), half
+            assert not rootless.any()
+        elif name == "cusp" and half == 0.5:
+            assert np.array_equal(proven, (ts < 0.0) | (ts > 0.75))
+
+
+@pytest.mark.parametrize("broken", ["margin -1", "odd powers as even"])
+def test_box_subdivision_check_catches_broken_bounds(monkeypatch, broken):
+    """The soundness check fails when the margin is -1 or when odd powers
+    are bounded as even ones."""
+    if broken == "margin -1":
+        monkeypatch.setattr(family_analysis, "_margin", lambda size, ops: -1.0)
+    else:
+        monkeypatch.setattr(family_analysis, "_power_range", lambda a, b, p: (
+            np.maximum(np.maximum(a, -b), 0.0) ** p, np.maximum(-a, b) ** p))
+    assert next(_unsound_subdivisions(), None) is not None
+
+
+def test_rotated_cusp_rows_stop_at_the_prune_step(monkeypatch):
+    """On the benchmark's rotated cusp the subdivision, run once at step
+    PRUNE_STEP, proves exactly the 23 grid values t < 0.113, which rootless
+    proves none of; their rows are live up to that step and none is
+    evaluated after it, but for _newton's closing check of every row."""
+    F = _rotated_cusp(0.113)
+    ts = np.linspace(-1.0, 1.0, 41)
+    m = family_analysis._auto_grid(2) ** 2
+    subdivide, newton = family_analysis._FamilyCalculus.rootless_in_box, family_analysis._newton
+    proven_ts, lives = [], []
+
+    def recording_subdivide(self, T, box):
+        proven = subdivide(self, T, box)
+        proven_ts.append(T[proven, 0])
+        return proven
+
+    def recording_newton(system, z0, box, **kwargs):
+        if z0.shape[1] == 2:  # the seed run, not the fold polish
+            def system_seen(X, live):
+                lives.append(live.copy())
+                return system(X, live)
+            return newton(system_seen, z0, box, **kwargs)
+        return newton(system, z0, box, **kwargs)
+
+    monkeypatch.setattr(family_analysis._FamilyCalculus, "rootless_in_box", recording_subdivide)
+    monkeypatch.setattr(family_analysis, "_newton", recording_newton)
+    res = trace_birth_death(F, -1.0, 1.0, steps=41)
+    assert [e.index for e in res.events] == [0]
+    assert not family_analysis._calculus(F).rootless(ts[:, None], _seed_batch(F, ts)[2]).any()
+    (proven,) = proven_ts
+    assert np.array_equal(proven, ts[ts < 0.113]) and len(proven) == 23
+    stopped = np.flatnonzero(ts < 0.113)  # fibers in seed-run order: none is left out
+    step = family_analysis.PRUNE_STEP
+    assert np.isin(lives[step - 1] // m, stopped).sum() > 0
+    assert not any(np.isin(live // m, stopped).any() for live in lives[step:-1])
+    assert np.array_equal(lives[-1], np.arange(41 * m))
+
+
+_PRUNE_CASES = [(name, preset_family(name), 2.0, 41) for name in
+                ("cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1", "suspended-cusp-2")]
+_PRUNE_CASES += [("cubic-pair", _cubic_pair(0.37), 2.0, 41), ("rotated-cusp", _rotated_cusp(0.113), 2.0, 41),
+                 ("rotated-cusp-7", _rotated_cusp(0.113), 7.0, 101),
+                 ("tx-tx4-1e69", PolyFamily(1, 1, (((1, 1), -1.11), ((1, 4), -0.77))), 1e69, 5)]
+
+
+@pytest.mark.parametrize("name, F, half, steps", _PRUNE_CASES, ids=[c[0] for c in _PRUNE_CASES])
+def test_prune_changes_no_sample(monkeypatch, name, F, half, steps):
+    """_critical_points gives, bit for bit, the same points with the prune
+    hook as without it."""
+    box = [(-half, half)] * F.fiber_dim
+    ts = [(float(t),) for t in np.linspace(-1.0, 1.0, steps)]
+    pruned = family_analysis._critical_points(F, ts, box)
+    newton = family_analysis._newton
+    monkeypatch.setattr(family_analysis, "_newton",
+                        lambda system, z0, box, prune=None: newton(system, z0, box))
+    unpruned = family_analysis._critical_points(F, ts, box)
+    assert [[_point_bits(p) for p in pts] for pts in pruned] == \
+        [[_point_bits(p) for p in pts] for pts in unpruned]
+
+
+def test_fold_polish_rows_are_what_each_gives_alone(monkeypatch):
+    """The fold polish is one _newton batch; each of its rows gives, bit for
+    bit, what its candidate gives polished alone."""
+    refine = family_analysis._refine_fold
+    batches = []
+    monkeypatch.setattr(family_analysis, "_refine_fold",
+                        lambda calc, candidates, box: batches.append((calc, candidates, box))
+                        or refine(calc, candidates, box))
+    for _, F, _, _ in _PRUNE_CASES[:7]:
+        trace_birth_death(F, -1.0, 1.0)
+    assert len(batches) == 7 and max(len(c) for _, c, _ in batches) > 1
+    for calc, candidates, box in batches:
+        for c, got in zip(candidates, refine(calc, candidates, box)):
+            (alone,) = refine(calc, [c], box)
+            assert (got is None) == (alone is None)
+            if got is not None:
+                assert got[0] == alone[0] and got[1].tobytes() == alone[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # birth-death tracing
 
 
@@ -734,7 +881,8 @@ def test_trace_samples_are_the_fibers_alone(F, half, steps):
 def test_trace_one_newton_run_for_all_seeds(monkeypatch, name, steps):
     """The seed grids of all the grid values are one _newton batch: the
     fiber's seed grid once per value the interval bound leaves unproven, in
-    order.  Every other call is a fold polish, one row of (x, t)."""
+    order.  The one other call is the fold polish: one batch, a row of
+    (x, t) per candidate, with t in the window."""
     F = preset_family(name)
     d = F.fiber_dim
     calls = _newton_calls(monkeypatch, lambda: trace_birth_death(F, -1.0, 1.0, steps=steps))
@@ -750,7 +898,9 @@ def test_trace_one_newton_run_for_all_seeds(monkeypatch, name, steps):
     assert np.array_equal(z0, seeds)
     rows = np.arange(len(z0))
     assert system(z0, rows)[0].tobytes() == own_system(z0, rows)[0].tobytes()
-    assert all(z0.shape == (1, d + 1) for _, z0, _ in calls if z0.shape[1] != d)
+    (polish,) = [z0 for _, z0, _ in calls if z0.shape[1] != d]
+    assert polish.shape[0] >= 1 and polish.shape[1] == d + 1
+    assert ((polish[:, d] >= -1.0) & (polish[:, d] <= 1.0)).all()
 
 
 def test_pruned_fibers_are_logged_apart_from_unconverged_seeds(caplog):
