@@ -1048,12 +1048,10 @@ def family_to_json_dict(F: PolyFamily) -> dict:
 
 def family_from_json_dict(data: dict) -> PolyFamily:
     try:
-        k = int(data["param_dim"])
-        d = int(data["fiber_dim"])
-        terms = tuple(
-            (tuple(int(p) for p in item["powers"]), float(item["coeff"]))
-            for item in data["terms"]
-        )
+        k, d = data["param_dim"], data["fiber_dim"]
+        terms = tuple((tuple(item["powers"]), float(item["coeff"])) for item in data["terms"])
+        if any(type(n) is not int for n in (k, d, *(p for powers, _ in terms for p in powers))):
+            raise ValueError("param_dim, fiber_dim and powers must be integers")  # not 1.9 or true
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed family JSON: {e}") from e
     return PolyFamily(k, d, terms)

@@ -11,6 +11,11 @@ Critical jets split along the spectrum of q into negative / zero / positive
 blocks; a one-dimensional kernel with nonvanishing cubic on it is the
 birth-death stratum, modelled on x1^3 - sum_{j<=i+1} x_j^2 + sum x_k^2.
 
+A jet is validated once, where it is made: `Jet3(...)` checks its fields in
+`__post_init__`; `jet_from_json_dict` makes the same checks on the JSON and
+builds the record with `_checked_jet`, which skips them, as does the normal
+form for its reduced jet (a checked jet with a +-1/0 diagonal quadratic).
+
 numpy is imported at the first `np.<name>` a function evaluates, not when the
 module loads (see `_LazyNumpy`), so importing gmfkit, and running its series
 commands, never loads it.
@@ -88,6 +93,16 @@ class Jet3:
         object.__setattr__(self, "cubic", cub)
 
 
+def _checked_jet(dim: int, constant: float, linear, quadratic, cubic: dict) -> Jet3:
+    """The Jet3 of fields that already pass its checks and normalisations: float64
+    arrays of shapes (dim,) and (dim, dim), which are made read-only here."""
+    jet = object.__new__(Jet3)
+    linear.flags.writeable = quadratic.flags.writeable = False
+    jet.__dict__.update(dim=dim, constant=constant, linear=linear, quadratic=quadratic,
+                        cubic=cubic)
+    return jet
+
+
 @record
 class SpectralSplit:
     neg_dim: int
@@ -148,10 +163,11 @@ def jet_from_parts(dim, constant, linear, quadratic, tensor) -> Jet3:
     quad = (quad + quad.T) / 2.0
     cubic = {}
     d = int(dim)
+    tensor = np.asarray(tensor, dtype=float).tolist()
     for i in range(1, d + 1):
         for j in range(i, d + 1):
             for k in range(j, d + 1):
-                v = float(tensor[i - 1, j - 1, k - 1])
+                v = tensor[i - 1][j - 1][k - 1]
                 if v != 0.0:  # keeps a NaN entry, for Jet3 to reject
                     cubic[(i, j, k)] = v
     return Jet3(d, constant, np.asarray(linear, dtype=float), quad, cubic)
@@ -159,22 +175,23 @@ def jet_from_parts(dim, constant, linear, quadratic, tensor) -> Jet3:
 
 def compose_linear(jet: Jet3, M) -> Jet3:
     """The jet of p(Mx): substitute x -> Mx for a d x d matrix M."""
-    M = np.asarray(M, dtype=float).reshape(jet.dim, jet.dim)
+    d = jet.dim
+    M = np.asarray(M, dtype=float).reshape(d, d)
     lin = M.T @ jet.linear
     quad = M.T @ jet.quadratic @ M
-    T = np.einsum("abc,au,bv,cw->uvw", cubic_tensor(jet), M, M, M)
+    T = cubic_tensor(jet)
+    for _ in range(3):  # contract the leading axis with M: (a,b,c) -> (b,c,u) -> (c,u,v) -> (u,v,w)
+        T = T.reshape(d, d * d).T @ M
+    T = T.reshape(d, d, d)
     T = (T + T.transpose(0, 2, 1) + T.transpose(1, 0, 2)
          + T.transpose(1, 2, 0) + T.transpose(2, 0, 1) + T.transpose(2, 1, 0)) / 6.0
-    return jet_from_parts(jet.dim, jet.constant, lin, quad, T)
+    return jet_from_parts(d, jet.constant, lin, quad, T)
 
 
 def scale(jet: Jet3) -> float:
     """max(1, largest absolute coefficient)."""
-    m = max(abs(jet.constant), float(np.max(np.abs(jet.linear))),
-            float(np.max(np.abs(jet.quadratic))))
-    if jet.cubic:
-        m = max(m, max(abs(v) for v in jet.cubic.values()))
-    return max(1.0, m)
+    return max(1.0, abs(jet.constant), *map(abs, jet.linear.tolist()),
+               *map(abs, jet.quadratic.ravel().tolist()), *map(abs, jet.cubic.values()))
 
 
 def _check_tol(tol: float) -> None:
@@ -215,6 +232,7 @@ def restrict_cubic(jet: Jet3, v) -> float:
     v = np.asarray(v, dtype=float).reshape(jet.dim)
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError("v must be a unit vector")
+    v = v.tolist()
     val = 0.0
     for (i, j, k), c in jet.cubic.items():
         val += c * _multiplicity(i, j, k) * v[i - 1] * v[j - 1] * v[k - 1]
@@ -280,15 +298,14 @@ def birth_death_linear_normal_form(jet: Jet3, tol: float = DEFAULT_TOL) -> Norma
                         1.0 / np.sqrt(np.abs(np.delete(split.eigenvalues, i)))))
     reduced_raw = compose_linear(jet, U * s)
 
-    target_diag = np.array([0.0] + [-1.0] * i + [1.0] * (d - 1 - i))
     off = reduced_raw.quadratic - np.diag(np.diag(reduced_raw.quadratic))
     residual = max(float(np.max(np.abs(reduced_raw.linear))), float(np.max(np.abs(off))))
     for idx, v in reduced_raw.cubic.items():
         if idx != (1, 1, 1):
             residual = max(residual, abs(v))
 
-    reduced = Jet3(d, reduced_raw.constant, reduced_raw.linear, np.diag(target_diag),
-                   reduced_raw.cubic)
+    reduced = _checked_jet(d, reduced_raw.constant, reduced_raw.linear,
+                           np.diag([0.0] + [-1.0] * i + [1.0] * (d - 1 - i)), reduced_raw.cubic)
     return NormalFormResult(reduced=reduced, orthogonal=U, scaling=s,
                             residual=residual, index=i)
 
@@ -311,7 +328,9 @@ def jet_to_json_dict(jet: Jet3) -> dict:
 
 def jet_from_json_dict(data: dict) -> Jet3:
     try:
-        d = int(data["dim"])
+        d = data["dim"]
+        if type(d) is not int:  # JSON integers only: not 2.7, "2" or true
+            raise ValueError(f"dim {d!r} is not an integer")
         constant = float(data["constant"])
         linear = [float(v) for v in data["linear"]]
         quad_flat = [float(v) for v in data["quadratic"]]
@@ -322,8 +341,8 @@ def jet_from_json_dict(data: dict) -> Jet3:
         raise IndexError(f"linear part has {len(linear)} entries, expected {d}")
     if len(quad_flat) != d * d:
         raise IndexError(f"quadratic part has {len(quad_flat)} entries, expected {d * d}")
-    # Jet3 repeats these checks, but raises ValueError (exit 2) for all: here a non-finite
-    # coefficient is exit 2 before an asymmetric matrix or out-of-range index is exit 3
+    # the checks Jet3 makes, with the CLI's exit codes: a non-finite coefficient is
+    # exit 2 before an asymmetric matrix or out-of-range index is exit 3
     if not all(map(math.isfinite, [constant, *linear, *quad_flat])):
         raise ValueError("jet coefficients must be finite")
     quad = np.array(quad_flat).reshape(d, d)
@@ -332,13 +351,17 @@ def jet_from_json_dict(data: dict) -> Jet3:
     cubic = {}
     for item in cubic_items:
         try:
-            i, j, k = (int(v) for v in item["idx"])
+            idx = i, j, k = item["idx"]
             coeff = float(item["coeff"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"malformed cubic term: {e}") from e
+        if not type(i) is type(j) is type(k) is int:
+            raise ValueError(f"cubic index {idx!r} is not three integers")
         if not math.isfinite(coeff):
             raise ValueError(f"non-finite cubic coefficient {coeff}")
         if not (1 <= i <= j <= k <= d):
             raise IndexError(f"cubic index {(i, j, k)} out of range for dim {d}")
         cubic[(i, j, k)] = coeff
-    return Jet3(d, constant, np.array(linear), quad, cubic)
+    if d < 1:  # last, where Jet3 made it: dim 0 with a cubic term stays exit 3
+        raise ValueError("dimension must be >= 1")
+    return _checked_jet(d, constant, np.array(linear), quad, cubic)

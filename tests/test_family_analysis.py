@@ -1016,6 +1016,19 @@ def test_family_json_errors():
         })
 
 
+def test_family_json_rejects_non_integral_integers():
+    """param_dim, fiber_dim and every power must be JSON integers: not truncated."""
+    good = {"param_dim": 1, "fiber_dim": 1, "terms": [{"powers": [0, 3], "coeff": 1.0}]}
+    assert family_from_json_dict(good) == PolyFamily(1, 1, (((0, 3), 1.0),))
+    bad = [{"param_dim": 1.0}, {"param_dim": True}, {"fiber_dim": 1.9}, {"fiber_dim": "1"},
+           {"terms": [{"powers": [0, 3.7], "coeff": 1.0}]},
+           {"terms": [{"powers": [0, True], "coeff": 1.0}]},
+           {"terms": [{"powers": "03", "coeff": 1.0}]}]
+    for defect in bad:
+        with pytest.raises(ValueError):
+            family_from_json_dict({**good, **defect})
+
+
 def test_event_record_fields():
     ev = BirthDeathEvent(0.0, np.zeros(1), 0, 0.0)
     assert ev.t_star == 0.0 and ev.index == 0

@@ -229,6 +229,46 @@ def test_compose_linear_matches_pointwise():
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+def _einsum_compose(jet: Jet3, M) -> Jet3:
+    """compose_linear's partner: T(M., M., M.) as one four-operand einsum, then symmetrised."""
+    T = np.einsum("abc,au,bv,cw->uvw", _dense_cubic(jet), M, M, M)
+    T = sum(T.transpose(p) for p in
+            [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]) / 6.0
+    return jet_from_parts(jet.dim, jet.constant, M.T @ jet.linear,
+                          M.T @ jet.quadratic @ M, T)
+
+
+def test_compose_linear_matches_the_einsum_partner():
+    rng = np.random.default_rng(71)
+    strata = ("regular", "nondegenerate", "birth-death", "kernel-cubic-vanishes", "kernel-dim-2")
+    for _ in range(40):
+        for d in range(1, 6):
+            for stratum in strata[:4] if d == 1 else strata:
+                jet = _stratified_jet(rng, d, stratum)
+                M = rng.normal(size=(d, d))
+                if stratum != "regular":  # keep the stratum: an orthogonal M times a scaling
+                    M = _random_orthogonal(rng, d) * rng.uniform(0.5, 2.0, size=d)
+                got, want = compose_linear(jet, M), _einsum_compose(jet, M)
+                assert np.array_equal(got.linear, want.linear)
+                assert np.array_equal(got.quadratic, want.quadratic)
+                assert np.max(np.abs(_dense_cubic(got) - _dense_cubic(want))) <= 1e-12 * scale(want)
+                assert _as_tuple(classify(got)) == _as_tuple(classify(want))
+                a, b = spectral_split(got.quadratic), spectral_split(want.quadratic)
+                assert (a.neg_dim, a.zero_dim, a.pos_dim) == (b.neg_dim, b.zero_dim, b.pos_dim)
+                if stratum != "birth-death":
+                    continue
+                nf = birth_death_linear_normal_form(jet)
+                red = _einsum_compose(jet, nf.orthogonal * nf.scaling)
+                i = nf.index
+                assert (classify(jet).index, classify(red).index) == (i, i)
+                assert np.array_equal(nf.reduced.quadratic,
+                                      np.diag([0.0] + [-1.0] * i + [1.0] * (d - 1 - i)))
+                assert nf.reduced.cubic[(1, 1, 1)] == pytest.approx(1.0, abs=1e-9)
+                assert red.cubic[(1, 1, 1)] == pytest.approx(1.0, abs=1e-9)
+                assert np.max(np.abs(_dense_cubic(nf.reduced) - _dense_cubic(red))) \
+                    <= 1e-12 * scale(red)
+
+
 # ---------------------------------------------------------------------------
 # spectral split
 
@@ -606,6 +646,68 @@ def test_jet_json_error_classes():
 
     with pytest.raises(ValueError):
         jet_from_json_dict({**good, "cubic": [{"idx": [1, 1, 2]}]})
+
+
+def test_jet_json_parse_skips_no_check():
+    """The parser builds its Jet3 without __post_init__: each defect Jet3 rejects is
+    rejected by the parser too, with the class the CLI maps to its exit code."""
+    good = {"dim": 2, "constant": 0.0, "linear": [0.0, 0.0], "quadratic": [1.0, 0.0, 0.0, 1.0],
+            "cubic": [{"idx": [1, 1, 2], "coeff": 1.0}]}
+    nan, inf = float("nan"), float("inf")
+    cases = [  # (the defect in JSON, the same defect as Jet3 fields, the parser's class)
+        ({"dim": 0, "linear": [], "quadratic": [], "cubic": []},
+         dict(dim=0, linear=[], quadratic=np.zeros((0, 0)), cubic={}), ValueError),
+        ({"constant": inf}, dict(constant=inf), ValueError),
+        ({"linear": [0.0, nan]}, dict(linear=[0.0, nan]), ValueError),
+        ({"quadratic": [1.0, 0.0, 0.0, -inf]}, dict(quadratic=[[1.0, 0.0], [0.0, -inf]]),
+         ValueError),
+        ({"cubic": [{"idx": [1, 1, 2], "coeff": nan}]}, dict(cubic={(1, 1, 2): nan}),
+         ValueError),
+        ({"quadratic": [1.0, 2.0, 0.0, 1.0]}, dict(quadratic=[[1.0, 2.0], [0.0, 1.0]]),
+         IndexError),
+        ({"cubic": [{"idx": [2, 1, 1], "coeff": 1.0}]}, dict(cubic={(2, 1, 1): 1.0}),
+         IndexError),
+        ({"cubic": [{"idx": [1, 2, 3], "coeff": 1.0}]}, dict(cubic={(1, 2, 3): 1.0}),
+         IndexError),
+        ({"cubic": [{"idx": [0, 1, 1], "coeff": 1.0}]}, dict(cubic={(0, 1, 1): 1.0}),
+         IndexError),
+    ]
+    fields = dict(dim=2, constant=0.0, linear=[0.0, 0.0], quadratic=np.eye(2),
+                  cubic={(1, 1, 2): 1.0})
+    for defect, jet_defect, cls in cases:
+        with pytest.raises(ValueError):
+            Jet3(**{**fields, **jet_defect})
+        with pytest.raises(cls):
+            jet_from_json_dict({**good, **defect})
+    # a non-integral dim or cubic index is malformed (exit 2), never truncated
+    for dim in (2.7, 2.0, "2", True):
+        with pytest.raises(ValueError):
+            jet_from_json_dict({**good, "dim": dim})
+    for idx in ([1.5, 2, 2], [1.0, 1, 2], ["1", 1, 2], [True, 1, 2], [1, 1], [1, 1, 2, 2]):
+        with pytest.raises(ValueError):
+            jet_from_json_dict({**good, "cubic": [{"idx": idx, "coeff": 1.0}]})
+
+
+def test_parsed_jet_equals_the_validated_jet():
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        d = int(rng.integers(1, 6))
+        data = json.loads(json.dumps(jet_to_json_dict(_random_jet(rng, d))))
+        parsed = jet_from_json_dict(data)
+        built = Jet3(data["dim"], data["constant"], data["linear"],
+                     np.reshape(data["quadratic"], (d, d)),
+                     {tuple(t["idx"]): t["coeff"] for t in data["cubic"]})
+        assert type(parsed.dim) is int and parsed.dim == built.dim == d
+        assert type(parsed.constant) is float and parsed.constant == built.constant
+        for got, want in ((parsed.linear, built.linear), (parsed.quadratic, built.quadratic)):
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 5.0
+        assert parsed.cubic == built.cubic
+        assert all(type(n) is int for idx in parsed.cubic for n in idx)
+        assert all(type(v) is float for v in parsed.cubic.values())
 
 
 def test_classification_json_shape():
