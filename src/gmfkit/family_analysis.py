@@ -8,15 +8,17 @@ names in one call per batch of points, on one shared table of powers.
 Critical points are found by Newton iteration from a seed grid, with guards
 that act seed by seed; a trace runs the seed grids of all its parameter
 values as one batch, so its memory grows with the number of values; seeds
-that converge to the same floats are merged before any distance is taken.  A
-fiber whose gradient a natural interval bound keeps away from zero on the
-whole region Newton can reach has no critical point there, and its seeds are
-left out of the batch; this covers the fibers on the side of a birth-death
-value without the cancelling pair, but not a gradient whose entries mix odd
-powers of several coordinates (the rotated cusp), where no single
-coordinate interval excludes zero.  A fiber none of whose seeds has reached
-a point of the box after a few Newton steps gets the same bound on a
-bisection of the box instead, and its seeds stop if every sub-box is
+that converge to the same floats are merged before any distance is taken.
+Where a family is quadratic in some fiber coordinates, Newton's first step
+solves those exactly, and the seeds of a fiber that then coincide run on as
+one.  A fiber whose gradient a natural interval bound keeps away from zero
+on the whole region Newton can reach has no critical point there, and its
+seeds are left out of the batch; this covers the fibers on the side of a
+birth-death value without the cancelling pair, but not a gradient whose
+entries mix odd powers of several coordinates (the rotated cusp), where no
+single coordinate interval excludes zero.  A fiber none of whose seeds has
+reached a point of the box after a few Newton steps gets the same bound on
+a bisection of the box instead, and its seeds stop if every sub-box is
 excluded.
 Birth-death parameter values start as grid-scale candidates (critical-point
 count changes, and sign changes or local minima of the smallest-magnitude
@@ -42,6 +44,7 @@ from .jet_core import (
     DEGENERATE,
     GmfClass,
     Jet3,
+    _integer,
     _LazyNumpy,
     classify,
     jet_from_parts,
@@ -76,19 +79,19 @@ class PolyFamily:
     terms: tuple
 
     def __post_init__(self):
-        k, d = int(self.param_dim), int(self.fiber_dim)
+        k, d = _integer(self.param_dim, "param_dim"), _integer(self.fiber_dim, "fiber_dim")
         if k < 0 or d < 1:
             raise ValueError("need param_dim >= 0 and fiber_dim >= 1")
         norm = []
         for powers, coeff in self.terms:
-            powers = tuple(int(p) for p in powers)
+            powers = tuple(_integer(p, "power") for p in powers)
             if len(powers) != k + d or any(p < 0 for p in powers):
                 raise ValueError(f"bad powers {powers} for param_dim={k}, fiber_dim={d}")
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff} at powers {powers}")
             norm.append((powers, coeff))
-        object.__setattr__(self, "terms", tuple(norm))
+        vars(self).update(param_dim=k, fiber_dim=d, terms=tuple(norm))
 
 
 def _diff_terms(terms, var):
@@ -391,7 +394,7 @@ class CriticalPoint:
     grad_norm: float
 
 
-def _newton(system, z0, box, prune=None):
+def _newton(system, z0, box, prune=None, group=None):
     """Newton iteration for system(Z, live) = (residuals, Jacobians), run
     from every row of the (m, n) start array z0 at once.
 
@@ -402,6 +405,11 @@ def _newton(system, z0, box, prune=None):
     run, such as each row's parameter value.  Row i of the returned (m, n)
     array is run i's final iterate if its residual norm is within
     NEWTON_TOL, else the last iterate of run i that was, else NaN.
+
+    group, if given, holds one integer per row; system and prune must treat
+    the rows of a group alike.  After the first step, the live rows of a
+    group with bit-equal iterates run on as the lowest of them, whose later
+    iterates the others take: each row still gets what it gets alone.
 
     Iteration continues after the residual criterion is met: at a multiple
     root Newton converges only linearly and stops far from the point if cut
@@ -423,13 +431,25 @@ def _newton(system, z0, box, prune=None):
     d = len(lo)
     reach = _reach(lo, hi)
     best = np.full_like(Z, np.nan)
-    live = np.arange(len(Z))
+    live, src = np.arange(len(Z)), np.arange(len(Z))  # src: the row each row follows
+    own = None  # after the merge: best as the first step left it; best holds later ones
+
+    def reached(best):  # each row's last iterate within NEWTON_TOL
+        return best if own is None else np.where(np.isnan(best[src, :1]), own, best[src])
+
     with np.errstate(over="ignore"):  # norms that overflow end the run below
-        for step in range(MAX_ITER):
-            if step == PRUNE_STEP and prune is not None:
-                live = prune(live, best)
+        for k in range(MAX_ITER):
+            if k == PRUNE_STEP and prune is not None:
+                live = prune(live, reached(best))
             if not live.size:
                 break
+            if k == 1 and group is not None:
+                key = np.column_stack((group[live], Z[live].view(np.int64)))
+                key = key.view(f"V{key.shape[1] * key.itemsize}").ravel().tolist()
+                first = dict(zip(key[::-1], live[::-1].tolist()))  # the lowest row wins
+                src[live] = list(map(first.__getitem__, key))
+                live = live[src[live] == live]
+                own, best = best, np.full_like(best, np.nan)
             z = Z[live]
             r, J = system(z, live)
             res_norm = _row_norms(r)
@@ -444,6 +464,7 @@ def _newton(system, z0, box, prune=None):
             Z[live] = zn
             moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
             live = live[moving]
+        Z, best = Z[src], reached(best)
         done = _row_norms(system(Z, np.arange(len(Z)))[0]) <= NEWTON_TOL
     return np.where(done[:, None], Z, best)
 
@@ -543,8 +564,11 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     The seed grids of all the fibers are one batch of rows for _newton, each
     row with its own parameter value and its own guards, and the jets of all
     the points kept come from one evaluation, after _dedup has dropped each
-    fiber's repeated and near rows.  A row's result does not depend
-    on the other rows, so each list is what its fiber would give alone.  The
+    fiber's repeated and near rows.  A row's result does not depend on the
+    other rows, so each list is what its fiber would give alone.  Its group
+    is its fiber: where the family is quadratic in some coordinates (the
+    suspended cusps and the cubic pair, not the cusp, swallowtail or rotated
+    cusp), the seeds that differ only there run once after the first step.  The
     fibers that rootless proves to have no critical point leave their seed
     grids out of the batch: every one of those rows would end NaN, and they
     read NaN without running.
@@ -594,7 +618,7 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
 
     Z = np.full((len(ts), m, d), np.nan)
     Z[run] = _newton(system, np.tile(seeds, (len(ts) - pruned, 1)), (lo, hi),
-                     prune=prune).reshape(-1, m, d)
+                     prune=prune, group=np.arange(len(params)) // m).reshape(-1, m, d)
     kept = []  # per fiber, the deduplicated in-box points
     for Zt in Z:
         converged = np.isfinite(Zt).all(axis=1)
@@ -1050,8 +1074,6 @@ def family_from_json_dict(data: dict) -> PolyFamily:
     try:
         k, d = data["param_dim"], data["fiber_dim"]
         terms = tuple((tuple(item["powers"]), float(item["coeff"])) for item in data["terms"])
-        if any(type(n) is not int for n in (k, d, *(p for powers, _ in terms for p in powers))):
-            raise ValueError("param_dim, fiber_dim and powers must be integers")  # not 1.9 or true
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed family JSON: {e}") from e
     return PolyFamily(k, d, terms)

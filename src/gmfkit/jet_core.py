@@ -24,6 +24,7 @@ commands, never loads it.
 from __future__ import annotations
 
 import math
+import operator
 
 from ._record import record
 
@@ -66,7 +67,7 @@ class Jet3:
     cubic: dict
 
     def __post_init__(self):
-        d = int(self.dim)
+        d = _integer(self.dim, "dim")
         if d < 1:
             raise ValueError("dimension must be >= 1")
         c = float(self.constant)
@@ -79,9 +80,11 @@ class Jet3:
         cub = {}
         for idx, v in dict(self.cubic).items():
             i, j, k = idx
+            if not type(i) is type(j) is type(k) is int:
+                i, j, k = (_integer(n, "cubic index entry") for n in idx)
             if not (1 <= i <= j <= k <= d):
                 raise ValueError(f"cubic index {idx} not a sorted 1-based triple in range")
-            cub[(int(i), int(j), int(k))] = float(v)
+            cub[(i, j, k)] = float(v)
         if not all(map(math.isfinite, cub.values())):
             raise ValueError("jet coefficients must be finite")
         lin.flags.writeable = False
@@ -91,6 +94,16 @@ class Jet3:
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", quad)
         object.__setattr__(self, "cubic", cub)
+
+
+def _integer(n, what) -> int:
+    """n as an int: an int or numpy integer; a bool, float (2.0 too) or str is ValueError."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {n!r} is not an integer")
 
 
 def _checked_jet(dim: int, constant: float, linear, quadratic, cubic: dict) -> Jet3:

@@ -664,13 +664,13 @@ _PRUNE_CASES += [("cubic-pair", _cubic_pair(0.37), 2.0, 41), ("rotated-cusp", _r
 @pytest.mark.parametrize("name, F, half, steps", _PRUNE_CASES, ids=[c[0] for c in _PRUNE_CASES])
 def test_prune_changes_no_sample(monkeypatch, name, F, half, steps):
     """_critical_points gives, bit for bit, the same points with the prune
-    hook as without it."""
+    hook and the merged rows as without either."""
     box = [(-half, half)] * F.fiber_dim
     ts = [(float(t),) for t in np.linspace(-1.0, 1.0, steps)]
     pruned = family_analysis._critical_points(F, ts, box)
     newton = family_analysis._newton
     monkeypatch.setattr(family_analysis, "_newton",
-                        lambda system, z0, box, prune=None: newton(system, z0, box))
+                        lambda system, z0, box, prune=None, group=None: newton(system, z0, box))
     unpruned = family_analysis._critical_points(F, ts, box)
     assert [[_point_bits(p) for p in pts] for pts in pruned] == \
         [[_point_bits(p) for p in pts] for pts in unpruned]
@@ -693,6 +693,143 @@ def test_fold_polish_rows_are_what_each_gives_alone(monkeypatch):
             assert (got is None) == (alone is None)
             if got is not None:
                 assert got[0] == alone[0] and got[1].tobytes() == alone[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# seed rows that coincide after the first Newton step run once
+
+
+def _counting(system):
+    """system, and the list of the live row counts it is called with."""
+    counts = []
+
+    def counted(X, live):
+        counts.append(len(live))
+        return system(X, live)
+
+    return counted, counts
+
+
+@pytest.mark.parametrize("name, F, half, steps", _PRUNE_CASES, ids=[c[0] for c in _PRUNE_CASES])
+def test_grouped_seed_run_is_the_ungrouped_one(name, F, half, steps):
+    """With each row grouped by its fiber, the seed batch's _newton output is,
+    bit for bit and NaN for NaN, what it is without groups, and so is what a
+    prune hook is handed: the fibers with a live row and the best iterates.
+    The families quadratic in some coordinates evaluate fewer rows."""
+    system, seeds, box = _seed_batch(F, np.linspace(-1.0, 1.0, steps), half)
+    m = family_analysis._auto_grid(F.fiber_dim) ** F.fiber_dim
+    seen = []
+
+    def prune(live, best):
+        seen.append((set((live // m).tolist()), best.tobytes()))
+        return live
+
+    counted, grouped_rows = _counting(system)
+    grouped = family_analysis._newton(counted, seeds, box, prune, group=np.arange(len(seeds)) // m)
+    counted, rows = _counting(system)
+    assert grouped.tobytes() == family_analysis._newton(counted, seeds, box, prune).tobytes()
+    assert len(seen) in (0, 2) and seen[:1] == seen[1:]
+    assert sum(grouped_rows) <= sum(rows)
+    if name.startswith("suspended-cusp") or name == "cubic-pair":
+        assert 2 * sum(grouped_rows) < sum(rows), name
+
+
+def _step_table_system(tables, group):
+    """A one-coordinate system with no parameter whose Newton step from z,
+    for a row of group g, is tables[g][z] = (residual, step), else (1, 1).
+    Residuals and steps are powers of two, so every step lands exactly, and
+    a residual of 2^-40 is within NEWTON_TOL."""
+    def system(Z, live):
+        r, s = np.array([tables[g].get(z, (1.0, 1.0))
+                         for g, z in zip(group[live].tolist(), Z[:, 0].tolist())]).reshape(-1, 2).T
+        return r[:, None], (r / s)[:, None, None]
+    return system
+
+
+def _assert_rows_alone(system, seeds, group):
+    """Each row of the grouped run gives what it gives alone, and the run
+    evaluates fewer rows from its second step on."""
+    counted, counts = _counting(system)
+    out = family_analysis._newton(counted, seeds, (np.array([-1.0]), np.array([1.0])), group=group)
+    for i in range(len(seeds)):
+        alone = family_analysis._newton(lambda X, live: system(X, live + i), seeds[i:i + 1],
+                                        (np.array([-1.0]), np.array([1.0])))
+        assert out[i].tobytes() == alone[0].tobytes(), i
+    assert counts[1] < counts[0]
+    return out[:, 0]
+
+
+def test_merged_rows_keep_their_own_first_iterate():
+    """Rows that meet after the first step and never converge again: a row
+    whose seed was within NEWTON_TOL keeps its seed whether it leads or
+    follows, and the other row ends NaN."""
+    tiny = 2.0 ** -40
+    table = {0.5: (tiny, 0.5)}  # 1.0 and 0.5 both step to 0.0, which steps off by 1s
+    seeds = np.array([[1.0], [0.5], [0.5], [1.0]])
+    group = np.array([0, 0, 1, 1])
+    out = _assert_rows_alone(_step_table_system([table, table], group), seeds, group)
+    assert np.isnan(out[[0, 3]]).all() and (out[[1, 2]] == 0.5).all()
+
+
+def test_merged_rows_take_the_later_converged_iterate():
+    """Rows that meet after the first step and later pass NEWTON_TOL at an
+    iterate they then leave: every row ends on that iterate, the one whose
+    seed was within NEWTON_TOL too."""
+    tiny = 2.0 ** -40
+    table = {0.5: (tiny, 0.5), 0.0: (1.0, -0.25), 0.25: (tiny, 1.0)}  # 0.0 -> 0.25 -> -0.75 -> ...
+    seeds = np.array([[1.0], [0.5], [0.5], [1.0]])
+    group = np.array([0, 0, 1, 1])
+    out = _assert_rows_alone(_step_table_system([table, table], group), seeds, group)
+    assert (out == 0.25).all()
+
+
+def test_rows_of_different_groups_are_not_merged():
+    """Rows of two groups that meet on one iterate but whose data differ
+    from there run apart.  In the cubic pair's 41-value batch, rows of
+    different fibers coincide after the first step, and the grouped run is
+    still the ungrouped one."""
+    tiny = 2.0 ** -40
+    tables = [{0.0: (1.0, -0.25), 0.25: (tiny, 0.25)}, {}]  # group 0 cycles 0.0 <-> 0.25, group 1 leaves
+    seeds = np.array([[1.0], [1.0], [1.0]])
+    group = np.array([0, 1, 1])
+    out = _assert_rows_alone(_step_table_system(tables, group), seeds, group)
+    assert out[0] == 0.25 and np.isnan(out[1:]).all()
+
+    system, seeds, box = _seed_batch(_cubic_pair(0.37), np.linspace(-1.0, 1.0, 41))
+    group = np.arange(len(seeds)) // 64
+    r, J = system(seeds, np.arange(len(seeds)))
+    first = seeds - family_analysis._solve_rows(J, r)[0]
+    fiber_of = {}
+    for g, z in zip(group.tolist(), map(tuple, first.tolist())):
+        fiber_of.setdefault(z, set()).add(g)
+    assert any(len(fibers) > 1 for fibers in fiber_of.values())
+    assert family_analysis._newton(system, seeds, box, group=group).tobytes() == \
+        family_analysis._newton(system, seeds, box).tobytes()
+
+
+def test_suspended_cusp_seed_run_solves_a_quarter_of_the_rows(monkeypatch):
+    """On the benchmark's suspended-cusp-1 window the seed run hands
+    _solve_rows at most a quarter of the rows it does unmerged, and the
+    count repeats exactly."""
+    F = preset_family("suspended-cusp-1")
+    ts = [(float(t),) for t in np.linspace(-1.0, 1.0, 41)]
+    solve, counts = family_analysis._solve_rows, []
+
+    def counting(J, r):
+        counts[-1] += len(r)
+        return solve(J, r)
+
+    monkeypatch.setattr(family_analysis, "_solve_rows", counting)
+    for _ in range(2):
+        counts.append(0)
+        family_analysis._critical_points(F, ts, [(-2.0, 2.0)] * 3)
+    newton = family_analysis._newton
+    monkeypatch.setattr(family_analysis, "_newton",
+                        lambda system, z0, box, prune=None, group=None: newton(system, z0, box, prune))
+    counts.append(0)
+    family_analysis._critical_points(F, ts, [(-2.0, 2.0)] * 3)
+    merged, again, unmerged = counts
+    assert merged == again and 4 * merged <= unmerged == 11904
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1164,31 @@ def test_family_json_rejects_non_integral_integers():
     for defect in bad:
         with pytest.raises(ValueError):
             family_from_json_dict({**good, **defect})
+
+
+def test_constructors_reject_non_integral_integers():
+    """PolyFamily's dimensions and powers and Jet3's dim and cubic index
+    entries must be ints or numpy integers: a float, 2.0 too, a bool or a
+    str is ValueError, not truncated or read, and PolyFamily stores ints."""
+    from gmfkit.jet_core import Jet3
+
+    with pytest.raises(ValueError):
+        PolyFamily(1, 1.9, (((0, 3.7), 1.0),))
+    with pytest.raises(ValueError):
+        Jet3(2.7, 0.0, [0.0, 0.0], np.eye(2), {(1.5, 2, 2): 1.0})
+    for k, d, power in [(1, 1, 3.7), (1, 2.0, 3), (True, 1, 3), (1, "1", 3), (1, 1, True), (1.0, 1, 3)]:
+        with pytest.raises(ValueError):
+            PolyFamily(k, d, (((0, power) + (0,) * (int(d) - 1), 1.0),))
+    for dim, idx in [(2.0, (1, 2, 2)), (True, (1, 1, 1)), ("2", (1, 2, 2)), (2, (1.5, 2, 2)),
+                     (2, (1, 2.0, 2)), (2, (True, 2, 2)), (2, (1, 2, "2"))]:
+        with pytest.raises(ValueError):
+            Jet3(dim, 0.0, np.zeros(int(dim)), np.eye(int(dim)), {idx: 1.0})
+    F = PolyFamily(np.int64(1), np.int64(1), (((np.int64(0), np.int64(3)), 1.0),))
+    assert F == PolyFamily(1, 1, (((0, 3), 1.0),))
+    assert type(F.param_dim) is type(F.fiber_dim) is type(F.terms[0][0][1]) is int
+    jet = Jet3(np.int64(2), 0.0, [0.0, 0.0], np.eye(2), {(np.int64(1), 2, np.int32(2)): 1.0})
+    assert type(jet.dim) is int and list(jet.cubic) == [(1, 2, 2)]
+    assert all(type(i) is int for i in next(iter(jet.cubic)))
 
 
 def test_event_record_fields():
