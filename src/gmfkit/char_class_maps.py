@@ -46,9 +46,12 @@ from .graded_f2 import DEFAULT_TRUNCATION, GradedMap, MonomialBasis, _partition_
 
 def _bo_product(ranks, N: int) -> MonomialBasis:
     """H*(BO(m_0) x BO(m_1) x ...) up to degree N."""
-    return MonomialBasis(
-        [(f"w{j}[{p}]", j) for p, m in enumerate(ranks) for j in range(1, m + 1)], N
-    )
+    return MonomialBasis([(f"w{j}[{p}]", j) for p, m in enumerate(ranks) for j in range(1, m + 1)], N)
+
+
+def _product_dims(ranks, N: int) -> tuple:
+    """dim H_n(BO(m_0) x BO(m_1) x ...), n = 0..N: partitions into parts 1..m_p."""
+    return _partition_counts([k for m in ranks for k in range(1, m + 1)], N).coeffs
 
 
 class _Block:
@@ -123,10 +126,8 @@ class RingMap:
 
     def homology_map(self) -> GradedMap:
         j, i, d, N = self.j, self.i, self.d, self.N
-        # the dimensions: partitions into the blocks' generator degrees 1..m
-        Y = _partition_counts([*range(1, j + 1), *range(1, d - j + 1)], N)
-        Y1 = _partition_counts([*range(1, i + 1), 1, *range(1, d - i)], N)
-        return GradedMap(N, self.images, list(zip(Y.coeffs, Y1.coeffs)))
+        shapes = zip(_product_dims((j, d - j), N), _product_dims((i, 1, d - i - 1), N))
+        return GradedMap(N, self.images, list(shapes))
 
 
 # the tests and criterion 4 read the rings of f_0, g_0, f_1, ... in turn:
@@ -154,8 +155,8 @@ def _line_tables(i: int, d: int, N: int) -> tuple:
     return _tables(d, N)
 
 
-def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
-    """H*(Y(i)) -> H*(Y1(i)): identity on BO(i), line summed into BO(d-i).
+def f_levels(i: int, d: int, N: int = DEFAULT_TRUNCATION):
+    """map_f(i, d, N).images, degree n's list made when the generator reaches it.
 
     m_mu * a^k * m_nu (codomain slots: BO(i), a, BO(d-i-1)) is in the image
     of m_mu * m_{nu + k} alone.
@@ -163,29 +164,26 @@ def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     blocks, insertions = _line_tables(i, d, N)
     outer, inner, upper = blocks[i], blocks[d - i - 1], blocks[d - i]
     ins = insertions[d - i - 1]
-    # run[c]: the BO(d-i) index of nu + k, for (k, nu) of degree c in Y1 order
-    run = [[upper.local[ins[p][k]] for k in range(c + 1) for p in inner.members[c - k]]
-           for c in range(N + 1)]
-    images = []
+    run = []  # run[c]: the BO(d-i) index of nu + k, for (k, nu) of degree c in Y1 order
     for n in range(N + 1):
+        run.append([upper.local[ins[p][k]] for k in range(n + 1) for p in inner.members[n - k]])
         level, base = [], 0
         for a in outer.degrees:
             if a <= n:
                 level += map(base.__add__, run[n - a])
                 base += upper.dims[n - a]
-        images.append(level)
-    return RingMap(i, i, d, N, images)
+        yield level
 
 
-def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
-    """H*(Y(i+1)) -> H*(Y1(i)): line summed into BO(i+1), identity on BO(d-i-1).
+def g_levels(i: int, d: int, N: int = DEFAULT_TRUNCATION):
+    """map_g(i, d, N).images, one degree at a time, as f_levels.
 
     m_mu * a^k * m_nu is in the image of m_{mu + k} * m_nu alone.
     """
     blocks, insertions = _line_tables(i, d, N)
     outer, inner, upper = blocks[i], blocks[d - i - 1], blocks[i + 1]
     ins = insertions[i]
-    images, low = [], []
+    low = []
     for n in range(N + 1):
         # off[p]: the index in Y(i+1)_n where the run under upper's element p starts
         width = inner.dims[n::-1] + [0] * (N - n)
@@ -197,5 +195,14 @@ def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
             for k in range(n - a + 1):
                 o = off[row[k]]
                 level += range(o, o + inner.dims[n - a - k])
-        images.append(level)
-    return RingMap(i + 1, i, d, N, images)
+        yield level
+
+
+def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
+    """H*(Y(i)) -> H*(Y1(i)): identity on BO(i), line summed into BO(d-i)."""
+    return RingMap(i, i, d, N, list(f_levels(i, d, N)))
+
+
+def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
+    """H*(Y(i+1)) -> H*(Y1(i)): line summed into BO(i+1), identity on BO(d-i-1)."""
+    return RingMap(i + 1, i, d, N, list(g_levels(i, d, N)))

@@ -465,7 +465,8 @@ def _newton(system, z0, box, prune=None, group=None):
             moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
             live = live[moving]
         Z, best = Z[src], reached(best)
-        done = _row_norms(system(Z, np.arange(len(Z)))[0]) <= NEWTON_TOL
+        lead = np.flatnonzero(src == np.arange(len(Z)))  # a merged row's verdict is its leader's
+        done = (_row_norms(system(Z[lead], lead)[0]) <= NEWTON_TOL)[np.searchsorted(lead, src)]
     return np.where(done[:, None], Z, best)
 
 

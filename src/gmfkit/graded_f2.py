@@ -105,9 +105,7 @@ def series_equal(a: PoincareSeries, b: PoincareSeries, up_to: int | None = None)
     hi = min(a.truncation, b.truncation)
     if up_to is not None:
         if up_to > hi:
-            raise ValueError(
-                f"comparison to degree {up_to} exceeds a truncation ({hi})"
-            )
+            raise ValueError(f"comparison to degree {up_to} exceeds a truncation ({hi})")
         hi = up_to
     lo = min(a.min_degree, b.min_degree)
     for n in range(lo, hi + 1):
@@ -301,6 +299,14 @@ class MonomialBasis:
         return len(self.basis(n))
 
 
+def _check_level(n: int, img, nt: int, ns: int) -> None:
+    """Degree n of an index map: ns images, each a target index in 0..nt-1."""
+    if len(img) != ns:
+        raise ValueError(f"degree {n}: {len(img)} images for {ns} source elements")
+    if img and not 0 <= min(img) <= max(img) < nt:
+        raise ValueError(f"degree {n}: target index outside 0..{nt - 1}")
+
+
 @record
 class GradedMap:
     """A map of graded F2 vector spaces, degrees 0..N, that sends each source
@@ -319,10 +325,7 @@ class GradedMap:
         if len(self.images) != self.N + 1 or len(self.shapes) != self.N + 1:
             raise ValueError("need one map per degree 0..N")
         for n, (img, (nt, ns)) in enumerate(zip(self.images, self.shapes)):
-            if len(img) != ns:
-                raise ValueError(f"degree {n}: {len(img)} images for {ns} source elements")
-            if img and not 0 <= min(img) <= max(img) < nt:
-                raise ValueError(f"degree {n}: target index outside 0..{nt - 1}")
+            _check_level(n, img, nt, ns)
 
     @cached_property
     def rows(self) -> list:

@@ -25,11 +25,12 @@ and the cofiber of collapsing the disjoint union of the Y(j) to a point is
 t * S: H(Y(j)) maps onto coker(Phi_n), so the pair's long exact sequence
 leaves C_n = S_{n-1} whatever the ranks are.
 
-The zigzag itself is built only by the verify checks, as the closed form's
-geometric partner: its maps are read off the enumerated rings
-(char_class_maps), the ranks of Phi_n are counted by union-find, and
-sigma_mf_cofibration_check compares both the ranks and the Mayer-Vietoris
-series with the closed form.
+The verify checks read the zigzag, the closed form's geometric partner, one
+degree at a time: each map's degree-n image list is enumerated from the
+single-block tables (char_class_maps), checked, ranked into Phi_n by
+union-find and dropped before the next, and sigma_mf_cofibration_check
+compares both the ranks and the Mayer-Vietoris series with the closed form.
+build_zigzag holds every degree of every map, for hocolim_series.
 
 Thom-spectrum series are Thom-isomorphism shifts: MT(d) = t^{-d} * BO(d).
 The series of the generalized-Morse variant is only pinned by its defining
@@ -44,19 +45,10 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 
 from ._record import record
-from .char_class_maps import map_f, map_g
-from .graded_f2 import (
-    DEFAULT_TRUNCATION,
-    PoincareSeries,
-    series_add,
-    series_BO,
-    series_BSO,
-    series_equal,
-    series_from_coeffs,
-    series_mul,
-    series_one,
-    series_shift,
-)
+from .char_class_maps import _product_dims, f_levels, g_levels, map_f, map_g
+from .graded_f2 import (DEFAULT_TRUNCATION, PoincareSeries, _check_level, series_add, series_BO,
+                        series_BSO, series_equal, series_from_coeffs, series_mul, series_one,
+                        series_shift)
 
 EXACT = "exact"
 SPLIT_ASSUMPTION = "split-assumption"
@@ -93,19 +85,13 @@ class ZigzagDiagram:
         for n in range(self.N + 1):
             for i in range(d):
                 if self.f_maps[i].shapes[n][1] != self.g_maps[i].shapes[n][1]:
-                    raise ValueError(
-                        f"inconsistent diagram: Y1({i}) source dims differ at degree {n}"
-                    )
+                    raise ValueError(f"inconsistent diagram: Y1({i}) source dims differ at degree {n}")
             for i in range(d - 1):
                 if self.g_maps[i].shapes[n][0] != self.f_maps[i + 1].shapes[n][0]:
-                    raise ValueError(
-                        f"inconsistent diagram: Y({i+1}) target dims differ at degree {n}"
-                    )
+                    raise ValueError(f"inconsistent diagram: Y({i+1}) target dims differ at degree {n}")
 
     def bottom_dims(self, n: int):
-        dims = [self.f_maps[j].shapes[n][0] for j in range(self.d)]
-        dims.append(self.g_maps[self.d - 1].shapes[n][0])
-        return dims
+        return [f.shapes[n][0] for f in self.f_maps] + [self.g_maps[-1].shapes[n][0]]
 
     def top_dims(self, n: int):
         return [self.f_maps[i].shapes[n][1] for i in range(self.d)]
@@ -115,10 +101,8 @@ def build_zigzag(d: int, N: int = DEFAULT_TRUNCATION) -> ZigzagDiagram:
     if d < 1:
         raise ValueError("need d >= 1")
     # every map reads the one cached set of BO(0..d) tables for (d, N)
-    pairs = [(map_f(i, d, N).homology_map(), map_g(i, d, N).homology_map())
-             for i in range(d)]
-    f_maps, g_maps = zip(*pairs)
-    return ZigzagDiagram(d, N, f_maps, g_maps)
+    return ZigzagDiagram(d, N, tuple(map_f(i, d, N).homology_map() for i in range(d)),
+                         tuple(map_g(i, d, N).homology_map() for i in range(d)))
 
 
 @record
@@ -133,19 +117,20 @@ class HocolimResult:
     S_dims: tuple
 
 
-def _phi_rank(z: ZigzagDiagram, n: int) -> int:
-    """F2 rank of Phi_n by union-find (Tarjan, J. ACM 22, 1975).
+def _phi_rank(pairs, dims) -> int:
+    """F2 rank of Phi_n by union-find (Tarjan, J. ACM 22, 1975), from the
+    degree-n image lists (f_i, g_i), i = 0..d-1, and the dims of H_n(Y(j)).
 
     Source element s of H_n(Y1(i)) is the edge from f_i(s) in the block of
     Y(i) to g_i(s) in the block of Y(i+1).  Phi_n is the incidence matrix of
     that graph, so its rank is the number of edges that join two components.
     """
-    off = list(accumulate(z.bottom_dims(n), initial=0))
+    off = list(accumulate(dims, initial=0))
     parent = list(range(off[-1]))
 
     rank = 0
-    for i, (f, g) in enumerate(zip(z.f_maps, z.g_maps)):
-        for s, t in zip(f.images[n], g.images[n]):
+    for i, (fs, gs) in enumerate(pairs):
+        for s, t in zip(fs, gs):
             # find both roots, halving the paths, inline: a call per vertex
             # costs more than the search
             u, v = off[i] + s, off[i + 1] + t
@@ -159,35 +144,53 @@ def _phi_rank(z: ZigzagDiagram, n: int) -> int:
     return rank
 
 
-def hocolim_series(z: ZigzagDiagram) -> HocolimResult:
-    """Mayer-Vietoris homology of the zigzag's homotopy colimit.
-
-    Degree-n coefficient = dim coker(Phi_n) + dim ker(Phi_{n-1}).  The
-    rank sequence of Phi (_phi_rank) is the only input that partition counts
-    do not fix: the induced map (+)H_n(Y(j)) -> H_n(hocolim) is onto the
-    cokernel part, so the collapse cofiber has C_n = S_{n-1} whatever the
-    ranks are.
-    """
-    N = z.N
-    rank = tuple(_phi_rank(z, n) for n in range(N + 1))
-    T_dims = tuple(sum(z.bottom_dims(n)) for n in range(N + 1))
-    S_dims = tuple(sum(z.top_dims(n)) for n in range(N + 1))
+def _hocolim_result(d: int, N: int, rank: tuple, T_dims: tuple, S_dims: tuple) -> HocolimResult:
+    """Degree-n coefficient = dim coker(Phi_n) + dim ker(Phi_{n-1})."""
     coker = tuple(T - rk for T, rk in zip(T_dims, rank))
     kernel = tuple(S - rk for S, rk in zip(S_dims, rank))
     coeffs = [coker[0]] + [coker[n] + kernel[n - 1] for n in range(1, N + 1)]
-    return HocolimResult(
-        d=z.d, N=N,
-        series=series_from_coeffs(coeffs),
-        rank=rank, coker=coker, kernel=kernel,
-        T_dims=T_dims, S_dims=S_dims,
-    )
+    return HocolimResult(d, N, series_from_coeffs(coeffs), rank, coker, kernel, T_dims, S_dims)
 
 
-# the one per-(d, N) cache of the zigzag, which only the verify checks build;
-# each result is a few tuples
+def hocolim_series(z: ZigzagDiagram) -> HocolimResult:
+    """Mayer-Vietoris homology of the zigzag's homotopy colimit.
+
+    The rank sequence of Phi (_phi_rank) is the only input that partition
+    counts do not fix: the induced map (+)H_n(Y(j)) -> H_n(hocolim) is onto
+    the cokernel part, so the collapse cofiber has C_n = S_{n-1} whatever
+    the ranks are.
+    """
+    N, maps = z.N, list(zip(z.f_maps, z.g_maps))
+    rank = tuple(_phi_rank([(f.images[n], g.images[n]) for f, g in maps], z.bottom_dims(n))
+                 for n in range(N + 1))
+    return _hocolim_result(z.d, N, rank, tuple(sum(z.bottom_dims(n)) for n in range(N + 1)),
+                           tuple(sum(z.top_dims(n)) for n in range(N + 1)))
+
+
+# the one per-(d, N) cache of the zigzag, which only the verify checks read:
+# hocolim_series(build_zigzag(d, N)) one degree at a time, each pair (f_i, g_i)
+# of degree n enumerated, checked as GradedMap checks it, ranked and dropped
+# before the next is made; each result is a few tuples
 @lru_cache(maxsize=64)
 def _hocolim_std(d: int, N: int) -> HocolimResult:
-    return hocolim_series(build_zigzag(d, N))
+    if d < 1:
+        raise ValueError("need d >= 1")
+    Y = [_product_dims((j, d - j), N) for j in range(d + 1)]
+    Y1 = [_product_dims((i, 1, d - i - 1), N) for i in range(d)]
+    F, G = [f_levels(i, d, N) for i in range(d)], [g_levels(i, d, N) for i in range(d)]
+    S = [0] * (N + 1)  # the enumerated top-row dims
+
+    def pairs(n):
+        for i, (fi, gi) in enumerate(zip(F, G)):
+            f, g = next(fi), next(gi)
+            _check_level(n, f, Y[i][n], Y1[i][n])
+            _check_level(n, g, Y[i + 1][n], Y1[i][n])
+            S[n] += len(f)
+            yield f, g
+            del f[:], g[:]  # the level generators still hold them
+
+    rank = tuple(_phi_rank(pairs(n), [Yj[n] for Yj in Y]) for n in range(N + 1))
+    return _hocolim_result(d, N, rank, tuple(map(sum, zip(*Y))), tuple(S))
 
 
 # a verify run reads it in three checks; each entry is three tuples
@@ -334,10 +337,8 @@ def gysin_check(d: int, N: int = DEFAULT_TRUNCATION, structure: str = "o") -> Ch
     rhs = series_add(series_shift(P, d), fam(d - 1, N))
     ok, mismatch = series_equal(P, rhs, up_to=N)
     holds = structure == "o" or d >= 2
-    notes = (
-        "exactness input: multiplication by the top class is injective on the base ring"
-        + ("" if holds else " -- FALSE for an oriented line (top class vanishes)"),
-    )
+    notes = ("exactness input: multiplication by the top class is injective on the base ring"
+             + ("" if holds else " -- FALSE for an oriented line (top class vanishes)"),)
     return CheckReport("gysin", d, N, structure, ok, mismatch, (), notes)
 
 
@@ -393,17 +394,10 @@ def mtgmf_series(d: int, N: int = DEFAULT_TRUNCATION) -> MtgmfResult:
     a = series_shift(series_BO(d - 1, N + d), -d)
     b = series_add(series_one(N), sigma_gmf_series(d, N))
     split = series_add(a, b)
-    lower = series_from_coeffs(
-        [abs(a.coeff(n) - b.coeff(n)) for n in range(-d, N + 1)], -d
-    )
-    return MtgmfResult(
-        d, N,
-        SpectrumSeries(split, SPLIT_ASSUMPTION,
-                       (f"t^-{d} * BO({d-1}) plus suspension spectrum of the singular stratum",
-                        SPLIT_NOTE)),
-        lower, split,
-        (SPLIT_NOTE,),
-    )
+    lower = series_from_coeffs([abs(a.coeff(n) - b.coeff(n)) for n in range(-d, N + 1)], -d)
+    return MtgmfResult(d, N, SpectrumSeries(split, SPLIT_ASSUMPTION, (
+        f"t^-{d} * BO({d-1}) plus suspension spectrum of the singular stratum", SPLIT_NOTE)),
+        lower, split, (SPLIT_NOTE,))
 
 
 def connectivity_and_pi0_checks(d: int, N: int = DEFAULT_TRUNCATION) -> CheckReport:
@@ -431,10 +425,8 @@ def connectivity_and_pi0_checks(d: int, N: int = DEFAULT_TRUNCATION) -> CheckRep
             if lo != hi or lo != mt.coeff(n):
                 ok, mismatch = False, n
                 break
-    return CheckReport(
-        "connectivity", d, N, None, ok, mismatch, (),
-        ("degree-0 coefficients and negative-degree agreement via tight interval bounds",),
-    )
+    return CheckReport("connectivity", d, N, None, ok, mismatch, (),
+                       ("degree-0 coefficients and negative-degree agreement via tight interval bounds",))
 
 
 def sigma_mf_cofibration_check(d: int, N: int = DEFAULT_TRUNCATION) -> CheckReport:
@@ -471,28 +463,25 @@ def sigma_mf_cofibration_check(d: int, N: int = DEFAULT_TRUNCATION) -> CheckRepo
     cof = _mv_cofiber(h)
     smf = sigma_mf_series(d, N)
     bo = series_BO(d, N)
-    notes = [COMPONENTS_READING,
-             "identity: A_n + C_n = X_n + k_n + k_{n-1} (n >= 1), A_0 + C_0 = X_0 + k_0"]
+    notes = (COMPONENTS_READING,
+             "identity: A_n + C_n = X_n + k_n + k_{n-1} (n >= 1), A_0 + C_0 = X_0 + k_0")
+
+    def report(ok, n, *why):
+        return CheckReport("sigma-mf-cofibration", d, N, None, ok, n, (), notes + why)
+
     # the disjoint-union series must match the assembled bottom-row dims
     for n in range(N + 1):
         if smf.coeff(n) != h.T_dims[n]:
-            return CheckReport("sigma-mf-cofibration", d, N, None, False, n, (),
-                               tuple(notes + ["bottom-row dimensions disagree with series"]))
+            return report(False, n, "bottom-row dimensions disagree with series")
         if h.rank[n] != h.T_dims[n] - bo.coeff(n):
-            return CheckReport("sigma-mf-cofibration", d, N, None, False, n, (),
-                               tuple(notes + ["rank Phi_n != T_n - partitions of n into <= d parts"]))
+            return report(False, n, "rank Phi_n != T_n - partitions of n into <= d parts")
     if smf.coeff(0) - h.series.coeff(0) != d:
-        return CheckReport("sigma-mf-cofibration", d, N, None, False, 0, (),
-                           tuple(notes + ["degree-0 component count off"]))
+        return report(False, 0, "degree-0 component count off")
     ok, mismatch = series_equal(h.series, sigma_gmf_series(d, N), up_to=N)
     if not ok:
-        return CheckReport("sigma-mf-cofibration", d, N, None, False, mismatch, (),
-                           tuple(notes + ["Mayer-Vietoris series disagrees with the closed form"]))
+        return report(False, mismatch, "Mayer-Vietoris series disagrees with the closed form")
     k = h.rank
     for n in range(N + 1):
-        lhs = smf.coeff(n) + cof.coeff(n)
-        rhs = h.series.coeff(n) + k[n] + (k[n - 1] if n >= 1 else 0)
-        if lhs != rhs:
-            ok, mismatch = False, n
-            break
-    return CheckReport("sigma-mf-cofibration", d, N, None, ok, mismatch, (), tuple(notes))
+        if smf.coeff(n) + cof.coeff(n) != h.series.coeff(n) + k[n] + (k[n - 1] if n >= 1 else 0):
+            return report(False, n)
+    return report(True, None)

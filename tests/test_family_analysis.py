@@ -620,7 +620,8 @@ def test_rotated_cusp_rows_stop_at_the_prune_step(monkeypatch):
     """On the benchmark's rotated cusp the subdivision, run once at step
     PRUNE_STEP, proves exactly the 23 grid values t < 0.113, which rootless
     proves none of; their rows are live up to that step and none is
-    evaluated after it, but for _newton's closing check of every row."""
+    evaluated after it, but for _newton's closing check, which evaluates
+    each fiber's rows that no merge folded into another."""
     F = _rotated_cusp(0.113)
     ts = np.linspace(-1.0, 1.0, 41)
     m = family_analysis._auto_grid(2) ** 2
@@ -651,7 +652,7 @@ def test_rotated_cusp_rows_stop_at_the_prune_step(monkeypatch):
     step = family_analysis.PRUNE_STEP
     assert np.isin(lives[step - 1] // m, stopped).sum() > 0
     assert not any(np.isin(live // m, stopped).any() for live in lives[step:-1])
-    assert np.array_equal(lives[-1], np.arange(41 * m))
+    assert np.array_equal(np.unique(lives[-1] // m), np.arange(41)) and len(lives[-1]) < 41 * m
 
 
 _PRUNE_CASES = [(name, preset_family(name), 2.0, 41) for name in

@@ -5,9 +5,11 @@ independent route for every d."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from gmfkit import cli, moduli_calc
+from gmfkit import char_class_maps, cli, moduli_calc
 from gmfkit.char_class_maps import _tables, build_Y, build_Y1
 from gmfkit.graded_f2 import (
     GradedMap,
@@ -305,11 +307,14 @@ def test_sigma_mf_cofibration_checks_the_ranks(monkeypatch, capsys):
         moduli_calc._hocolim_std.cache_clear()
 
 
-@pytest.mark.parametrize("d, N", [(1, 12), (2, 20), (3, 20), (4, 24), (5, 32), (6, 24), (7, 20)])
+@pytest.mark.parametrize("d, N", [(1, 12), (2, 20), (3, 20), (4, 24), (5, 32), (6, 24), (7, 20),
+                                  (4, 3), (6, 2)])
 def test_closed_form_equals_the_zigzag(d, N):
     """BO(d) + t * (S - T + BO(d)) and C = t * S against the union-find over
-    the enumerated zigzag, ranks included."""
+    the enumerated zigzag, ranks included; the verify checks' degree-by-degree
+    path gives the same result as the built zigzag."""
     h = hocolim_series(build_zigzag(d, N))
+    assert moduli_calc._hocolim_std(d, N) == h
     assert sigma_gmf_series(d, N) == h.series
     cof = cofiber_series(d, N)
     assert cof.k == h.rank
@@ -330,6 +335,46 @@ def test_series_commands_build_no_zigzag(monkeypatch, capsys):
         assert cli.main(["verify", "--check", "connectivity", "--d", "5",
                          "--max-degree", "12"]) == 0
         assert '"verdict": "Fail"' not in capsys.readouterr().out
+    finally:
+        moduli_calc._hocolim_std.cache_clear()
+
+
+def test_verify_builds_no_zigzag(monkeypatch, capsys):
+    """The zigzag checks rank Phi_n degree by degree from the level
+    generators: no map and no zigzag is built whole."""
+    def refuse(*args):
+        raise AssertionError("a whole map or zigzag built")
+
+    for module, name in ((moduli_calc, "build_zigzag"), (moduli_calc, "map_f"),
+                         (moduli_calc, "map_g"), (char_class_maps, "map_f"),
+                         (char_class_maps, "map_g")):
+        monkeypatch.setattr(module, name, refuse)
+    moduli_calc._hocolim_std.cache_clear()
+    try:
+        assert cli.main(["verify", "--check", "all", "--d", "4", "--max-degree", "10"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert len(records) == 5 and all(r["verdict"] == "Pass" for r in records)
+    finally:
+        moduli_calc._hocolim_std.cache_clear()
+
+
+def test_verify_rejects_an_index_outside_the_target(monkeypatch, capsys):
+    """Each streamed level is checked as GradedMap checks it: a g level
+    pointing one past the end of H_n(Y(i+1)) is an error, exit 2."""
+    g_levels = moduli_calc.g_levels
+
+    def shifted(i, d, N):
+        for n, level in enumerate(g_levels(i, d, N)):
+            if i == 1 and n == 4:
+                level[0] = len(build_Y(i + 1, d, N).basis(n))
+            yield level
+
+    monkeypatch.setattr(moduli_calc, "g_levels", shifted)
+    moduli_calc._hocolim_std.cache_clear()
+    try:
+        argv = ["verify", "--check", "hocolim-cofiber", "--d", "3", "--max-degree", "6"]
+        assert cli.main(argv) == 2
+        assert "degree 4: target index outside" in capsys.readouterr().err
     finally:
         moduli_calc._hocolim_std.cache_clear()
 
