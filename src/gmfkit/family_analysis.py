@@ -12,14 +12,13 @@ that converge to the same floats are merged before any distance is taken.
 Where a family is quadratic in some fiber coordinates, Newton's first step
 solves those exactly, and the seeds of a fiber that then coincide run on as
 one.  A fiber whose gradient a natural interval bound keeps away from zero
-on the whole region Newton can reach has no critical point there, and its
-seeds are left out of the batch; this covers the fibers on the side of a
+on the box has no in-box point that passes the residual test, and its seeds
+are left out of the batch; this covers the fibers on the side of a
 birth-death value without the cancelling pair, but not a gradient whose
 entries mix odd powers of several coordinates (the rotated cusp), where no
 single coordinate interval excludes zero.  A fiber none of whose seeds has
 reached a point of the box after a few Newton steps gets the same bound on
-a bisection of the box instead, and its seeds stop if every sub-box is
-excluded.
+a bisection of the box, and its seeds stop if every sub-box is excluded.
 Birth-death parameter values start as grid-scale candidates (critical-point
 count changes, and sign changes or local minima of the smallest-magnitude
 Hessian eigenvalue along matched tracks) and are located by Newton on the
@@ -45,6 +44,7 @@ from .jet_core import (
     GmfClass,
     Jet3,
     _integer,
+    _json_numbers,
     _LazyNumpy,
     classify,
     jet_from_parts,
@@ -192,24 +192,6 @@ class _FamilyCalculus:
                 results.append(out[gather].T.reshape(pt.shape[:-1] + shape))
         return results
 
-    def rootless(self, T, box) -> np.ndarray:
-        """Which fibers f_t, one per row t of the (n, k) array T, provably
-        hold no point where the residual of a _newton run on box = (lo, hi)
-        passes NEWTON_TOL: such a run then ends NaN from every seed.
-
-        The run evaluates points of the box and points within _reach of the
-        origin, so all of them lie in the region |x_j| <= R_j, with R_j the
-        larger of _reach, |lo_j| and |hi_j|.  Each fiber-gradient entry is
-        bounded over that region by the natural interval extension of its
-        term list (Moore, Interval Analysis): the parameter powers are taken
-        at t, and each fiber monomial ranges over _monomial_range.  A fiber
-        is proven rootless when some entry's interval lies beyond +-_margin;
-        an interval whose ends or margin overflow proves nothing.
-        """
-        lo, hi = box
-        R = np.maximum(_reach(lo, hi), np.maximum(np.abs(lo), np.abs(hi)))
-        return self._gradient_excluded(np.asarray(T, dtype=float), lambda factors: _monomial_range(factors, R))
-
     def rootless_in_box(self, T, box) -> np.ndarray:
         """Which fibers f_t, one per row t of the (n, k) array T, provably
         hold no point of box = (lo, hi) where at() computes a gradient of
@@ -218,21 +200,18 @@ class _FamilyCalculus:
 
         The box is bisected across its widest side, one level of sub-boxes
         of all the fibers at a time as one set of arrays; a sub-box goes
-        when some gradient entry's natural interval extension over it lies
-        beyond +-_margin, exactly as for rootless, and a fiber is proven
-        when none of its sub-boxes is left.  Every float point of a box lies
-        in one of its halves, so a proven fiber's computed gradient exceeds
-        the margin everywhere in the box.  BISECT_HALVINGS and BISECT_BOXES
-        cap the work: a fiber still unproven at either cap proves nothing.
+        when _gradient_excluded excludes it, and a fiber is proven when none
+        of its sub-boxes is left.  Every float point of a box lies in one of
+        its halves, so a proven fiber's computed gradient exceeds the margin
+        everywhere in the box.  BISECT_HALVINGS and BISECT_BOXES cap the
+        work: a fiber still unproven at either cap proves nothing.
         """
         n, d = T.shape[0], self.d
         owner = np.arange(n)  # the fiber of each sub-box
         blo, bhi = np.tile(box[0], (n, 1)), np.tile(box[1], (n, 1))
         capped = np.zeros(n, dtype=bool)
         for level in range(BISECT_HALVINGS * d + 1):
-            # a monomial recurs across the gradient entries: range it once a level
-            monomial = functools.lru_cache(maxsize=None)(lambda factors: _box_range(factors, blo, bhi))
-            keep = ~self._gradient_excluded(T[owner], monomial)
+            keep = ~self._gradient_excluded(T[owner], blo, bhi)
             owner, blo, bhi = owner[keep], blo[keep], bhi[keep]
             if level == BISECT_HALVINGS * d:
                 break
@@ -250,15 +229,17 @@ class _FamilyCalculus:
             bhi = np.concatenate((np.where(widest, mid, bhi), bhi))
         return (np.bincount(owner, minlength=n) == 0) & ~capped
 
-    def _gradient_excluded(self, T, monomial) -> np.ndarray:
+    def _gradient_excluded(self, T, lo, hi) -> np.ndarray:
         """Which rows t of T have a fiber-gradient entry whose natural
-        interval extension over the row's region lies beyond +-_margin.
+        interval extension (Moore, Interval Analysis) over the row's box
+        lo[i] <= x <= hi[i] lies beyond +-_margin.
 
-        monomial(factors) is [lo, hi] of the fiber monomial prod x_j^p,
-        factors holding its (j, p), over each row's region; the parameter
-        powers are taken at t.  An interval whose ends or margin overflow
-        proves nothing.
+        The parameter powers are taken at t, and each fiber monomial ranges
+        over _box_range.  An interval whose ends or margin overflow proves
+        nothing.
         """
+        # a monomial recurs across the gradient entries: range it once
+        monomial = functools.lru_cache(maxsize=None)(lambda factors: _box_range(factors, lo, hi))
         excluded = np.zeros(len(T), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for terms in self.tables["grad"][0]:
@@ -277,17 +258,6 @@ class _FamilyCalculus:
                 margin = _margin(size, len(terms) + 2 * max((len(f) for _, f in terms), default=0))
                 excluded |= np.isfinite(margin) & ((lower > margin) | (upper < -margin))
         return excluded
-
-
-def _monomial_range(factors, R) -> tuple:
-    """[lo, hi] of the monomial prod x_j^p, factors holding its (j, p), over
-    |x_j| <= R[j]: [0, prod R_j^p] when every p is even, else its negative too."""
-    if not factors:  # the constant 1
-        return 1.0, 1.0
-    top = 1.0
-    for j, p in factors:
-        top *= _power(float(R[j]), p)
-    return (0.0 if all(p % 2 == 0 for _, p in factors) else -top), top
 
 
 def _box_range(factors, lo, hi) -> tuple:
@@ -317,18 +287,18 @@ def _power_range(a, b, p) -> tuple:
 def _margin(size, ops):
     """How far beyond +-NEWTON_TOL a gradient entry must lie for its residual
     to fail the test, given the summed magnitudes size of its terms over the
-    region and ops, the entry's term count plus twice its largest factor
+    box and ops, the entry's term count plus twice its largest factor
     count.
 
     at() forms a term as a chain of correctly rounded products of Python
     powers, each within eps of its exact value, so each term is within
     2 f eps of its own with f factors, and the sum of the terms adds less than
     n eps size.  The entry at() computes is hence within ops eps size of the
-    exact one, and rootless() forms each end of an interval from the same
-    kind of powers, products and sums, within the same bound.  An interval
+    exact one, and _gradient_excluded forms each end of an interval from the
+    same kind of powers, products and sums, within the same bound.  An interval
     beyond +-(2 NEWTON_TOL + 2 ops eps size) thus puts the computed entry,
     and with it the residual norm of the row, beyond 2 NEWTON_TOL, up to a
-    rounding of the norm, at every point of the region.
+    rounding of the norm, at every point of the box.
     """
     return 2.0 * NEWTON_TOL + 2.0 * ops * sys.float_info.epsilon * size
 
@@ -383,6 +353,10 @@ PRUNE_STEP = 10
 # without bound (the rotated cusp needs 44 at half-width 2).
 BISECT_HALVINGS = 9
 BISECT_BOXES = 512
+# the most rows a seed batch may hold: a grid of _auto_grid(d)**d seeds per
+# parameter value.  Peak RSS grows by 0.2-0.7 KB a row at fiber dimension
+# 1-8 and by 3 KB at 14, so at d <= 8 a full batch stays under about 200 MB
+MAX_SEED_ROWS = 250_000
 
 
 @record
@@ -544,18 +518,28 @@ def _auto_grid(d: int) -> int:
     return max(2, int(round(64.0 ** (1.0 / d))))
 
 
+def _check_seed_batch(values, d):
+    """Refuse a batch of values seed grids in fiber dimension d over MAX_SEED_ROWS, before
+    anything of its size is made; _auto_grid(d) >= 2, so a large d is refused unpowered."""
+    if d >= MAX_SEED_ROWS.bit_length() or values * _auto_grid(d) ** d > MAX_SEED_ROWS:
+        raise ValueError(f"fiber dimension {d} at {values} parameter value(s) needs more than "
+                         f"MAX_SEED_ROWS = {MAX_SEED_ROWS} seed rows")
+
+
 def fiber_critical_points(F: PolyFamily, t, box):
     """Newton from a seed grid; converged in-box points, deduplicated.
 
     Non-converged seeds are dropped (a count is logged); a fiber whose
-    gradient an interval bound keeps away from zero (_FamilyCalculus.rootless)
-    runs no Newton and counts all its seeds so.  Each point is classified
-    from its fiber 3-jet, whose linear part is the gradient at the point and
-    hence ~0 by construction.  A point whose jet is too large for a float is
-    dropped, as there is nothing to classify.  This is the one-fiber case of
-    _critical_points, which trace_birth_death runs on all its grid values at
-    once.
+    gradient an interval bound keeps away from zero on the box
+    (_FamilyCalculus._gradient_excluded) has no in-box point that passes the
+    residual test, runs no Newton and counts all its seeds so.  Each point
+    is classified from its fiber 3-jet, whose linear part is the gradient at
+    the point and hence ~0 by construction.  A point whose jet is too large
+    for a float is dropped, as there is nothing to classify.  This is the
+    one-fiber case of _critical_points, which trace_birth_death runs on all
+    its grid values at once.
     """
+    _check_seed_batch(1, F.fiber_dim)
     return _critical_points(F, [_parameter(F, t)], box)[0]
 
 
@@ -569,18 +553,17 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     other rows, so each list is what its fiber would give alone.  Its group
     is its fiber: where the family is quadratic in some coordinates (the
     suspended cusps and the cubic pair, not the cusp, swallowtail or rotated
-    cusp), the seeds that differ only there run once after the first step.  The
-    fibers that rootless proves to have no critical point leave their seed
-    grids out of the batch: every one of those rows would end NaN, and they
-    read NaN without running.
+    cusp), the seeds that differ only there run once after the first step.
 
-    At step PRUNE_STEP the run hands prune the fibers with a live row and no
-    row yet within NEWTON_TOL inside the box (the bounds of the in-box test
-    below), and rootless_in_box subdivides their box; the rows of a fiber it
-    proves stop there.  Such a fiber holds no in-box point whose residual
-    passes, so no row of it, run on, would have ended on a kept point: every
-    list is bit for bit the same, and only a row's count in the log of
-    unconverged seeds can change.
+    The fibers that _gradient_excluded proves on the box of the in-box test
+    below, inner, leave their seed grids out of the batch and read NaN
+    without running; this is level 0 of the subdivision that rootless_in_box
+    runs at step PRUNE_STEP on the fibers with a live row and no row yet
+    within NEWTON_TOL inside inner, whose rows stop if it proves them.  A
+    fiber proven either way holds no in-box point whose residual passes, so
+    no row of it, run on, would have ended on a kept point: every list is
+    bit for bit the same, and only a row's count in the log of unconverged
+    seeds can change.
     """
     calc = _calculus(F)
     d = F.fiber_dim
@@ -589,14 +572,15 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     seeds = np.array(list(itertools.product(*axes)))
     m = len(seeds)
     T = np.array(ts, dtype=float).reshape(len(ts), F.param_dim)
-    run = ~calc.rootless(T, (lo, hi))  # the fibers whose seeds go to _newton
+    inner = (lo - 1e-12, hi + 1e-12)  # a kept point lies in this box
+    # the fibers whose seeds go to _newton
+    run = ~calc._gradient_excluded(T, *(np.tile(b, (len(T), 1)) for b in inner))
     pruned = len(ts) - int(run.sum())
     if pruned:
-        _log_info("fiber_critical_points: %d of %d fibers have no critical point by an interval "
-                  "bound; %d seed rows skipped", pruned, len(ts), pruned * m)
+        _log_info("fiber_critical_points: %d of %d fibers have no in-box critical point by an "
+                  "interval bound; %d seed rows skipped", pruned, len(ts), pruned * m)
     T_run = T[run]
     params = np.repeat(T_run, m, axis=0)  # the parameters of each seed row
-    inner = (lo - 1e-12, hi + 1e-12)  # a kept point lies in this box
 
     def inside(Z):  # a NaN row does not
         return (Z >= inner[0]).all(axis=-1) & (Z <= inner[1]).all(axis=-1)
@@ -758,11 +742,12 @@ def trace_birth_death(
         raise ValueError("tracing requires a one-parameter family")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError("t0 and t1 must be finite")
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(t1 - t0)):
+        raise ValueError("t0, t1 and the window width t1 - t0 must be finite")
     if t1 <= t0:
         raise ValueError("need t1 > t0")
     d = F.fiber_dim
+    _check_seed_batch(steps, d)
     if box is None:
         box = [(-2.0, 2.0)] * d
     lo, hi = _box_arrays(box, d)
@@ -981,7 +966,6 @@ def check_family_axioms(
     if box is None:
         box = [(-2.0, 2.0)] * d
     lo, hi = _box_arrays(box, d)
-    calc = _calculus(F)
 
     events = degenerate = warnings = ()
     if F.param_dim == 0:
@@ -1001,7 +985,7 @@ def check_family_axioms(
         if not pts:
             continue
         on_boundary = np.hstack((np.tile(t, (len(boundary), 1)), boundary))  # rows (t, x)
-        bmin = float(calc.at(on_boundary, "value")[0].min())
+        bmin = float(_calculus(F).at(on_boundary, "value")[0].min())  # after the batch check
         vmax = max(p.value for p in pts)
         if bmin <= vmax:
             prop_ok = False
@@ -1051,6 +1035,7 @@ def preset_family(name: str) -> PolyFamily:
     if m:
         i = int(m[1])
         d = i + 2
+        _check_seed_batch(1, d)  # no batch admits it: refused before its O(d^2) terms
         terms = [((0,) + (3,) + (0,) * (d - 1), 1.0), ((1,) + (1,) + (0,) * (d - 1), -1.0)]
         for j in range(i):
             pw = [0] * (1 + d)
@@ -1074,7 +1059,8 @@ def family_to_json_dict(F: PolyFamily) -> dict:
 def family_from_json_dict(data: dict) -> PolyFamily:
     try:
         k, d = data["param_dim"], data["fiber_dim"]
-        terms = tuple((tuple(item["powers"]), float(item["coeff"])) for item in data["terms"])
-    except (KeyError, TypeError, ValueError) as e:
+        coeffs = _json_numbers([item["coeff"] for item in data["terms"]], "term")
+        terms = tuple(zip((tuple(item["powers"]) for item in data["terms"]), coeffs))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # Overflow: an int too big for a float
         raise ValueError(f"malformed family JSON: {e}") from e
     return PolyFamily(k, d, terms)

@@ -138,16 +138,17 @@ def series_BO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """prod_{i=1..m} 1/(1-t^i): partition counts with parts <= m.
 
     Degree-n coefficient = dim_F2 H_n(BO(m)) = number of monomials of
-    weighted degree n in generators of degrees 1..m.
+    weighted degree n in generators of degrees 1..m.  A part above N changes
+    no coefficient up to N, so only the parts up to min(m, N) are counted.
     """
     _check_rank(m)
-    return _partition_counts(range(1, m + 1), N)
+    return _partition_counts(range(1, min(m, N) + 1), N)
 
 
 def series_BSO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """prod_{i=2..m} 1/(1-t^i): generators of degrees 2..m (empty for m <= 1)."""
     _check_rank(m)
-    return _partition_counts(range(2, m + 1), N)
+    return _partition_counts(range(2, min(m, N) + 1), N)
 
 
 @lru_cache(maxsize=None)

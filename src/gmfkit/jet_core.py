@@ -339,16 +339,28 @@ def jet_to_json_dict(jet: Jet3) -> dict:
     }
 
 
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _json_numbers(raw, what) -> list:
+    """The JSON list raw of what coefficients as floats: an entry that is
+    not a JSON number, such as "1" or true, is malformed, not converted."""
+    if not _JSON_NUMBERS.issuperset(map(type, raw)):  # one pass in C
+        raise ValueError(f"a {what} coefficient is not a JSON number")
+    return list(map(float, raw))
+
+
 def jet_from_json_dict(data: dict) -> Jet3:
     try:
         d = data["dim"]
         if type(d) is not int:  # JSON integers only: not 2.7, "2" or true
             raise ValueError(f"dim {d!r} is not an integer")
-        constant = float(data["constant"])
-        linear = [float(v) for v in data["linear"]]
-        quad_flat = [float(v) for v in data["quadratic"]]
+        (constant,) = _json_numbers([data["constant"]], "constant")
+        linear = _json_numbers(data["linear"], "linear")
+        quad_flat = _json_numbers(data["quadratic"], "quadratic")
         cubic_items = data["cubic"]
-    except (KeyError, TypeError, ValueError) as e:
+        cubic_coeffs = _json_numbers(list(map(operator.itemgetter("coeff"), cubic_items)), "cubic")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # Overflow: an int too big for a float
         raise ValueError(f"malformed jet JSON: {e}") from e
     if len(linear) != d:
         raise IndexError(f"linear part has {len(linear)} entries, expected {d}")
@@ -362,10 +374,9 @@ def jet_from_json_dict(data: dict) -> Jet3:
     if quad.tolist() != quad.T.tolist():
         raise IndexError("quadratic matrix is not symmetric")
     cubic = {}
-    for item in cubic_items:
+    for item, coeff in zip(cubic_items, cubic_coeffs):
         try:
             idx = i, j, k = item["idx"]
-            coeff = float(item["coeff"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"malformed cubic term: {e}") from e
         if not type(i) is type(j) is type(k) is int:

@@ -111,8 +111,56 @@ def test_classify_jet_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+# per jet field, coefficients that are not JSON numbers, and an integer too
+# large for a float
+_NOT_NUMBERS = {
+    "constant": [dict(ZERO_JET_1D, constant=v) for v in ("0", True, 10 ** 400)],
+    "linear": [dict(ZERO_JET_1D, linear=[True]), dict(ZERO_JET_1D, linear=["0"]),
+               dict(REGULAR_2D, linear="00")],
+    "quadratic": [dict(ZERO_JET_1D, quadratic=v) for v in (["1e0"], [False], "1")],
+    "cubic": [dict(ZERO_JET_1D, cubic=[{"idx": [1, 1, 1], "coeff": v}])
+              for v in ("2", True, 10 ** 400)],
+}
+
+
+@pytest.mark.parametrize("field", list(_NOT_NUMBERS))
+def test_classify_jet_coefficients_must_be_json_numbers(tmp_path, capsys, field):
+    """A coefficient that is a string or true/false is malformed (exit 2),
+    never converted and classified; so is an integer too large for a float."""
+    for i, jet in enumerate(_NOT_NUMBERS[field]):
+        assert main(["classify-jet", "--input", _write(tmp_path, f"{i}.json", jet)]) == 2, jet
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # trace-family
+
+
+@pytest.mark.parametrize("coeff", ["1", True, 10 ** 400], ids=["string", "true", "int-too-large"])
+def test_trace_family_coefficients_must_be_json_numbers(tmp_path, capsys, coeff):
+    family = {"param_dim": 1, "fiber_dim": 1,
+              "terms": [{"powers": [0, 3], "coeff": coeff}, {"powers": [1, 1], "coeff": -1.0}]}
+    path = _write(tmp_path, "family.json", family)
+    assert main(["trace-family", "--family", path, "--t0", "-1", "--t1", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1, err
+
+
+@pytest.mark.parametrize("args", [
+    ["--preset", "cusp", "--t0=-1e308", "--t1=1e308"],
+    ["--preset", "suspended-cusp-40", "--t0", "-1", "--t1", "1"],
+    ["--preset", "cusp", "--t0", "-1", "--t1", "1", "--steps", "1000000000"],
+], ids=["window-too-wide", "suspended-cusp-40", "steps-1e9"])
+def test_trace_family_refusal_is_one_error_line(args):
+    """A window whose width overflows and a seed batch over MAX_SEED_ROWS
+    exit 2 with one `error:` line and nothing else on stderr, such as a
+    numpy warning; the batch is refused before anything of its size is made."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gmfkit.cli", "trace-family", *args],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def _csv_rows(text):

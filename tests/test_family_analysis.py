@@ -483,7 +483,7 @@ def test_newton_overflowing_step_ends_the_run():
 
 
 # ---------------------------------------------------------------------------
-# the interval bound that prunes rootless fibers
+# the interval bound that skips fibers with no in-box critical point
 
 
 _BOUND_FAMILIES = [(name, preset_family(name)) for name in
@@ -495,85 +495,33 @@ _BOUND_TS = np.concatenate([np.linspace(-1.0, 1.0, 41),
                             np.random.default_rng(11).uniform(-1.5, 1.5, 24)])
 
 
-def _bound_verdicts():
-    """(name, half, ts, proven) for every family and box half-width."""
-    for name, F in _BOUND_FAMILIES:
-        for half in (0.5, 2.0, 7.0):
-            _, _, box = _seed_batch(F, _BOUND_TS, half)
-            yield name, half, _BOUND_TS, family_analysis._calculus(F).rootless(_BOUND_TS[:, None], box)
-
-
-def _unsound_fibers():
-    """Each (name, half, t) whose fiber the bound proves rootless although
-    _newton from the full seed grid converges on it."""
-    families = dict(_BOUND_FAMILIES)
-    for name, half, ts, proven in _bound_verdicts():
-        d = families[name].fiber_dim
-        system, seeds, box = _seed_batch(families[name], ts[proven], half)
-        Z = family_analysis._newton(system, seeds, box).reshape(-1, family_analysis._auto_grid(d) ** d, d)
-        for t in ts[proven][np.isfinite(Z).all(axis=2).any(axis=1)]:
-            yield name, half, float(t)
-
-
-def test_interval_bound_is_sound():
-    """On every fiber the bound proves rootless, _newton from the full seed
-    grid ends NaN in every row, so pruning drops no point it would find."""
-    assert list(_unsound_fibers()) == []
-
-
-def test_interval_bound_fires_only_off_the_critical_points():
-    """The bound proves the cusp-type fibers at t < 0 (and |t| > a for the
-    cubic pair) rootless and none where a critical point lies in the box:
-    the cusp at t > 0, the swallowtail at every t.  The rotated cusp mixes
-    odd powers of x and y in each gradient entry and is never proven."""
-    for name, half, ts, proven in _bound_verdicts():
-        if name == "cubic-pair":
-            assert np.array_equal(proven, np.abs(ts) > 0.37), half
-        elif name in ("swallowtail", "rotated-cusp"):
-            assert not proven.any(), (name, half)
-        else:
-            assert np.array_equal(proven, ts < 0.0), (name, half)
-
-
-@pytest.mark.parametrize("broken", ["margin -1", "odd powers as even"])
-def test_interval_bound_check_catches_broken_bounds(monkeypatch, broken):
-    """The soundness check fails when the margin is -1 or when odd powers
-    are bounded as even ones."""
-    if broken == "margin -1":
-        monkeypatch.setattr(family_analysis, "_margin", lambda size, ops: -1.0)
-    else:
-        monomial_range = family_analysis._monomial_range
-        monkeypatch.setattr(family_analysis, "_monomial_range",
-                            lambda factors, R: (min(0.0, monomial_range(factors, R)[1]) if factors else 1.0,
-                                                monomial_range(factors, R)[1]))
-    assert next(_unsound_fibers(), None) is not None
-
-
-# ---------------------------------------------------------------------------
-# the box subdivision that stops Newton on fibers with no in-box point
-
-
 def _inner(box):
     """The bounds of the test a kept point must pass to lie in box."""
     return box[0] - 1e-12, box[1] + 1e-12
 
 
-def _subdivision_verdicts():
-    """(name, half, ts, proven, rootless) for every family and box half-width:
-    what rootless_in_box and rootless prove."""
+def _upfront(F, ts, box):
+    """Which fibers of ts _critical_points skips before the seed run: the
+    box test over the in-box test's bounds, level 0 of the subdivision."""
+    lo, hi = _inner(box)
+    return family_analysis._calculus(F)._gradient_excluded(
+        ts[:, None], np.tile(lo, (len(ts), 1)), np.tile(hi, (len(ts), 1)))
+
+
+def _bound_verdicts():
+    """(name, half, ts, proven) for every family and box half-width: what
+    the up-front box test proves."""
     for name, F in _BOUND_FAMILIES:
-        calc = family_analysis._calculus(F)
         for half in (0.5, 2.0, 7.0):
             _, _, box = _seed_batch(F, _BOUND_TS, half)
-            T = _BOUND_TS[:, None]
-            yield name, half, _BOUND_TS, calc.rootless_in_box(T, _inner(box)), calc.rootless(T, box)
+            yield name, half, _BOUND_TS, _upfront(F, _BOUND_TS, box)
 
 
-def _unsound_subdivisions():
-    """Each (name, half, t) whose fiber the subdivision proves although
+def _kept_in_box(verdicts):
+    """Each (name, half, t) of verdicts whose fiber is proven although
     _newton from the full seed grid keeps an in-box point there."""
     families = dict(_BOUND_FAMILIES)
-    for name, half, ts, proven, _ in _subdivision_verdicts():
+    for name, half, ts, proven in verdicts:
         d = families[name].fiber_dim
         system, seeds, box = _seed_batch(families[name], ts[proven], half)
         Z = family_analysis._newton(system, seeds, box).reshape(-1, family_analysis._auto_grid(d) ** d, d)
@@ -582,44 +530,97 @@ def _unsound_subdivisions():
             yield name, half, float(t)
 
 
+def test_interval_bound_is_sound():
+    """On every fiber the up-front bound proves, _newton from the full seed
+    grid keeps no in-box point, so skipping its seeds drops no sample."""
+    assert list(_kept_in_box(_bound_verdicts())) == []
+
+
+def test_interval_bound_fires_only_off_the_critical_points():
+    """The bound proves the cusp-type fibers at t < 0 (and |t| > a for the
+    cubic pair) and none where a critical point lies in the box: the cusp
+    at 0 < t <= 3 half^2, the swallowtail at |t| <= 4 half^3.  So on the
+    box of half-width 1/2 it also proves the cusp-type fibers at t > 3/4
+    and the swallowtail's at |t| > 1/2, whose critical points have left the
+    box.  The rotated cusp mixes odd powers of x and y in each gradient
+    entry and is never proven."""
+    for name, half, ts, proven in _bound_verdicts():
+        if name == "cubic-pair":
+            assert np.array_equal(proven, np.abs(ts) > 0.37), half
+        elif name == "rotated-cusp" or (name == "swallowtail" and half > 0.5):
+            assert not proven.any(), (name, half)
+        elif name == "swallowtail":
+            assert np.array_equal(proven, np.abs(ts) > 0.5) and proven.sum() == 34
+        elif half == 0.5:
+            assert np.array_equal(proven, (ts < 0.0) | (ts > 0.75)) and proven.sum() == 41, name
+        else:
+            assert np.array_equal(proven, ts < 0.0) and proven.sum() == 31, (name, half)
+
+
+def _broken_bound(monkeypatch, broken):
+    if broken == "margin -1":
+        monkeypatch.setattr(family_analysis, "_margin", lambda size, ops: -1.0)
+    else:
+        monkeypatch.setattr(family_analysis, "_power_range", lambda a, b, p: (
+            np.maximum(np.maximum(a, -b), 0.0) ** p, np.maximum(-a, b) ** p))
+
+
+@pytest.mark.parametrize("broken", ["margin -1", "odd powers as even"])
+def test_interval_bound_check_catches_broken_bounds(monkeypatch, broken):
+    """The soundness check of the up-front bound fails when the margin is
+    -1 or when odd powers are bounded as even ones."""
+    _broken_bound(monkeypatch, broken)
+    assert next(_kept_in_box(_bound_verdicts()), None) is not None
+
+
+# ---------------------------------------------------------------------------
+# the box subdivision that stops Newton on fibers with no in-box point
+
+
+def _subdivision_verdicts():
+    """(name, half, ts, proven) for every family and box half-width: what
+    rootless_in_box proves."""
+    for name, F in _BOUND_FAMILIES:
+        calc = family_analysis._calculus(F)
+        for half in (0.5, 2.0, 7.0):
+            _, _, box = _seed_batch(F, _BOUND_TS, half)
+            yield name, half, _BOUND_TS, calc.rootless_in_box(_BOUND_TS[:, None], _inner(box))
+
+
 def test_box_subdivision_is_sound():
     """On every fiber the subdivision proves, _newton from the full seed
     grid keeps no in-box point, so stopping its rows drops no sample."""
-    assert list(_unsound_subdivisions()) == []
+    assert list(_kept_in_box(_subdivision_verdicts())) == []
 
 
 def test_box_subdivision_proves_more_than_the_bound():
-    """The box lies in the region rootless bounds, so the subdivision proves
-    every fiber rootless proves; it also proves the rotated cusp's fibers
-    short of the fold, which rootless never does (on the widest box, all
-    but t = 0.1, which would need more levels), and the cusp-type fibers
-    whose critical points have left the box of half-width 1/2."""
-    for name, half, ts, proven, rootless in _subdivision_verdicts():
-        assert (proven >= rootless).all(), (name, half)
+    """The up-front bound is the subdivision's level 0, so the subdivision
+    proves every fiber the bound proves; it also proves the rotated cusp's
+    fibers short of the fold, which the bound never does (on the widest
+    box, all but t = 0.1, which would need more levels), and on the box of
+    half-width 1/2 no cusp fiber beyond those the bound proves."""
+    for (name, half, ts, proven), (*_, upfront) in zip(_subdivision_verdicts(), _bound_verdicts()):
+        assert (proven >= upfront).all(), (name, half)
         if name == "rotated-cusp":
             short = (ts < 0.113) & ((half < 7.0) | (np.abs(ts - 0.1) > 1e-9))
             assert np.array_equal(proven, short), half
-            assert not rootless.any()
+            assert not upfront.any()
         elif name == "cusp" and half == 0.5:
             assert np.array_equal(proven, (ts < 0.0) | (ts > 0.75))
 
 
 @pytest.mark.parametrize("broken", ["margin -1", "odd powers as even"])
 def test_box_subdivision_check_catches_broken_bounds(monkeypatch, broken):
-    """The soundness check fails when the margin is -1 or when odd powers
-    are bounded as even ones."""
-    if broken == "margin -1":
-        monkeypatch.setattr(family_analysis, "_margin", lambda size, ops: -1.0)
-    else:
-        monkeypatch.setattr(family_analysis, "_power_range", lambda a, b, p: (
-            np.maximum(np.maximum(a, -b), 0.0) ** p, np.maximum(-a, b) ** p))
-    assert next(_unsound_subdivisions(), None) is not None
+    """The soundness check of the subdivision fails when the margin is -1
+    or when odd powers are bounded as even ones."""
+    _broken_bound(monkeypatch, broken)
+    assert next(_kept_in_box(_subdivision_verdicts()), None) is not None
 
 
 def test_rotated_cusp_rows_stop_at_the_prune_step(monkeypatch):
     """On the benchmark's rotated cusp the subdivision, run once at step
-    PRUNE_STEP, proves exactly the 23 grid values t < 0.113, which rootless
-    proves none of; their rows are live up to that step and none is
+    PRUNE_STEP, proves exactly the 23 grid values t < 0.113, which the
+    up-front bound proves none of; their rows are live up to that step and none is
     evaluated after it, but for _newton's closing check, which evaluates
     each fiber's rows that no merge folded into another."""
     F = _rotated_cusp(0.113)
@@ -645,7 +646,7 @@ def test_rotated_cusp_rows_stop_at_the_prune_step(monkeypatch):
     monkeypatch.setattr(family_analysis, "_newton", recording_newton)
     res = trace_birth_death(F, -1.0, 1.0, steps=41)
     assert [e.index for e in res.events] == [0]
-    assert not family_analysis._calculus(F).rootless(ts[:, None], _seed_batch(F, ts)[2]).any()
+    assert not _upfront(F, ts, _seed_batch(F, ts)[2]).any()
     (proven,) = proven_ts
     assert np.array_equal(proven, ts[ts < 0.113]) and len(proven) == 23
     stopped = np.flatnonzero(ts < 0.113)  # fibers in seed-run order: none is left out
@@ -1027,10 +1028,10 @@ def test_trace_one_newton_run_for_all_seeds(monkeypatch, name, steps):
     seed_runs = [(system, z0) for system, z0, _ in calls if z0.shape[1] == d]
     assert len(seed_runs) == 1
     (system, z0), = seed_runs
-    # 3x^2 - t > 0 for t < 0: the bound proves exactly those fibers rootless
+    # 3x^2 - t > 0 for t < 0: the bound proves exactly those fibers
     ts = np.linspace(-1.0, 1.0, steps)
     _, _, box = _seed_batch(F, ts)
-    proven = family_analysis._calculus(F).rootless(ts[:, None], box)
+    proven = _upfront(F, ts, box)
     assert np.array_equal(proven, ts < 0.0)
     own_system, seeds, _ = _seed_batch(F, ts[~proven])
     assert np.array_equal(z0, seeds)
@@ -1048,9 +1049,36 @@ def test_pruned_fibers_are_logged_apart_from_unconverged_seeds(caplog):
     with caplog.at_level(logging.INFO, logger="gmfkit.family_analysis"):
         trace_birth_death(CUSP, -1.0, 1.0, steps=9)
     messages = [r.getMessage() for r in caplog.records]
-    assert messages.count("fiber_critical_points: 4 of 9 fibers have no critical point "
+    assert messages.count("fiber_critical_points: 4 of 9 fibers have no in-box critical point "
                           "by an interval bound; 32 seed rows skipped") == 1
     assert messages.count("fiber_critical_points: 8 of 8 seeds did not converge") >= 4
+
+
+def test_seed_batches_over_the_bound_are_refused_before_any_allocation(monkeypatch):
+    """Every entry point refuses a seed batch over MAX_SEED_ROWS before
+    _calculus compiles a table; the largest batch CI runs
+    (suspended-cusp-2 at 2001 grid values) is admitted."""
+    def no_calculus(F):
+        raise AssertionError("_calculus ran")
+
+    monkeypatch.setattr(family_analysis, "_calculus", no_calculus)
+    wide = PolyFamily(1, 40, (((0, 2) + (0,) * 39, 1.0),))
+    wide0 = PolyFamily(0, 40, (((2,) + (0,) * 39, 1.0),))
+    refused = [
+        lambda: preset_family("suspended-cusp-40"),
+        lambda: fiber_critical_points(wide, 0.0, [(-2.0, 2.0)] * 40),
+        lambda: trace_birth_death(CUSP, -1.0, 1.0, steps=10 ** 9),
+        lambda: check_family_axioms(CUSP, -1.0, 1.0, steps=10 ** 9),
+        lambda: check_family_axioms(wide0),
+    ]
+    for run in refused:
+        with pytest.raises(ValueError, match="MAX_SEED_ROWS"):
+            run()
+    bound = family_analysis.MAX_SEED_ROWS
+    family_analysis._check_seed_batch(bound // 8, 1)
+    family_analysis._check_seed_batch(2001, 4)
+    with pytest.raises(ValueError, match="MAX_SEED_ROWS"):
+        family_analysis._check_seed_batch(bound // 8 + 1, 1)
 
 
 def test_trace_events_are_verified_birth_death_jets():

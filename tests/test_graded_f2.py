@@ -169,6 +169,12 @@ def test_series_bso_matches_partition_enumeration_parts_ge_2():
             assert s.coeff(n) == expected, (m, n)
 
 
+def test_series_bo_bso_parts_above_n_change_nothing():
+    # a part above N adds nothing up to degree N, so rank 10^6 reads as rank N
+    assert series_BO(10 ** 6, 8) == series_BO(8, 8)
+    assert series_BSO(10 ** 6, 8) == series_BSO(8, 8)
+
+
 def test_series_bso3_low_degrees():
     # F2[w2, w3]: degree 5 = w2w3 only, degree 6 = w2^3 and w3^2
     s = series_BSO(3, 6)
