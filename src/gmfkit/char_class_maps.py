@@ -2,10 +2,11 @@
 
 H*(BO(m); F2) is the symmetric polynomials in m classes of degree 1, with the
 monomial symmetric functions m_lambda, lambda_1 >= ... >= lambda_m >= 0, as
-basis (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  A
-MonomialBasis on generators of degrees 1..m lists them: exponent tuple e is
-lambda_j = e_j + ... + e_m, of the same degree.  A product of factors gets
-the union of generators, factor by factor.  The zigzag spaces are
+basis (Macdonald, Symmetric Functions and Hall Polynomials, I.2), written
+as exponent tuples on generators of degrees 1..m: tuple e is lambda_j =
+e_j + ... + e_m, of the same degree.  A product of factors gets the union
+of generators, factor by factor (build_Y, build_Y1, each a MonomialBasis
+built only when read).  The zigzag spaces are
 
     Y(i)  = BO(i) x BO(d-i),
     Y1(i) = BO(i) x BO(1) x BO(d-i-1),
@@ -31,9 +32,11 @@ degree n - |mu|.  So, with q = d-i-1, an element (mu, k, nu) of Y1(i) goes
           indices per (mu, k),
 
 where base(mu) and off(lambda) count the Y(i) and Y(i+1) elements listed
-before mu and lambda.  The tables are BO(0..d) in lexicographic order and,
-for each m, the position in BO(m+1) of each element of BO(m) with one part
-k inserted.
+before mu and lambda.  A g run is empty when n - |mu| - k is above the top
+degree of BO(q), which is N unless q = 0, so g_levels skips those k.  The
+tables are BO(0..d), each listed directly in lexicographic order (_Block;
+no MonomialBasis is built), and, for each m, the position in BO(m+1) of
+each element of BO(m) with one part k inserted.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .graded_f2 import DEFAULT_TRUNCATION, GradedMap, MonomialBasis, _partition_counts
+from .graded_f2 import (DEFAULT_TRUNCATION, GradedMap, MonomialBasis, _check_truncation,
+                        _partition_counts)
 
 
 def _bo_product(ranks, N: int) -> MonomialBasis:
@@ -55,17 +59,29 @@ def _product_dims(ranks, N: int) -> tuple:
 
 
 class _Block:
-    """H*(BO(m)) up to degree N, every degree at once in lexicographic order."""
+    """H*(BO(m)) up to degree N, every degree at once in lexicographic order.
+
+    Listed in one pass: from the empty tuple, each generator degree from m
+    down to 1 puts its exponent e, in increasing order, in front of the
+    listed suffixes whose degree still fits under N.  Within one degree this
+    is a MonomialBasis's order, so local[p] is p's index in its basis.
+    """
 
     def __init__(self, m: int, N: int):
-        basis = _bo_product([m], N)
-        listed = sorted((e, n, r) for n in range(N + 1) for r, e in enumerate(basis.basis(n)))
+        _check_truncation(N)
+        listed = [((), 0)]
+        for deg in range(m, 0, -1):
+            listed = [((e,) + rest, a + e * deg) for e in range(N // deg + 1)
+                      for rest, a in listed if a + e * deg <= N]
         # order[p]: an exponent tuple; degrees[p]: its degree; local[p]: its
         # index in that degree's basis
-        self.order, self.degrees, self.local = (list(col) for col in zip(*listed))
+        self.order, self.degrees = (list(col) for col in zip(*listed))
+        self.local = []
         self.members = [[] for _ in range(N + 1)]  # positions by degree, in basis order
         for p, n in enumerate(self.degrees):
-            self.members[n].append(p)
+            level = self.members[n]
+            self.local.append(len(level))
+            level.append(p)
         self.dims = [len(level) for level in self.members]
 
 
@@ -183,6 +199,7 @@ def g_levels(i: int, d: int, N: int = DEFAULT_TRUNCATION):
     blocks, insertions = _line_tables(i, d, N)
     outer, inner, upper = blocks[i], blocks[d - i - 1], blocks[i + 1]
     ins = insertions[i]
+    top = max(inner.degrees)  # 0 for BO(0), N otherwise
     low = []
     for n in range(N + 1):
         # off[p]: the index in Y(i+1)_n where the run under upper's element p starts
@@ -192,9 +209,11 @@ def g_levels(i: int, d: int, N: int = DEFAULT_TRUNCATION):
         low = sorted(low + [(p, ins[p], n) for p in outer.members[n]])
         level = []
         for _, row, a in low:
-            for k in range(n - a + 1):
+            c = n - a
+            # the runs of inner degree c - k above top are empty
+            for k in range(c - top if c > top else 0, c + 1):
                 o = off[row[k]]
-                level += range(o, o + inner.dims[n - a - k])
+                level += range(o, o + inner.dims[c - k])
         yield level
 
 

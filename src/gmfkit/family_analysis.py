@@ -354,9 +354,12 @@ PRUNE_STEP = 10
 BISECT_HALVINGS = 9
 BISECT_BOXES = 512
 # the most rows a seed batch may hold: a grid of _auto_grid(d)**d seeds per
-# parameter value.  Peak RSS grows by 0.2-0.7 KB a row at fiber dimension
-# 1-8 and by 3 KB at 14, so at d <= 8 a full batch stays under about 200 MB
+# parameter value; and the most rows x d^2, the Hessian, Jacobian and LU
+# cells each row carries.  Peak RSS grows by 0.26 KB a row at fiber
+# dimension 4, 0.71 KB at 8, 0.92 KB at 10, 1.27 KB at 12 and 3.0 KB at 14,
+# at most 16 bytes per cell, so a full batch stays near 200 MB at every d
 MAX_SEED_ROWS = 250_000
+MAX_SEED_CELLS = 12_000_000
 
 
 @record
@@ -518,12 +521,21 @@ def _auto_grid(d: int) -> int:
     return max(2, int(round(64.0 ** (1.0 / d))))
 
 
+def _seed_batch_admitted(values, d) -> bool:
+    """Whether a batch of values seed grids in fiber dimension d stays within MAX_SEED_ROWS
+    rows and MAX_SEED_CELLS rows x d^2; _auto_grid(d) >= 2, so a large d is refused unpowered."""
+    if d >= MAX_SEED_ROWS.bit_length():
+        return False
+    rows = values * _auto_grid(d) ** d
+    return rows <= MAX_SEED_ROWS and rows * d * d <= MAX_SEED_CELLS
+
+
 def _check_seed_batch(values, d):
-    """Refuse a batch of values seed grids in fiber dimension d over MAX_SEED_ROWS, before
-    anything of its size is made; _auto_grid(d) >= 2, so a large d is refused unpowered."""
-    if d >= MAX_SEED_ROWS.bit_length() or values * _auto_grid(d) ** d > MAX_SEED_ROWS:
+    """Refuse a batch that _seed_batch_admitted refuses, before anything of its size is made."""
+    if not _seed_batch_admitted(values, d):
         raise ValueError(f"fiber dimension {d} at {values} parameter value(s) needs more than "
-                         f"MAX_SEED_ROWS = {MAX_SEED_ROWS} seed rows")
+                         f"MAX_SEED_ROWS = {MAX_SEED_ROWS} seed rows or MAX_SEED_CELLS = "
+                         f"{MAX_SEED_CELLS} rows x d^2")
 
 
 def fiber_critical_points(F: PolyFamily, t, box):
@@ -1033,9 +1045,14 @@ def preset_family(name: str) -> PolyFamily:
     # i is written in ASCII digits with no leading zero: one name per family
     m = re.fullmatch(r"suspended-cusp-(0|[1-9][0-9]*)", name)
     if m:
+        # the largest i whose fiber grid a batch admits; a longer digit string is
+        # refused unread, before int() and before the O(d^2) terms
+        top = max(i for i in range(MAX_SEED_ROWS.bit_length()) if _seed_batch_admitted(1, i + 2))
+        if len(m[1]) > len(str(top)) or int(m[1]) > top:
+            raise ValueError(f"suspended-cusp-i needs i <= {top}: a larger i's fiber grid needs "
+                             f"more than MAX_SEED_ROWS seed rows or MAX_SEED_CELLS rows x d^2")
         i = int(m[1])
         d = i + 2
-        _check_seed_batch(1, d)  # no batch admits it: refused before its O(d^2) terms
         terms = [((0,) + (3,) + (0,) * (d - 1), 1.0), ((1,) + (1,) + (0,) * (d - 1), -1.0)]
         for j in range(i):
             pw = [0] * (1 + d)

@@ -124,22 +124,25 @@ def _phi_rank(pairs, dims) -> int:
     Source element s of H_n(Y1(i)) is the edge from f_i(s) in the block of
     Y(i) to g_i(s) in the block of Y(i+1).  Phi_n is the incidence matrix of
     that graph, so its rank is the number of edges that join two components.
+    A join hangs the g side's root under the f side's, so each component's
+    root stays in its oldest block and later finds walk shorter paths.
     """
     off = list(accumulate(dims, initial=0))
     parent = list(range(off[-1]))
 
     rank = 0
     for i, (fs, gs) in enumerate(pairs):
+        fo, go = off[i], off[i + 1]
         for s, t in zip(fs, gs):
             # find both roots, halving the paths, inline: a call per vertex
             # costs more than the search
-            u, v = off[i] + s, off[i + 1] + t
+            u, v = fo + s, go + t
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
             if u != v:
-                parent[u] = v
+                parent[v] = u
                 rank += 1
     return rank
 

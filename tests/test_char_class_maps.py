@@ -16,8 +16,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from gmfkit.char_class_maps import build_Y, build_Y1, map_f, map_g
-from gmfkit.graded_f2 import rank_f2, series_BO, series_mul, series_one, transpose_bits
+from gmfkit.char_class_maps import _Block, build_Y, build_Y1, map_f, map_g
+from gmfkit.graded_f2 import MonomialBasis, rank_f2, series_BO, series_mul, series_one, transpose_bits
 from gmfkit.moduli_calc import build_zigzag, hocolim_series
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,26 @@ def test_ring_frozen_dims():
     # BO(0) x BO(0) is a point: one basis element in degree 0 only
     y00 = build_Y(0, 0, 6)
     assert [y00.dim(n) for n in range(7)] == [1, 0, 0, 0, 0, 0, 0]
+
+
+def _sorted_block(m, N):
+    """BO(m) up to degree N as a MonomialBasis lists it, every degree sorted
+    into one lexicographic list: (order, degrees, local, members, dims)."""
+    basis = MonomialBasis([(f"w{j}", j) for j in range(1, m + 1)], N)
+    listed = sorted((e, n, r) for n in range(N + 1) for r, e in enumerate(basis.basis(n)))
+    order, degrees, local = (list(col) for col in zip(*listed))
+    members = [[p for p, a in enumerate(degrees) if a == n] for n in range(N + 1)]
+    return order, degrees, local, members, [basis.dim(n) for n in range(N + 1)]
+
+
+def test_block_lists_the_sorted_basis():
+    for m in range(9):
+        for N in range(25):
+            block = _Block(m, N)
+            got = block.order, block.degrees, block.local, block.members, block.dims
+            assert got == _sorted_block(m, N), (m, N)
+    with pytest.raises(ValueError, match="truncation must be nonnegative"):
+        _Block(2, -1)
 
 
 def test_ring_validation():

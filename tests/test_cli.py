@@ -163,6 +163,19 @@ def test_trace_family_refusal_is_one_error_line(args):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("digits", [4000, 5000])
+def test_trace_family_oversized_preset_name_is_refused_unread(capsys, digits):
+    """A suspended-cusp-i name with thousands of digits is refused from its
+    digit string: one short error line that names the limit, not the
+    number, and no int() conversion error."""
+    assert main(["trace-family", "--preset", "suspended-cusp-" + "9" * digits,
+                 "--t0", "-1", "--t1", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and err.count("\n") == 1, err[:300]
+    assert len(err) < 200 and "set_int_max_str_digits" not in err, err[:300]
+    assert "i <= 13" in err
+
+
 def _csv_rows(text):
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     return lines[0], lines[1:]
@@ -429,6 +442,23 @@ def test_verify_all_passes_at_d2(capsys):
         "gysin", "hocolim-cofiber", "connectivity", "d1-oracle",
         "sigma-mf-cofibration",
     ]
+    assert all(r["verdict"] == "Pass" for r in out["records"])
+
+
+def test_verify_builds_no_monomial_basis(monkeypatch, capsys):
+    """verify reads the zigzag off the single-block tables alone: with every
+    MonomialBasis construction refused, a cold run of all checks still passes."""
+    from gmfkit import char_class_maps, graded_f2, moduli_calc
+
+    def refuse(self, *args):
+        raise AssertionError("MonomialBasis built")
+
+    monkeypatch.setattr(graded_f2.MonomialBasis, "__init__", refuse)
+    for cache in (char_class_maps._tables, moduli_calc._hocolim_std, moduli_calc._closed_form):
+        cache.cache_clear()
+    assert main(["verify", "--check", "all", "--d", "4", "--max-degree", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["records"]) == 5
     assert all(r["verdict"] == "Pass" for r in out["records"])
 
 

@@ -1081,6 +1081,33 @@ def test_seed_batches_over_the_bound_are_refused_before_any_allocation(monkeypat
         family_analysis._check_seed_batch(bound // 8 + 1, 1)
 
 
+def test_seed_batches_over_the_cell_bound_are_refused_before_any_allocation(monkeypatch):
+    """MAX_SEED_CELLS bounds rows x d^2: suspended-cusp-12 at 15 grid values
+    (245,760 rows at d = 14) is under MAX_SEED_ROWS but refused before
+    _calculus runs, at 3 values (49,152 rows) it is admitted, and
+    preset_family admits exactly the i whose one fiber grid is admitted."""
+    def no_calculus(F):
+        raise AssertionError("_calculus ran")
+
+    monkeypatch.setattr(family_analysis, "_calculus", no_calculus)
+    F = preset_family("suspended-cusp-12")
+    assert 15 * 2 ** 14 <= family_analysis.MAX_SEED_ROWS
+    for run in (lambda: trace_birth_death(F, -1.0, 1.0, steps=15),
+                lambda: check_family_axioms(F, -1.0, 1.0, steps=15)):
+        with pytest.raises(ValueError, match="MAX_SEED_CELLS"):
+            run()
+    family_analysis._check_seed_batch(3, 14)
+    family_analysis._check_seed_batch(2001, 4)
+    with pytest.raises(ValueError, match="MAX_SEED_CELLS"):
+        family_analysis._check_seed_batch(4, 14)
+    assert preset_family("suspended-cusp-13").fiber_dim == 15
+    family_analysis._check_seed_batch(1, 15)
+    with pytest.raises(ValueError, match="i <= 13"):
+        preset_family("suspended-cusp-14")
+    with pytest.raises(ValueError):
+        family_analysis._check_seed_batch(1, 16)
+
+
 def test_trace_events_are_verified_birth_death_jets():
     """Every emitted event re-classifies as BirthDeath with its own index."""
     from gmfkit.jet_core import classify

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from gmfkit import char_class_maps, cli, moduli_calc
-from gmfkit.char_class_maps import _tables, build_Y, build_Y1
+from gmfkit.char_class_maps import _Block, _tables, build_Y, build_Y1
 from gmfkit.graded_f2 import (
     GradedMap,
     MonomialBasis,
@@ -101,26 +101,30 @@ def test_zigzag_validation_errors():
 
 def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
     """The maps are read off single-block tables: build_zigzag lists each of
-    BO(0..d) once, builds no product-ring basis, and a second build of the
+    BO(0..d) once, builds no MonomialBasis at all, and a second build of the
     same shape lists nothing."""
-    built = []
-    init = MonomialBasis.__init__
+    built, bases = [], []
 
-    def counting_init(self, generators, N):
-        built.append(generators)
-        init(self, generators, N)
+    def counting(cls, log):
+        init = cls.__init__
 
-    monkeypatch.setattr(MonomialBasis, "__init__", counting_init)
+        def counting_init(self, *args):
+            log.append(args)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    counting(_Block, built)
+    counting(MonomialBasis, bases)
     for d in (3, 5):
         for cache in (_tables, build_Y, build_Y1):
             cache.cache_clear()
         built.clear()
         build_zigzag(d, 8)
-        assert built == [[(f"w{j}[0]", j) for j in range(1, m + 1)]
-                         for m in range(d + 1)], d
+        assert built == [(m, 8) for m in range(d + 1)], d
         built.clear()
         build_zigzag(d, 8)
         assert built == [], d
+    assert bases == []
 
 
 def test_hocolim_d1_equals_line_classifier():
