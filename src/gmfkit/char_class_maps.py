@@ -34,9 +34,10 @@ degree n - |mu|.  So, with q = d-i-1, an element (mu, k, nu) of Y1(i) goes
 where base(mu) and off(lambda) count the Y(i) and Y(i+1) elements listed
 before mu and lambda.  A g run is empty when n - |mu| - k is above the top
 degree of BO(q), which is N unless q = 0, so g_levels skips those k.  The
-tables are BO(0..d), each listed directly in lexicographic order (_Block;
-no MonomialBasis is built), and, for each m, the position in BO(m+1) of
-each element of BO(m) with one part k inserted.
+tables are BO(0..d), each graded_f2's one lexicographic monomial list
+(_Block reads _monomials, which MonomialBasis groups by degree; no
+MonomialBasis is built), and, for each m, the position in BO(m+1) of each
+element of BO(m) with one part k inserted.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .graded_f2 import (DEFAULT_TRUNCATION, GradedMap, MonomialBasis, _check_truncation,
-                        _partition_counts)
+                        _monomials, _partition_counts)
 
 
 def _bo_product(ranks, N: int) -> MonomialBasis:
@@ -59,23 +60,15 @@ def _product_dims(ranks, N: int) -> tuple:
 
 
 class _Block:
-    """H*(BO(m)) up to degree N, every degree at once in lexicographic order.
-
-    Listed in one pass: from the empty tuple, each generator degree from m
-    down to 1 puts its exponent e, in increasing order, in front of the
-    listed suffixes whose degree still fits under N.  Within one degree this
-    is a MonomialBasis's order, so local[p] is p's index in its basis.
-    """
+    """H*(BO(m)) up to degree N, every degree at once in lexicographic order:
+    _monomials' list, which a MonomialBasis groups by degree, so local[p] is
+    p's index in its degree's basis."""
 
     def __init__(self, m: int, N: int):
         _check_truncation(N)
-        listed = [((), 0)]
-        for deg in range(m, 0, -1):
-            listed = [((e,) + rest, a + e * deg) for e in range(N // deg + 1)
-                      for rest, a in listed if a + e * deg <= N]
         # order[p]: an exponent tuple; degrees[p]: its degree; local[p]: its
         # index in that degree's basis
-        self.order, self.degrees = (list(col) for col in zip(*listed))
+        self.order, self.degrees = (list(col) for col in zip(*_monomials(range(1, m + 1), N)))
         self.local = []
         self.members = [[] for _ in range(N + 1)]  # positions by degree, in basis order
         for p, n in enumerate(self.degrees):

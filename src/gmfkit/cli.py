@@ -13,8 +13,6 @@ line.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -77,36 +75,26 @@ def cmd_trace_family(args) -> int:
     result = family_analysis.trace_birth_death(
         F, args.t0, args.t1, steps=args.steps, box=box
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["t_star"]
-        + [f"x_star_{i + 1}" for i in range(F.fiber_dim)]
-        + ["index", "det_hessian"]
-    )
-    for ev in result.events:
-        writer.writerow(
-            [_g17(ev.t_star)]
-            + [_g17(v) for v in ev.x_star]
-            + [ev.index, _g17(ev.det_hessian)]
-        )
+    # every field is a number or a plain name, which CSV never quotes
+    rows = [["t_star", *(f"x_star_{i + 1}" for i in range(F.fiber_dim)), "index", "det_hessian"]]
+    rows += [[_g17(ev.t_star), *map(_g17, ev.x_star), str(ev.index), _g17(ev.det_hessian)]
+             for ev in result.events]
+    lines = [",".join(row) + "\n" for row in rows]
     failures = family_analysis.gmf_failures(result.degenerate, result.samples)
     if result.degenerate:
         named, prefix = result.degenerate, "# degenerate"
     else:  # no point located: name the sampled points that fail instead
         named, prefix = failures, "# failing sample"
     for flag in named:
-        buf.write(
-            f"{prefix} t={_g17(flag.t)} x=({','.join(_g17(v) for v in flag.x)})"
-            f" reason={flag.reason}\n"
-        )
+        lines.append(f"{prefix} t={_g17(flag.t)} x=({','.join(_g17(v) for v in flag.x)})"
+                     f" reason={flag.reason}\n")
     gmf_ok = not failures
-    buf.write(
+    lines.append(
         f"# events={len(result.events)} degenerate={len(result.degenerate)}"
         f" warnings={len(result.warnings)} axiom_gmf={'Pass' if gmf_ok else 'Fail'}"
         f" window=[{_g17(args.t0)},{_g17(args.t1)}] steps={args.steps}\n"
     )
-    _emit(buf.getvalue(), args.out)
+    _emit("".join(lines), args.out)
     return 0 if gmf_ok else 1
 
 
@@ -253,12 +241,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=sys.stderr)
         return 2
+    except IndexError as e:  # before ValueError: a jet's DimensionError is both
+        print(f"error: dimension inconsistency: {e}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except IndexError as e:
-        print(f"error: dimension inconsistency: {e}", file=sys.stderr)
-        return 3
 
 
 def entry():

@@ -139,13 +139,13 @@ class _FamilyCalculus:
                 tuple((coeff, tuple((v, p) for v, p in enumerate(powers) if p)) for powers, coeff in terms)
                 for terms in entries.values())
             exponents = [powers for terms in entries.values() for powers, _ in terms]
-            top = np.array(exponents, dtype=int).reshape(-1, k + d).max(axis=0, initial=0)
+            used = [{powers[v] for powers in exponents} - {0, 1} for v in range(k + d)]
             # the list behind each entry of the dense tensor, in C order
             position = {key: c for c, key in enumerate(entries)}
             rank = len(next(iter(entries)))
             gather = np.array([position[tuple(sorted(idx))]
                                for idx in itertools.product(range(d), repeat=rank)])
-            return lists, top, gather, (d,) * rank
+            return lists, used, gather, (d,) * rank
 
         grad, hess = fiber_derivatives(F.terms)
         third = {(j, l, m): _diff_terms(h, k + m) for (j, l), h in hess.items() for m in range(l, d)}
@@ -153,31 +153,33 @@ class _FamilyCalculus:
         if k == 1:
             tables["grad_dt"], tables["hess_dt"] = fiber_derivatives(_diff_terms(F.terms, 0))
         self.tables = {name: compile_table(entries) for name, entries in tables.items()}
-        self.tops = {}  # each variable's highest power, per tuple of names
+        self.powers = {}  # each variable's powers above 1 in use, per tuple of names
 
     def at(self, pt, *names) -> list:
         """The named tables at pt, one array each.
 
         pt is one point (parameters..., fiber coordinates...) or an
         (m, k + d) array of points, one per row, which puts a leading axis
-        of length m on every result.  The powers of each coordinate come
-        from one table, shared by the names and made with Python's **:
-        repeated multiplication and numpy's power each differ from it in the
-        last bit for some inputs, and Newton can then stop elsewhere.  A
-        power or product too large for a float reads as infinite or NaN.
+        of length m on every result.  The powers of each coordinate that the
+        named tables use come from one table, shared by the names and made
+        with Python's **: repeated multiplication and numpy's power each
+        differ from it in the last bit for some inputs, and Newton can then
+        stop elsewhere.  A power or product too large for a float reads as
+        infinite or NaN.
         """
         pt = np.asarray(pt, dtype=float)
         rows = pt.reshape(-1, pt.shape[-1])
-        tops = self.tops.get(names)
-        if tops is None:
-            tops = self.tops[names] = np.max([self.tables[n][1] for n in names], axis=0).tolist()
+        powers = self.powers.get(names)
+        if powers is None:
+            powers = self.powers[names] = [sorted(set().union(*used))
+                                           for used in zip(*(self.tables[n][1] for n in names))]
         pw = []
-        for col, top in zip(rows.T, tops):
+        for col, ps in zip(rows.T, powers):
             xs = col.tolist()
             try:
-                pw.append([None, col] + [np.array([x ** p for x in xs]) for p in range(2, top + 1)])
+                pw.append({1: col, **{p: np.array([x ** p for x in xs]) for p in ps}})
             except OverflowError:
-                pw.append([None, col] + [np.array([_power(x, p) for x in xs]) for p in range(2, top + 1)])
+                pw.append({1: col, **{p: np.array([_power(x, p) for x in xs]) for p in ps}})
         results = []
         with np.errstate(over="ignore", invalid="ignore"):
             for name in names:

@@ -257,6 +257,18 @@ def transpose_bits(rows: Sequence[int], ncols: int) -> list:
 # monomial bases and graded maps
 
 
+def _monomials(degrees, N: int) -> list:
+    """(exponent tuple, degree) of every monomial of degree <= N in generators
+    of the given positive degrees, in lexicographic order: from the empty
+    tuple, each generator from the last to the first puts its exponent e, in
+    increasing order, in front of the listed suffixes whose degree still fits."""
+    listed = [((), 0)]
+    for deg in reversed(degrees):
+        listed = [((e,) + rest, a + e * deg) for e in range(N // deg + 1)
+                  for rest, a in listed if a + e * deg <= N]
+    return listed
+
+
 class MonomialBasis:
     """Monomials in weighted generators, listed degree by degree up to N.
 
@@ -272,19 +284,11 @@ class MonomialBasis:
             raise ValueError("generator degrees must be positive")
         _check_truncation(N)
         self.N = int(N)
-        self._basis = self._enumerate()
+        self._basis = [[] for _ in range(self.N + 1)]
+        for mono, n in _monomials(self.degrees, self.N):
+            self._basis[n].append(mono)
         # positions[n][mono] is the index of mono in basis(n)
         self.positions = [{mono: i for i, mono in enumerate(level)} for level in self._basis]
-
-    def _enumerate(self) -> list:
-        # levels[n]: exponent suffixes of degree n, last generator first; the
-        # next exponent put in front in increasing order keeps it lexicographic
-        levels = [[()]] + [[] for _ in range(self.N)]
-        for deg in reversed(self.degrees):
-            prev = levels
-            levels = [[(e,) + rest for e in range(n // deg + 1) for rest in prev[n - e * deg]]
-                      for n in range(self.N + 1)]
-        return levels
 
     def basis(self, n: int):
         if n < 0:

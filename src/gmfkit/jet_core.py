@@ -11,10 +11,12 @@ Critical jets split along the spectrum of q into negative / zero / positive
 blocks; a one-dimensional kernel with nonvanishing cubic on it is the
 birth-death stratum, modelled on x1^3 - sum_{j<=i+1} x_j^2 + sum x_k^2.
 
-A jet is validated once, where it is made: `Jet3(...)` checks its fields in
-`__post_init__`; `jet_from_json_dict` makes the same checks on the JSON and
-builds the record with `_checked_jet`, which skips them, as does the normal
-form for its reduced jet (a checked jet with a +-1/0 diagonal quadratic).
+A jet is validated once, where it is made, by one function: `_valid_jet`
+makes every value check in one order, with one message each, for
+`Jet3(...)`, `jet_from_parts` and `jet_from_json_dict`, which adds only the
+JSON type checks.  `_checked_jet` builds the record from fields that pass,
+for `_valid_jet` and for the normal form's reduced jet (a checked jet with a
++-1/0 diagonal quadratic).
 
 numpy is imported at the first `np.<name>` a function evaluates, not when the
 module loads (see `_LazyNumpy`), so importing gmfkit, and running its series
@@ -67,33 +69,14 @@ class Jet3:
     cubic: dict
 
     def __post_init__(self):
-        d = _integer(self.dim, "dim")
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
-        c = float(self.constant)
-        lin = np.asarray(self.linear, dtype=float).reshape(d)
-        quad = np.asarray(self.quadratic, dtype=float).reshape(d, d)
-        if not all(map(math.isfinite, [c, *lin.tolist(), *quad.ravel().tolist()])):
-            raise ValueError("jet coefficients must be finite")
-        if quad.tolist() != quad.T.tolist():
-            raise ValueError("quadratic matrix must be stored exactly symmetric")
-        cub = {}
-        for idx, v in dict(self.cubic).items():
-            i, j, k = idx
-            if not type(i) is type(j) is type(k) is int:
-                i, j, k = (_integer(n, "cubic index entry") for n in idx)
-            if not (1 <= i <= j <= k <= d):
-                raise ValueError(f"cubic index {idx} not a sorted 1-based triple in range")
-            cub[(i, j, k)] = float(v)
-        if not all(map(math.isfinite, cub.values())):
-            raise ValueError("jet coefficients must be finite")
-        lin.flags.writeable = False
-        quad.flags.writeable = False
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "constant", c)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "quadratic", quad)
-        object.__setattr__(self, "cubic", cub)
+        cubic = dict(self.cubic)
+        vars(self).update(vars(_valid_jet(self.dim, self.constant, self.linear, self.quadratic,
+                                          zip(cubic, map(float, cubic.values())))))
+
+
+class DimensionError(IndexError, ValueError):
+    """Jet parts that disagree with dim or each other: a ValueError like every
+    other defect, which the CLI reads as an IndexError (exit 3)."""
 
 
 def _integer(n, what) -> int:
@@ -114,6 +97,45 @@ def _checked_jet(dim: int, constant: float, linear, quadratic, cubic: dict) -> J
     jet.__dict__.update(dim=dim, constant=constant, linear=linear, quadratic=quadratic,
                         cubic=cubic)
     return jet
+
+
+def _valid_jet(dim, constant, linear, quadratic, cubic) -> Jet3:
+    """The Jet3 of these fields if they pass every check, first failure raised:
+    part sizes, finiteness, exact symmetry, then term by term of cubic's (index
+    triple, float) pairs three integer indices, a finite coefficient and a sorted
+    triple in 1..dim, and dim >= 1 last.  Parts that disagree raise DimensionError."""
+    d = _integer(dim, "dim")
+    c = float(constant)
+    lin = np.asarray(linear, dtype=float).ravel()
+    quad = np.asarray(quadratic, dtype=float)
+    if lin.size != d:
+        raise DimensionError(f"linear part has {lin.size} entries, expected {d}")
+    if quad.size != d * d:
+        raise DimensionError(f"quadratic part has {quad.size} entries, expected {d * d}")
+    quad = quad.reshape(d, d)
+    if not all(map(math.isfinite, [c, *lin.tolist(), *quad.ravel().tolist()])):
+        raise ValueError("jet coefficients must be finite")
+    if quad.tolist() != quad.T.tolist():
+        raise DimensionError("quadratic matrix is not symmetric")
+    cub = {}
+    for idx, v in cubic:
+        try:
+            i, j, k = idx
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"malformed cubic term: {e}") from e
+        if not type(i) is type(j) is type(k) is int:
+            try:
+                i, j, k = (_integer(n, "cubic index entry") for n in idx)
+            except ValueError:
+                raise ValueError(f"cubic index {idx!r} is not three integers") from None
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite cubic coefficient {v}")
+        if not (1 <= i <= j <= k <= d):
+            raise DimensionError(f"cubic index {(i, j, k)} out of range for dim {d}")
+        cub[(i, j, k)] = v
+    if d < 1:  # last: dim 0 with a cubic term is a DimensionError
+        raise ValueError("dimension must be >= 1")
+    return _checked_jet(d, c, lin, quad, cub)
 
 
 @record
@@ -173,17 +195,12 @@ def cubic_tensor(jet: Jet3) -> np.ndarray:
 def jet_from_parts(dim, constant, linear, quadratic, tensor) -> Jet3:
     """Assemble a Jet3 from a dense symmetric cubic tensor."""
     quad = np.asarray(quadratic, dtype=float)
-    quad = (quad + quad.T) / 2.0
-    cubic = {}
     d = int(dim)
     tensor = np.asarray(tensor, dtype=float).tolist()
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            for k in range(j, d + 1):
-                v = tensor[i - 1][j - 1][k - 1]
-                if v != 0.0:  # keeps a NaN entry, for Jet3 to reject
-                    cubic[(i, j, k)] = v
-    return Jet3(d, constant, np.asarray(linear, dtype=float), quad, cubic)
+    # a NaN entry is kept, for the checks to reject
+    cubic = [((i, j, k), v) for i in range(1, d + 1) for j in range(i, d + 1)
+             for k in range(j, d + 1) if (v := tensor[i - 1][j - 1][k - 1]) != 0.0]
+    return _valid_jet(d, constant, linear, (quad + quad.T) / 2.0, cubic)
 
 
 def compose_linear(jet: Jet3, M) -> Jet3:
@@ -362,30 +379,9 @@ def jet_from_json_dict(data: dict) -> Jet3:
         cubic_coeffs = _json_numbers(list(map(operator.itemgetter("coeff"), cubic_items)), "cubic")
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # Overflow: an int too big for a float
         raise ValueError(f"malformed jet JSON: {e}") from e
-    if len(linear) != d:
-        raise IndexError(f"linear part has {len(linear)} entries, expected {d}")
-    if len(quad_flat) != d * d:
-        raise IndexError(f"quadratic part has {len(quad_flat)} entries, expected {d * d}")
-    # the checks Jet3 makes, with the CLI's exit codes: a non-finite coefficient is
-    # exit 2 before an asymmetric matrix or out-of-range index is exit 3
-    if not all(map(math.isfinite, [constant, *linear, *quad_flat])):
-        raise ValueError("jet coefficients must be finite")
-    quad = np.array(quad_flat).reshape(d, d)
-    if quad.tolist() != quad.T.tolist():
-        raise IndexError("quadratic matrix is not symmetric")
-    cubic = {}
-    for item, coeff in zip(cubic_items, cubic_coeffs):
-        try:
-            idx = i, j, k = item["idx"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"malformed cubic term: {e}") from e
-        if not type(i) is type(j) is type(k) is int:
-            raise ValueError(f"cubic index {idx!r} is not three integers")
-        if not math.isfinite(coeff):
-            raise ValueError(f"non-finite cubic coefficient {coeff}")
-        if not (1 <= i <= j <= k <= d):
-            raise IndexError(f"cubic index {(i, j, k)} out of range for dim {d}")
-        cubic[(i, j, k)] = coeff
-    if d < 1:  # last, where Jet3 made it: dim 0 with a cubic term stays exit 3
-        raise ValueError("dimension must be >= 1")
-    return _checked_jet(d, constant, np.array(linear), quad, cubic)
+    # a term without an idx raises the one KeyError _valid_jet meets, in its turn
+    try:
+        return _valid_jet(d, constant, linear, quad_flat,
+                          zip(map(operator.itemgetter("idx"), cubic_items), cubic_coeffs))
+    except KeyError as e:
+        raise ValueError(f"malformed cubic term: {e}") from e

@@ -46,9 +46,9 @@ from itertools import accumulate
 
 from ._record import record
 from .char_class_maps import _product_dims, f_levels, g_levels, map_f, map_g
-from .graded_f2 import (DEFAULT_TRUNCATION, PoincareSeries, _check_level, series_add, series_BO,
-                        series_BSO, series_equal, series_from_coeffs, series_mul, series_one,
-                        series_shift)
+from .graded_f2 import (DEFAULT_TRUNCATION, PoincareSeries, _check_level, _check_truncation,
+                        series_add, series_BO, series_BSO, series_equal, series_from_coeffs,
+                        series_mul, series_one, series_shift)
 
 EXACT = "exact"
 SPLIT_ASSUMPTION = "split-assumption"
@@ -298,8 +298,7 @@ def mt_series(d: int, N: int = DEFAULT_TRUNCATION, structure: str = "o") -> Spec
     """
     if d < 0:
         raise ValueError("need d >= 0")
-    if N < 0:
-        raise ValueError(f"truncation must be nonnegative, got {N}")
+    _check_truncation(N)
     structure = structure.lower()
     base = _base_series(structure)(d, N + d)
     return SpectrumSeries(series_shift(base, -d), EXACT, (
@@ -350,11 +349,12 @@ def hocolim_cofiber_check(d: int, N: int = DEFAULT_TRUNCATION) -> CheckReport:
 
     Bookkeeping only: the cofiber is C_n = S_{n-1} whatever the ranks of
     Phi are, so this compares the dimensions of the enumerated Y1(i) rings
-    with a sum of partition counts.  No rank enters; the ranks are checked
-    by sigma_mf_cofibration_check and d1_oracle_check.
+    with the closed form's S, a sum of BO block products, shifted by one.
+    No rank enters; the ranks are checked by sigma_mf_cofibration_check and
+    d1_oracle_check.
     """
     cof = _mv_cofiber(_hocolim_std(d, N))
-    wedge = wedge_target_series(d, N)
+    wedge = series_shift(series_from_coeffs(_closed_form(d, N)[0]), 1)
     ok, mismatch = series_equal(cof, wedge, up_to=N)
     return CheckReport("hocolim-cofiber", d, N, None, ok, mismatch, (),
                        ("bookkeeping: the zigzag's enumerated top-row dimensions, shifted by one, "
@@ -464,8 +464,7 @@ def sigma_mf_cofibration_check(d: int, N: int = DEFAULT_TRUNCATION) -> CheckRepo
     """
     h = _hocolim_std(d, N)
     cof = _mv_cofiber(h)
-    smf = sigma_mf_series(d, N)
-    bo = series_BO(d, N)
+    _, T, B = _closed_form(d, N)  # T: the disjoint-union series sigma_mf_series
     notes = (COMPONENTS_READING,
              "identity: A_n + C_n = X_n + k_n + k_{n-1} (n >= 1), A_0 + C_0 = X_0 + k_0")
 
@@ -474,17 +473,17 @@ def sigma_mf_cofibration_check(d: int, N: int = DEFAULT_TRUNCATION) -> CheckRepo
 
     # the disjoint-union series must match the assembled bottom-row dims
     for n in range(N + 1):
-        if smf.coeff(n) != h.T_dims[n]:
+        if T[n] != h.T_dims[n]:
             return report(False, n, "bottom-row dimensions disagree with series")
-        if h.rank[n] != h.T_dims[n] - bo.coeff(n):
+        if h.rank[n] != h.T_dims[n] - B[n]:
             return report(False, n, "rank Phi_n != T_n - partitions of n into <= d parts")
-    if smf.coeff(0) - h.series.coeff(0) != d:
+    if T[0] - h.series.coeff(0) != d:
         return report(False, 0, "degree-0 component count off")
     ok, mismatch = series_equal(h.series, sigma_gmf_series(d, N), up_to=N)
     if not ok:
         return report(False, mismatch, "Mayer-Vietoris series disagrees with the closed form")
     k = h.rank
     for n in range(N + 1):
-        if smf.coeff(n) + cof.coeff(n) != h.series.coeff(n) + k[n] + (k[n - 1] if n >= 1 else 0):
+        if T[n] + cof.coeff(n) != h.series.coeff(n) + k[n] + (k[n - 1] if n >= 1 else 0):
             return report(False, n)
     return report(True, None)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import time
 import warnings
 
 import numpy as np
@@ -168,7 +169,7 @@ def test_calculus_on_rows_matches_the_monomial_sum():
 
 
 def test_calculus_tables_together_match_each_alone():
-    """A shared power table, as high as the highest table asked for,
+    """A shared power table, with every power the tables asked for use,
     changes no table's entries: every name evaluated alongside the others
     is, bit for bit, what it gives alone, on rows and at one point."""
     rng = np.random.default_rng(83)
@@ -237,6 +238,26 @@ def test_fiber_critical_points_cusp():
 def test_fiber_critical_points_empty_fiber():
     # x^3 + x has no real critical points
     assert fiber_critical_points(CUSP, -1.0, [(-2.0, 2.0)]) == []
+
+
+def test_one_high_power_costs_only_the_powers_in_use():
+    """The evaluator makes only the powers its tables use: a term x^20000
+    costs three powers of x per call, not 20,000, so the fiber's points come
+    in well under a second.  They are the points made with every power
+    2..20000 (x^20000 underflows to zero near them)."""
+    P = 20000
+    F = family_from_json_dict({"param_dim": 1, "fiber_dim": 2, "terms": [
+        {"powers": [0, 3, 0], "coeff": 1.0}, {"powers": [1, 1, 0], "coeff": -1.0},
+        {"powers": [0, 0, 2], "coeff": 1.0}, {"powers": [0, P, 0], "coeff": 1.0}]})
+    start = time.perf_counter()
+    pts = fiber_critical_points(F, 0.5, [(-2.0, 2.0)] * 2)
+    assert time.perf_counter() - start < 1.0
+    assert [(p.x.tolist(), p.value, p.cls.kind, p.cls.index) for p in pts] == [
+        ([-0.408248290463863, 0.0], 0.13608276348795434, NONDEGENERATE, 1),
+        ([0.408248290463863, 0.0], -0.13608276348795434, NONDEGENERATE, 0)]
+    calc = family_analysis._calculus(F)
+    calc.at((0.5, 0.1, 0.2), "grad", "hess")
+    assert calc.powers[("grad", "hess")] == [[], [2, P - 2, P - 1], []]
 
 
 def test_fiber_critical_points_param_dim_zero():

@@ -649,14 +649,19 @@ def test_jet_json_error_classes():
 
 
 def test_jet_json_parse_skips_no_check():
-    """The parser builds its Jet3 without __post_init__: each defect Jet3 rejects is
-    rejected by the parser too, with the class the CLI maps to its exit code."""
+    """The parser and Jet3 make their value checks through one function: each
+    defect gets the same class and message from both, the class the CLI maps
+    to its exit code (IndexError: 3, any other ValueError: 2), and of two
+    defects the first in the checks' order decides."""
     good = {"dim": 2, "constant": 0.0, "linear": [0.0, 0.0], "quadratic": [1.0, 0.0, 0.0, 1.0],
             "cubic": [{"idx": [1, 1, 2], "coeff": 1.0}]}
     nan, inf = float("nan"), float("inf")
     cases = [  # (the defect in JSON, the same defect as Jet3 fields, the parser's class)
         ({"dim": 0, "linear": [], "quadratic": [], "cubic": []},
          dict(dim=0, linear=[], quadratic=np.zeros((0, 0)), cubic={}), ValueError),
+        ({"dim": -1}, dict(dim=-1), IndexError),
+        ({"linear": [0.0]}, dict(linear=[0.0]), IndexError),
+        ({"quadratic": [1.0, 0.0, 0.0]}, dict(quadratic=[1.0, 0.0, 0.0]), IndexError),
         ({"constant": inf}, dict(constant=inf), ValueError),
         ({"linear": [0.0, nan]}, dict(linear=[0.0, nan]), ValueError),
         ({"quadratic": [1.0, 0.0, 0.0, -inf]}, dict(quadratic=[[1.0, 0.0], [0.0, -inf]]),
@@ -671,14 +676,38 @@ def test_jet_json_parse_skips_no_check():
          IndexError),
         ({"cubic": [{"idx": [0, 1, 1], "coeff": 1.0}]}, dict(cubic={(0, 1, 1): 1.0}),
          IndexError),
+        ({"cubic": [{"idx": [1, 1], "coeff": 1.0}]}, dict(cubic={(1, 1): 1.0}), ValueError),
+        ({"cubic": [{"idx": [1, 1, 2, 2], "coeff": 1.0}]}, dict(cubic={(1, 1, 2, 2): 1.0}),
+         ValueError),
+        # two defects: the first in the checks' order decides the class
+        ({"cubic": [{"idx": [1, 1, 3], "coeff": 1.0}, {"idx": [1, 1, 1], "coeff": nan}]},
+         dict(cubic={(1, 1, 3): 1.0, (1, 1, 1): nan}), IndexError),
+        ({"cubic": [{"idx": [1, 1, 1], "coeff": nan}, {"idx": [1, 1, 3], "coeff": 1.0}]},
+         dict(cubic={(1, 1, 1): nan, (1, 1, 3): 1.0}), ValueError),
+        ({"linear": [0.0, nan], "quadratic": [1.0, 2.0, 0.0, 1.0]},
+         dict(linear=[0.0, nan], quadratic=[[1.0, 2.0], [0.0, 1.0]]), ValueError),
+        ({"quadratic": [1.0, 2.0, 0.0, inf]}, dict(quadratic=[[1.0, 2.0], [0.0, inf]]),
+         ValueError),
+        ({"dim": 0, "linear": [], "quadratic": [], "cubic": [{"idx": [1, 1, 1], "coeff": 1.0}]},
+         dict(dim=0, linear=[], quadratic=np.zeros((0, 0)), cubic={(1, 1, 1): 1.0}), IndexError),
     ]
     fields = dict(dim=2, constant=0.0, linear=[0.0, 0.0], quadratic=np.eye(2),
                   cubic={(1, 1, 2): 1.0})
     for defect, jet_defect, cls in cases:
-        with pytest.raises(ValueError):
-            Jet3(**{**fields, **jet_defect})
-        with pytest.raises(cls):
+        with pytest.raises(cls) as parsed:
             jet_from_json_dict({**good, **defect})
+        assert isinstance(parsed.value, IndexError) == (cls is IndexError), defect
+        with pytest.raises(ValueError) as built:
+            Jet3(**{**fields, **jet_defect})
+        assert type(built.value) is type(parsed.value), defect
+        assert str(built.value) == str(parsed.value), defect
+    # a term without an idx is malformed, but only once the terms before it pass
+    missing = {"coeff": 1.0}
+    with pytest.raises(ValueError, match="malformed cubic term") as parsed:
+        jet_from_json_dict({**good, "cubic": [{"idx": [1, 1, 2], "coeff": 1.0}, missing]})
+    assert not isinstance(parsed.value, IndexError)
+    with pytest.raises(IndexError, match="out of range"):
+        jet_from_json_dict({**good, "cubic": [{"idx": [1, 1, 3], "coeff": 1.0}, missing]})
     # a non-integral dim or cubic index is malformed (exit 2), never truncated
     for dim in (2.7, 2.0, "2", True):
         with pytest.raises(ValueError):

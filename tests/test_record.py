@@ -85,7 +85,7 @@ def test_repr_names_every_field():
 
 
 def test_validators_still_run():
-    with pytest.raises(ValueError, match="exactly symmetric"):
+    with pytest.raises(ValueError, match="quadratic matrix is not symmetric"):
         Jet3(2, 0.0, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), {})
     with pytest.raises(ValueError, match="nonnegative"):
         PoincareSeries(0, (1, -1), 1)
