@@ -4,12 +4,17 @@ Series coefficients are Python ints (arbitrary precision, never floats).
 A series knows the lowest degree it stores (may be negative, e.g. for
 spectrum homology) and the truncation degree up to which its coefficients
 are valid.  All arithmetic tracks the valid range explicitly.
+
+The classifying-space series are truncated partition products, all computed
+to degree N only: BO(m) and BSO(m) count partitions into parts 1..m and
+2..m, and the Grassmannian multiplies BO(d) by the factors (1 - t^p),
+p = n+1..n+d.  Rank and reduced row echelon form share one xor elimination.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from ._record import record
 
@@ -32,9 +37,8 @@ class PoincareSeries:
         if len(self.coeffs) != self.truncation - self.min_degree + 1:
             raise ValueError("coefficient count does not match degree range")
         for c in self.coeffs:
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise ValueError("coefficients must be nonnegative integers")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     def coeff(self, n: int) -> int:
         """Coefficient at degree n; zero below min_degree, error above truncation."""
@@ -46,8 +50,8 @@ class PoincareSeries:
 
 
 def series_from_coeffs(coeffs: Sequence[int], min_degree: int = 0) -> PoincareSeries:
-    coeffs = [int(c) for c in coeffs]
-    return PoincareSeries(min_degree, tuple(coeffs), min_degree + len(coeffs) - 1)
+    coeffs = tuple(coeffs)
+    return PoincareSeries(min_degree, coeffs, min_degree + len(coeffs) - 1)
 
 
 def _check_truncation(N: int) -> None:
@@ -151,34 +155,21 @@ def series_BSO(m: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     return _partition_counts(range(2, min(m, N) + 1), N)
 
 
-@lru_cache(maxsize=None)
-def _gauss_poly(m: int, k: int) -> tuple:
-    # q-Pascal recurrence [m,k] = [m-1,k-1] + t^k [m-1,k]
-    if k < 0 or k > m:
-        return (0,)
-    if k == 0 or k == m:
-        return (1,)
-    a = _gauss_poly(m - 1, k - 1)
-    b = _gauss_poly(m - 1, k)
-    out = [0] * (k * (m - k) + 1)
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i + k] += c
-    return tuple(out)
-
-
 def series_grassmannian(d: int, n: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:
     """Gaussian binomial [d+n, d]_t: cells of the Grassmannian of d-planes in R^{d+n}.
 
-    The polynomial has degree d*n; coefficients beyond it are exactly zero,
-    so the result is padded with zeros up to N.
+    [d+n, d]_t = prod_{i=1..d} (1 - t^{n+i}) / (1 - t^i): series_BO(d, N)
+    multiplied by each factor (1 - t^p), p = n+1..n+d, all to degree N.  A
+    factor with p > N changes nothing up to N.  The polynomial has degree
+    d*n, so the coefficients beyond it come out exactly zero.
     """
     if d < 0 or n < 0:
         raise ValueError("d, n must be nonnegative")
-    _check_truncation(N)
-    poly = list(_gauss_poly(d + n, d))
-    coeffs = [poly[i] if i < len(poly) else 0 for i in range(N + 1)]
+    coeffs = list(series_BO(d, N).coeffs)
+    for p in range(n + 1, min(n + d, N) + 1):
+        # from the top down, so coeffs[k - p] is still the previous factor's
+        for k in range(N, p - 1, -1):
+            coeffs[k] -= coeffs[k - p]
     return series_from_coeffs(coeffs)
 
 
@@ -186,9 +177,9 @@ def series_grassmannian(d: int, n: int, N: int = DEFAULT_TRUNCATION) -> Poincare
 # F2 linear algebra on row bitmasks
 #
 # A matrix is a list of rows; each row is a Python int whose bit k is the
-# entry in column k.  Eliminations keep an xor basis of row ints keyed by
-# each basis row's leading bit, so a sparse row costs only the xors that
-# actually touch it.
+# entry in column k.  Rank and RREF share one elimination, an xor basis of
+# row ints keyed by each basis row's lowest set bit, so a sparse row costs
+# only the xors that actually touch it.
 
 
 def _coerce_rows(rows, ncols: int | None) -> list:
@@ -199,29 +190,10 @@ def _coerce_rows(rows, ncols: int | None) -> list:
     return [r & mask for r in rows]
 
 
-def rank_f2(matrix, ncols: int | None = None) -> int:
-    """Rank over F2 of a list of row ints."""
-    rows = _coerce_rows(matrix, ncols)
-    basis = {}  # highest set bit -> basis row
-    for r in rows:
-        while r:
-            top = r.bit_length() - 1
-            b = basis.get(top)
-            if b is None:
-                basis[top] = r
-                break
-            r ^= b
-    return len(basis)
-
-
-def rref_f2(matrix, ncols: int | None = None):
-    """Reduced row echelon form.  Returns (rank, pivots, rref rows as ints).
-
-    Pivots are the lowest set bits of the echelon rows, in increasing order.
-    """
-    rows = _coerce_rows(matrix, ncols)
-    basis = {}  # lowest set bit -> basis row
-    for r in rows:
+def _xor_basis(matrix, ncols: int | None) -> dict:
+    """An xor basis of the row space: {lowest set bit: basis row}."""
+    basis = {}
+    for r in _coerce_rows(matrix, ncols):
         while r:
             low = (r & -r).bit_length() - 1
             b = basis.get(low)
@@ -229,6 +201,20 @@ def rref_f2(matrix, ncols: int | None = None):
                 basis[low] = r
                 break
             r ^= b
+    return basis
+
+
+def rank_f2(matrix, ncols: int | None = None) -> int:
+    """Rank over F2 of a list of row ints."""
+    return len(_xor_basis(matrix, ncols))
+
+
+def rref_f2(matrix, ncols: int | None = None):
+    """Reduced row echelon form.  Returns (rank, pivots, rref rows as ints).
+
+    Pivots are the lowest set bits of the echelon rows, in increasing order.
+    """
+    basis = _xor_basis(matrix, ncols)
     pivots = sorted(basis)
     # back-substitute from the right: rows with higher pivots are final
     for i in range(len(pivots) - 2, -1, -1):

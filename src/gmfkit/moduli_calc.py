@@ -257,9 +257,13 @@ def _block_sum(d: int, N: int, inner: tuple = ()) -> PoincareSeries:
     r = d - sum(inner)
     if r < 0:
         raise ValueError(f"need d >= {sum(inner)}")
-    bo = [series_BO(m, N) for m in range(r + 1)]
+    _check_truncation(N)
+    # series_BO(m, N) is series_BO(N, N) for every m >= N, so rank N stands
+    # for every rank above it
+    bo = [series_BO(m, N) for m in range(min(r, N) + 1)]
     fixed = [series_BO(m, N) for m in inner]
-    return reduce(series_add, (reduce(series_mul, [bo[i], *fixed, bo[r - i]]) for i in range(r + 1)))
+    return reduce(series_add, (reduce(series_mul, [bo[min(i, N)], *fixed, bo[min(r - i, N)]])
+                               for i in range(r + 1)))
 
 
 def wedge_target_series(d: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:

@@ -17,7 +17,7 @@ from itertools import product as iproduct
 import pytest
 
 from gmfkit.char_class_maps import _Block, build_Y, build_Y1, map_f, map_g
-from gmfkit.graded_f2 import MonomialBasis, rank_f2, series_BO, series_mul, series_one, transpose_bits
+from gmfkit.graded_f2 import rank_f2, series_BO, series_mul, series_one, transpose_bits
 from gmfkit.moduli_calc import build_zigzag, hocolim_series
 
 # ---------------------------------------------------------------------------
@@ -239,13 +239,26 @@ def test_ring_frozen_dims():
 
 
 def _sorted_block(m, N):
-    """BO(m) up to degree N as a MonomialBasis lists it, every degree sorted
-    into one lexicographic list: (order, degrees, local, members, dims)."""
-    basis = MonomialBasis([(f"w{j}", j) for j in range(1, m + 1)], N)
-    listed = sorted((e, n, r) for n in range(N + 1) for r, e in enumerate(basis.basis(n)))
+    """BO(m) up to degree N, listed without the library's lister: the
+    partitions of each n <= N into parts <= m, read as exponent tuples (e_j =
+    how often part j occurs) and sorted into one lexicographic list:
+    (order, degrees, local, members, dims)."""
+
+    def partitions(remaining, cap):
+        # largest part first, as test_graded_f2._young_diagrams_in_box counts them
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            for rest in partitions(remaining - part, part):
+                yield (part,) + rest
+
+    levels = [sorted(tuple(p.count(j) for j in range(1, m + 1)) for p in partitions(n, m))
+              for n in range(N + 1)]
+    listed = sorted((e, n, r) for n, level in enumerate(levels) for r, e in enumerate(level))
     order, degrees, local = (list(col) for col in zip(*listed))
     members = [[p for p, a in enumerate(degrees) if a == n] for n in range(N + 1)]
-    return order, degrees, local, members, [basis.dim(n) for n in range(N + 1)]
+    return order, degrees, local, members, [len(level) for level in levels]
 
 
 def test_block_lists_the_sorted_basis():

@@ -189,6 +189,11 @@ def test_grassmannian_matches_young_diagram_count_and_symmetry():
                 assert s.coeff(k) == _young_diagrams_in_box(d, n, k), (d, n, k)
             t = series_grassmannian(n, d, d * n + 3)
             assert s.coeffs == t.coeffs
+    # boxes far larger than the truncation: one long side, or both
+    for d, n, N in ((500, 1, 8), (1, 600, 8), (1200, 1, 8), (200, 200, 12)):
+        s = series_grassmannian(d, n, N)
+        assert [s.coeff(k) for k in range(N + 1)] == [_young_diagrams_in_box(d, n, k) for k in range(N + 1)]
+        assert s == series_grassmannian(n, d, N), (d, n, N)
 
 
 def test_grassmannian_zero_padding():

@@ -282,6 +282,23 @@ def test_sigma_mf_series_values():
         assert sigma_mf_series(d, 4).coeff(0) == d + 1
 
 
+def test_block_sum_builds_bo_only_up_to_rank_N(monkeypatch):
+    """series_BO(m, N) is series_BO(N, N) for m >= N, so _block_sum builds one
+    BO series per rank up to N and one per inner block, whatever d is; its
+    values at d > N are checked by test_closed_form_equals_the_zigzag."""
+    calls = []
+
+    def counting(m, N):
+        calls.append(m)
+        return series_BO(m, N)
+
+    monkeypatch.setattr(moduli_calc, "series_BO", counting)
+    for inner in ((), (1,)):
+        calls.clear()
+        moduli_calc._block_sum(10_000, 6, inner)
+        assert len(calls) <= 6 + 1 + len(inner), (inner, len(calls))
+
+
 def test_sigma_mf_cofibration_identity():
     for d in (1, 2, 3):
         rep = sigma_mf_cofibration_check(d, 12)

@@ -9,7 +9,7 @@ import pytest
 from gmfkit import family_analysis
 from gmfkit._record import record
 from gmfkit.family_analysis import PolyFamily
-from gmfkit.graded_f2 import GradedMap, PoincareSeries, series_one
+from gmfkit.graded_f2 import GradedMap, PoincareSeries, series_from_coeffs, series_one
 from gmfkit.jet_core import GmfClass, Jet3
 from gmfkit.moduli_calc import CheckReport, SpectrumSeries, ZigzagDiagram
 
@@ -89,6 +89,10 @@ def test_validators_still_run():
         Jet3(2, 0.0, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), {})
     with pytest.raises(ValueError, match="nonnegative"):
         PoincareSeries(0, (1, -1), 1)
+    # a coefficient is an int as it is given: no float, string or bool is read as one
+    for coeffs in ([1.5], ["3"], [True]):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            series_from_coeffs(coeffs)
     with pytest.raises(ValueError, match="images for"):
         GradedMap(0, images=[[0, 0]], shapes=[(1, 1)])
     point = GradedMap(0, images=[[0]], shapes=[(1, 1)])
