@@ -191,51 +191,61 @@ def cmd_verify(args) -> int:
     return 0 if overall == "Pass" else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argparse tree; with argv naming a command, that command's subparser
+    alone, under the full tree's usage line."""
     p = argparse.ArgumentParser(
         prog="gmfkit",
         description="Jet/family classification and graded-F2 series checks.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    commands = ("classify-jet", "trace-family", "series", "verify")
+    one = argv[0] if argv and argv[0] in commands else None
+    # a metavar would rename the command argument in the full tree's errors
+    sub = p.add_subparsers(dest="command", required=True,
+                           **({"metavar": "{" + ",".join(commands) + "}"} if one else {}))
 
-    c = sub.add_parser("classify-jet", help="classify a 3-jet from JSON")
-    c.add_argument("--input", required=True, help="jet JSON path, or - for stdin")
-    c.add_argument("--tol", type=float, default=jet_core.DEFAULT_TOL)
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=cmd_classify_jet)
+    if one in (None, "classify-jet"):
+        c = sub.add_parser("classify-jet", help="classify a 3-jet from JSON")
+        c.add_argument("--input", required=True, help="jet JSON path, or - for stdin")
+        c.add_argument("--tol", type=float, default=jet_core.DEFAULT_TOL)
+        c.add_argument("--out", default=None)
+        c.set_defaults(func=cmd_classify_jet)
 
-    t = sub.add_parser("trace-family", help="locate birth-death events of a 1-parameter family")
-    src = t.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", help="family JSON path, or - for stdin")
-    src.add_argument("--preset", help="cusp | swallowtail | suspended-cusp-i")
-    t.add_argument("--t0", type=float, required=True)
-    t.add_argument("--t1", type=float, required=True)
-    t.add_argument("--steps", type=int, default=41)
-    t.add_argument("--box", type=float, default=2.0, help="fiber box half-width")
-    t.add_argument("--out", default=None)
-    t.set_defaults(func=cmd_trace_family)
+    if one in (None, "trace-family"):
+        t = sub.add_parser("trace-family", help="locate birth-death events of a 1-parameter family")
+        src = t.add_mutually_exclusive_group(required=True)
+        src.add_argument("--family", help="family JSON path, or - for stdin")
+        src.add_argument("--preset", help="cusp | swallowtail | suspended-cusp-i")
+        t.add_argument("--t0", type=float, required=True)
+        t.add_argument("--t1", type=float, required=True)
+        t.add_argument("--steps", type=int, default=41)
+        t.add_argument("--box", type=float, default=2.0, help="fiber box half-width")
+        t.add_argument("--out", default=None)
+        t.set_defaults(func=cmd_trace_family)
 
-    s = sub.add_parser("series", help="print a Poincare series as JSON")
-    s.add_argument("--object", required=True, choices=list(_SERIES))
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--n", type=int, default=None, help="codimension (grassmann only)")
-    s.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_series)
+    if one in (None, "series"):
+        s = sub.add_parser("series", help="print a Poincare series as JSON")
+        s.add_argument("--object", required=True, choices=list(_SERIES))
+        s.add_argument("--d", type=int, required=True)
+        s.add_argument("--n", type=int, default=None, help="codimension (grassmann only)")
+        s.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
+        s.add_argument("--out", default=None)
+        s.set_defaults(func=cmd_series)
 
-    v = sub.add_parser("verify", help="run series identity checks")
-    v.add_argument("--check", required=True, choices=list(_CHECKS) + ["all"])
-    v.add_argument("--d", type=int, default=2)
-    v.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
-    v.add_argument("--structure", choices=["o", "so"], default="o")
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
+    if one in (None, "verify"):
+        v = sub.add_parser("verify", help="run series identity checks")
+        v.add_argument("--check", required=True, choices=list(_CHECKS) + ["all"])
+        v.add_argument("--d", type=int, default=2)
+        v.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
+        v.add_argument("--structure", choices=["o", "so"], default="o")
+        v.add_argument("--out", default=None)
+        v.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as e:

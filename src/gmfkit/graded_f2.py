@@ -290,14 +290,6 @@ class MonomialBasis:
         return len(self.basis(n))
 
 
-def _check_level(n: int, img, nt: int, ns: int) -> None:
-    """Degree n of an index map: ns images, each a target index in 0..nt-1."""
-    if len(img) != ns:
-        raise ValueError(f"degree {n}: {len(img)} images for {ns} source elements")
-    if img and not 0 <= min(img) <= max(img) < nt:
-        raise ValueError(f"degree {n}: target index outside 0..{nt - 1}")
-
-
 @record
 class GradedMap:
     """A map of graded F2 vector spaces, degrees 0..N, that sends each source
@@ -316,7 +308,10 @@ class GradedMap:
         if len(self.images) != self.N + 1 or len(self.shapes) != self.N + 1:
             raise ValueError("need one map per degree 0..N")
         for n, (img, (nt, ns)) in enumerate(zip(self.images, self.shapes)):
-            _check_level(n, img, nt, ns)
+            if len(img) != ns:
+                raise ValueError(f"degree {n}: {len(img)} images for {ns} source elements")
+            if img and not 0 <= min(img) <= max(img) < nt:
+                raise ValueError(f"degree {n}: target index outside 0..{nt - 1}")
 
     @cached_property
     def rows(self) -> list:

@@ -25,12 +25,13 @@ and the cofiber of collapsing the disjoint union of the Y(j) to a point is
 t * S: H(Y(j)) maps onto coker(Phi_n), so the pair's long exact sequence
 leaves C_n = S_{n-1} whatever the ranks are.
 
-The verify checks read the zigzag, the closed form's geometric partner, one
-degree at a time: each map's degree-n image list is enumerated from the
-single-block tables (char_class_maps), checked, ranked into Phi_n by
-union-find and dropped before the next, and sigma_mf_cofibration_check
-compares both the ranks and the Mayer-Vietoris series with the closed form.
-build_zigzag holds every degree of every map, for hocolim_series.
+The verify checks read the zigzag, the closed form's geometric partner,
+straight from the single-block tables (char_class_maps): the insertion
+entries are checked, the components of the graph are found by copying
+labels a whole row of a Y(j) at a time over every degree at once, and
+sigma_mf_cofibration_check compares both the ranks and the Mayer-Vietoris
+series with the closed form.  build_zigzag holds every degree of every map,
+for hocolim_series and its union-find (_phi_rank), a second rank algorithm.
 
 Thom-spectrum series are Thom-isomorphism shifts: MT(d) = t^{-d} * BO(d).
 The series of the generalized-Morse variant is only pinned by its defining
@@ -41,12 +42,14 @@ the bounds are tight.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
+from operator import add, itemgetter
 
 from ._record import record
-from .char_class_maps import _product_dims, f_levels, g_levels, map_f, map_g
-from .graded_f2 import (DEFAULT_TRUNCATION, PoincareSeries, _check_level, _check_truncation,
+from .char_class_maps import _product_dims, _tables, map_f, map_g
+from .graded_f2 import (DEFAULT_TRUNCATION, PoincareSeries, _check_truncation,
                         series_add, series_BO, series_BSO, series_equal, series_from_coeffs,
                         series_mul, series_one, series_shift)
 
@@ -119,7 +122,8 @@ class HocolimResult:
 
 def _phi_rank(pairs, dims) -> int:
     """F2 rank of Phi_n by union-find (Tarjan, J. ACM 22, 1975), from the
-    degree-n image lists (f_i, g_i), i = 0..d-1, and the dims of H_n(Y(j)).
+    degree-n image lists (f_i, g_i), i = 0..d-1, and the dims of H_n(Y(j)):
+    hocolim_series' rank, the one the verify path's row labels are tested against.
 
     Source element s of H_n(Y1(i)) is the edge from f_i(s) in the block of
     Y(i) to g_i(s) in the block of Y(i+1).  Phi_n is the incidence matrix of
@@ -170,30 +174,98 @@ def hocolim_series(z: ZigzagDiagram) -> HocolimResult:
                            tuple(sum(z.top_dims(n)) for n in range(N + 1)))
 
 
+def _check_insertions(table, lower, upper, N: int) -> None:
+    """table[p][k], k = 0..N - |p|, must be an element of upper of degree
+    |p| + k: the target of a zigzag edge of that degree, checked as
+    GradedMap checks an index map."""
+    deg, size = upper.degrees, len(upper.degrees)
+    want = [*map(range, lower.degrees, repeat(N + 1))]
+    flat = [*chain.from_iterable(table)]
+    if ([*map(len, table)] == [*map(len, want)] and 0 <= min(flat) and max(flat) < size
+            and [*map(deg.__getitem__, flat)] == [*chain.from_iterable(want)]):
+        return
+    for row, degrees in zip(table, want):
+        for n, e in zip(degrees, row):
+            if not 0 <= e < size or deg[e] != n:
+                raise ValueError(f"degree {n}: target index outside 0..{upper.dims[n] - 1}")
+        if len(row) != len(degrees):
+            raise ValueError(f"degree {degrees[0]}: {len(row)} images for {len(degrees)} source elements")
+
+
 # the one per-(d, N) cache of the zigzag, which only the verify checks read:
-# hocolim_series(build_zigzag(d, N)) one degree at a time, each pair (f_i, g_i)
-# of degree n enumerated, checked as GradedMap checks it, ranked and dropped
-# before the next is made; each result is a few tuples
+# hocolim_series(build_zigzag(d, N)), its components found by copying labels
+# a whole row at a time, every degree at once, off the single-block tables.
+# A vertex of Y(j) is (lambda, nu), lambda in BO(j), nu in BO(d-j), and
+# rows[lambda] holds the labels over nu in degree-then-lex order, so
+# "degree <= D" is a prefix.  Layer i's edges under (mu, k) take row mu at
+# R[k] = [pos(nu + k)] to row mu + k at 0..w-1.  The first pair to reach a row
+# copies its labels: w successful unions.  A later pair unions labels only
+# where its copy differs, which it never does on the true tables, where each
+# label is the Y(0) vertex of its partition.  So rank Phi_n is the reached
+# rows' vertices of degree n plus those unions.  Each result is a few tuples.
 @lru_cache(maxsize=64)
 def _hocolim_std(d: int, N: int) -> HocolimResult:
     if d < 1:
         raise ValueError("need d >= 1")
-    Y = [_product_dims((j, d - j), N) for j in range(d + 1)]
-    Y1 = [_product_dims((i, 1, d - i - 1), N) for i in range(d)]
-    F, G = [f_levels(i, d, N) for i in range(d)], [g_levels(i, d, N) for i in range(d)]
-    S = [0] * (N + 1)  # the enumerated top-row dims
+    blocks, insertions = _tables(d, N)
+    for m, table in enumerate(insertions):
+        _check_insertions(table, blocks[m], blocks[m + 1], N)
+    # upto[m][c]: elements of BO(m) of degree <= c; pos[m][p]: p's place in
+    # degree-then-lex order
+    upto = [list(accumulate(b.dims)) for b in blocks]
+    pos = [[u[c] - b.dims[c] + loc for c, loc in zip(b.degrees, b.local)]
+           for b, u in zip(blocks, upto)]
+    rank, S = [0] * (N + 1), [0] * (N + 1)
+    parent, fresh = {}, upto[d][N]  # label union-find; the next unused label
 
-    def pairs(n):
-        for i, (fi, gi) in enumerate(zip(F, G)):
-            f, g = next(fi), next(gi)
-            _check_level(n, f, Y[i][n], Y1[i][n])
-            _check_level(n, g, Y[i + 1][n], Y1[i][n])
-            S[n] += len(f)
-            yield f, g
-            del f[:], g[:]  # the level generators still hold them
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
 
-    rank = tuple(_phi_rank(pairs(n), [Yj[n] for Yj in Y]) for n in range(N + 1))
-    return _hocolim_result(d, N, rank, tuple(map(sum, zip(*Y))), tuple(S))
+    rows = [list(range(fresh))]  # Y(0): one row, each vertex its own label
+    for i in range(d):
+        q, upper = d - i - 1, blocks[i + 1]
+        inner, cum = blocks[q], upto[q]
+        shifted = [[*map(pos[q + 1].__getitem__, insertions[q][p])]
+                   for level in inner.members for p in level]
+        R = [[*map(itemgetter(k), islice(shifted, cum[N - k]))] for k in range(N + 1)]
+        # gets[a][k]: the labels of a row of degree a that (mu, k) copies, in
+        # one C call; a slice keeps a single label a sequence
+        gets = [[itemgetter(*Rk[:w]) if w > 1 else itemgetter(slice(Rk[0], Rk[0] + 1))
+                 for Rk, w in zip(R, cum[N - a::-1])] if dim else None
+                for a, dim in enumerate(blocks[i].dims)]
+        new = [None] * len(upper.order)
+        for ins, a, row in zip(insertions[i], blocks[i].degrees, rows):
+            for lam, get in zip(ins, gets[a]):
+                copy = get(row)
+                old = new[lam]
+                if old is None:
+                    new[lam] = copy
+                elif old != copy:
+                    for t, (x, y) in enumerate(zip(copy, old)):
+                        x, y = find(x), find(y)
+                        if x != y:
+                            parent[y] = x
+                            rank[upper.degrees[lam] + bisect_right(cum, t)] += 1
+        visited = [0] * (N + 1)
+        for lam, c in enumerate(upper.degrees):
+            if new[lam] is None:  # no edge reaches this row: fresh labels
+                w = cum[N - c]
+                new[lam], fresh = [*range(fresh, fresh + w)], fresh + w
+            else:
+                visited[c] += 1
+        # every row of insertions[i] has N - |mu| + 1 pairs (mu, k)
+        edges = series_mul(series_from_coeffs(upto[i]), series_from_coeffs(inner.dims)).coeffs
+        for n, (got, want) in enumerate(zip(edges, _product_dims((i, 1, q), N))):
+            if got != want:
+                raise ValueError(f"degree {n}: {got} images for {want} source elements")
+        reached = series_mul(series_from_coeffs(visited), series_from_coeffs(inner.dims))
+        rank = [*map(add, rank, reached.coeffs)]
+        S = [*map(add, S, edges)]
+        rows = new
+    T = tuple(map(sum, zip(*(_product_dims((j, d - j), N) for j in range(d + 1)))))
+    return _hocolim_result(d, N, tuple(rank), T, tuple(S))
 
 
 # a verify run reads it in three checks; each entry is three tuples
@@ -259,11 +331,16 @@ def _block_sum(d: int, N: int, inner: tuple = ()) -> PoincareSeries:
         raise ValueError(f"need d >= {sum(inner)}")
     _check_truncation(N)
     # series_BO(m, N) is series_BO(N, N) for every m >= N, so rank N stands
-    # for every rank above it
+    # for every rank above it, and each i with N <= i <= r - N gives the same
+    # product: it is made once and scaled by their number
     bo = [series_BO(m, N) for m in range(min(r, N) + 1)]
     fixed = [series_BO(m, N) for m in inner]
-    return reduce(series_add, (reduce(series_mul, [bo[min(i, N)], *fixed, bo[min(r - i, N)]])
-                               for i in range(r + 1)))
+    ends = {*range(min(N, r + 1)), *range(max(0, r - N + 1), r + 1)}
+    terms = [reduce(series_mul, [bo[min(i, N)], *fixed, bo[min(r - i, N)]]) for i in ends]
+    if r + 1 > len(ends):
+        middle = reduce(series_mul, [bo[N], *fixed, bo[N]]).coeffs
+        terms.append(series_from_coeffs([(r + 1 - len(ends)) * c for c in middle]))
+    return reduce(series_add, terms)
 
 
 def wedge_target_series(d: int, N: int = DEFAULT_TRUNCATION) -> PoincareSeries:

@@ -3,6 +3,7 @@ determinism of repeated runs."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gmfkit.cli import _SERIES, main
+from gmfkit.cli import _SERIES, build_parser, main
 from gmfkit.family_analysis import check_family_axioms, family_from_json_dict
 
 NORMAL_FORM_3D = {
@@ -417,6 +418,35 @@ def test_series_unknown_object_is_usage_error(capsys):
         main(["series", "--object", "bu", "--d", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _parse(parser, argv):
+    """(exit code or the parsed namespace, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["-h", "verify"],
+    ["classify-jet", "-h"], ["trace-family", "-h"], ["series", "-h"], ["verify", "--help"],
+    ["bogus"], ["verif", "--check", "all"],
+    ["series", "--object", "nope", "--d", "2"], ["verify", "--check", "nope"],
+    ["verify", "--check", "all", "--structure", "spin"], ["series", "--object", "bo", "--d", "x"],
+    ["series", "--d", "2"], ["classify-jet"], ["verify"], ["trace-family", "--t0", "0", "--t1", "1"],
+    ["trace-family", "--family", "f.json", "--preset", "cusp", "--t0", "0", "--t1", "1"],
+    ["verify", "--check", "all", "--bogus"], ["--bogus", "verify", "--check", "all"],
+    ["verify", "--check", "all", "extra"],
+    ["verify", "--check", "all", "--d", "5"], ["series", "--object", "bo", "--d", "3"],
+])
+def test_one_command_parser_matches_the_full_tree(argv):
+    """build_parser(argv) builds the named command's subparser alone: help,
+    usage, errors, exit codes and parsed values are the full tree's."""
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ independent route for every d."""
 from __future__ import annotations
 
 import json
+import random
+from functools import reduce
 
 import pytest
 
@@ -17,9 +19,11 @@ from gmfkit.graded_f2 import (
     rank_f2,
     rref_f2,
     series_BO,
+    series_add,
     series_BSO,
     series_equal,
     series_grassmannian,
+    series_mul,
     series_one,
     transpose_bits,
 )
@@ -299,6 +303,22 @@ def test_block_sum_builds_bo_only_up_to_rank_N(monkeypatch):
         assert len(calls) <= 6 + 1 + len(inner), (inner, len(calls))
 
 
+def test_block_sum_equals_the_per_i_sum():
+    """The i with N <= i <= r - N, added as one product times their number,
+    give the sum of BO(i) * inner * BO(r - i) over every i, in exact integers."""
+    for d in range(41):
+        for N in range(11):
+            for inner in ((), (1,)):
+                r = d - sum(inner)
+                if r < 0:
+                    continue
+                fixed = [series_BO(m, N) for m in inner]
+                want = reduce(series_add, (reduce(series_mul, [series_BO(i, N), *fixed,
+                                                               series_BO(r - i, N)])
+                                           for i in range(r + 1)))
+                assert moduli_calc._block_sum(d, N, inner) == want, (d, N, inner)
+
+
 def test_sigma_mf_cofibration_identity():
     for d in (1, 2, 3):
         rep = sigma_mf_cofibration_check(d, 12)
@@ -309,18 +329,17 @@ def test_sigma_mf_cofibration_identity():
 def test_sigma_mf_cofibration_checks_the_ranks(monkeypatch, capsys):
     """Ranks of Phi_n lowered above 6 leave the cofibration identity intact;
     the components count catches them."""
-    exact = moduli_calc._phi_rank
+    exact = moduli_calc._hocolim_result
 
-    def lowered(z, n):
-        rk = exact(z, n)
-        return rk - 1 if rk > 6 else rk
+    def lowered(d, N, rank, T_dims, S_dims):
+        return exact(d, N, tuple(rk - 1 if rk > 6 else rk for rk in rank), T_dims, S_dims)
 
     argv = ["verify", "--check", "sigma-mf-cofibration", "--d", "3", "--max-degree", "10"]
     moduli_calc._hocolim_std.cache_clear()
     try:
         assert cli.main(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(moduli_calc, "_phi_rank", lowered)
+        monkeypatch.setattr(moduli_calc, "_hocolim_result", lowered)
         moduli_calc._hocolim_std.cache_clear()
         assert cli.main(argv) == 1
         assert "Fail" in capsys.readouterr().out
@@ -379,25 +398,76 @@ def test_verify_builds_no_zigzag(monkeypatch, capsys):
         moduli_calc._hocolim_std.cache_clear()
 
 
-def test_verify_rejects_an_index_outside_the_target(monkeypatch, capsys):
-    """Each streamed level is checked as GradedMap checks it: a g level
-    pointing one past the end of H_n(Y(i+1)) is an error, exit 2."""
-    g_levels = moduli_calc.g_levels
-
-    def shifted(i, d, N):
-        for n, level in enumerate(g_levels(i, d, N)):
-            if i == 1 and n == 4:
-                level[0] = len(build_Y(i + 1, d, N).basis(n))
-            yield level
-
-    monkeypatch.setattr(moduli_calc, "g_levels", shifted)
+def test_verify_rejects_an_index_outside_the_target(capsys):
+    """Each insertion-table entry is checked as GradedMap checks an index map:
+    g_1's entry for a part 4 inserted into BO(1)'s empty partition, pointing
+    one past the end of BO(2), is an error at degree 4, exit 2."""
+    d, N = 3, 6
+    blocks, insertions = _tables(d, N)
     moduli_calc._hocolim_std.cache_clear()
     try:
-        argv = ["verify", "--check", "hocolim-cofiber", "--d", "3", "--max-degree", "6"]
+        insertions[1][0][4] = len(blocks[2].order)
+        argv = ["verify", "--check", "hocolim-cofiber", "--d", str(d), "--max-degree", str(N)]
         assert cli.main(argv) == 2
         assert "degree 4: target index outside" in capsys.readouterr().err
     finally:
+        _tables.cache_clear()
         moduli_calc._hocolim_std.cache_clear()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("wrong degree", "degree 3: target index outside"),
+    ("short row", "degree 2: 4 images for 5 source elements"),
+    ("block count", "degree 5: 12 images for 11 source elements"),
+])
+def test_verify_rejects_a_faulty_table(monkeypatch, capsys, fault, message):
+    """An insertion entry of the wrong degree, an insertion row of the wrong
+    length, and layer edge counts that differ from Y1(i)'s partition counts
+    are each an error, exit 2, never an IndexError (exit 3)."""
+    d, N = 3, 6
+    blocks, insertions = _tables(d, N)
+    moduli_calc._hocolim_std.cache_clear()
+    try:
+        if fault == "wrong degree":  # BO(2) -> BO(3): a part 3 into the empty partition
+            insertions[2][0][3] = blocks[3].members[2][0]
+        elif fault == "short row":  # BO(1) -> BO(2): no part 6 - 2 into the partition (2)
+            del insertions[1][2][-1]
+        else:  # one Y1(i) element of degree 5 fewer than the blocks enumerate
+            counts = moduli_calc._product_dims
+            monkeypatch.setattr(moduli_calc, "_product_dims", lambda ranks, N: tuple(
+                c - (n == 5 and len(ranks) == 3) for n, c in enumerate(counts(ranks, N))))
+        argv = ["verify", "--check", "hocolim-cofiber", "--d", str(d), "--max-degree", str(N)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+    finally:
+        _tables.cache_clear()
+        moduli_calc._hocolim_std.cache_clear()
+
+
+def test_row_ranks_match_union_find_on_faulty_tables():
+    """verify's row-copying ranks are the graph's ranks, not the closed form's:
+    with one insertion entry moved to another partition of the same degree,
+    they equal the union-find over the zigzag built from the same tables."""
+    rng = random.Random(32)
+    changed = 0
+    for _ in range(100):
+        d, N = rng.randint(1, 5), rng.randint(0, 10)
+        blocks, insertions = _tables(d, N)
+        m = rng.randrange(d)
+        p = rng.randrange(len(insertions[m]))
+        row = insertions[m][p]
+        k = rng.randrange(len(row))
+        exact = row[k]
+        try:
+            row[k] = rng.choice(blocks[m + 1].members[blocks[m].degrees[p] + k])
+            moduli_calc._hocolim_std.cache_clear()
+            got = moduli_calc._hocolim_std(d, N)
+            assert got == hocolim_series(build_zigzag(d, N)), (d, N, m, p, k)
+        finally:
+            row[k] = exact
+            moduli_calc._hocolim_std.cache_clear()
+        changed += got.rank != moduli_calc._hocolim_std(d, N).rank
+    assert changed
 
 
 @pytest.mark.parametrize("check, d", [("sigma-mf-cofibration", 2), ("sigma-mf-cofibration", 4),
@@ -405,8 +475,9 @@ def test_verify_rejects_an_index_outside_the_target(monkeypatch, capsys):
 def test_zigzag_checks_fail_under_a_lowered_rank(monkeypatch, capsys, check, d):
     """Every rank of Phi_n lowered by one: the checks that read the zigzag's
     ranks turn Fail."""
-    exact = moduli_calc._phi_rank
-    monkeypatch.setattr(moduli_calc, "_phi_rank", lambda z, n: exact(z, n) - 1)
+    exact = moduli_calc._hocolim_result
+    monkeypatch.setattr(moduli_calc, "_hocolim_result", lambda d, N, rank, T_dims, S_dims: exact(
+        d, N, tuple(rk - 1 for rk in rank), T_dims, S_dims))
     moduli_calc._hocolim_std.cache_clear()
     try:
         assert cli.main(["verify", "--check", check, "--d", str(d), "--max-degree", "10"]) == 1
