@@ -23,18 +23,15 @@ line's part inserted into one block.
 
 The index maps are built from single-block tables, not from the product
 rings.  A product basis in degree n lists its outer block's elements in
-lexicographic order and, under each element mu, the inner blocks' basis of
-degree n - |mu|.  So, with q = d-i-1, an element (mu, k, nu) of Y1(i) goes
+lexicographic order and, under each element, the inner blocks' basis of
+degree n minus its degree.  So, with start[mu] the index where the run
+under mu begins and local[nu] the index of nu in its degree's basis,
+line_maps walks Y1(i) once, mu then k then nu, and sends m_mu * a^k * m_nu
 
-    by f to base(mu) + [index of nu + k in BO(q+1)], a run per mu that is
-          the same list for every mu of the same degree, shifted;
-    by g to off(mu + k) + [index of nu in BO(q)], a run of consecutive
-          indices per (mu, k),
+    by f to start[mu] + local[nu + k]  in Y(i)   = BO(i) x BO(d-i),
+    by g to start[mu + k] + local[nu]  in Y(i+1) = BO(i+1) x BO(d-i-1).
 
-where base(mu) and off(lambda) count the Y(i) and Y(i+1) elements listed
-before mu and lambda.  A g run is empty when n - |mu| - k is above the top
-degree of BO(q), which is N unless q = 0, so g_levels skips those k.  The
-tables are BO(0..d), each graded_f2's one lexicographic monomial list
+The tables are BO(0..d), each graded_f2's one lexicographic monomial list
 (_Block reads _monomials, which MonomialBasis groups by degree; no
 MonomialBasis is built), and, for each m, the position in BO(m+1) of each
 element of BO(m) with one part k inserted.
@@ -157,64 +154,50 @@ def build_Y1(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> MonomialBasis:
     return _bo_product([i, 1, d - i - 1], N)
 
 
-def _line_tables(i: int, d: int, N: int) -> tuple:
-    """_tables(d, N) for a line split off Y1(i)."""
-    if not (0 <= i <= d - 1):
-        raise ValueError("need 0 <= i <= d-1")
-    return _tables(d, N)
+def _starts(outer: _Block, inner_dims: list, n: int) -> list:
+    """starts[p]: where the run under outer's element p begins in the degree-n
+    basis of outer x inner, inner_dims[c] being the inner basis size in degree c."""
+    width = inner_dims[n::-1] + [0] * (len(inner_dims) - 1 - n)  # by outer degree
+    return list(accumulate(map(width.__getitem__, outer.degrees), initial=0))
 
 
-def f_levels(i: int, d: int, N: int = DEFAULT_TRUNCATION):
-    """map_f(i, d, N).images, degree n's list made when the generator reaches it.
+def line_maps(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> tuple:
+    """(map_f(i, d, N), map_g(i, d, N)), from one pass over Y1(i)'s basis.
 
     m_mu * a^k * m_nu (codomain slots: BO(i), a, BO(d-i-1)) is in the image
-    of m_mu * m_{nu + k} alone.
+    of m_mu * m_{nu + k} alone under f, and of m_{mu + k} * m_nu alone under g.
     """
-    blocks, insertions = _line_tables(i, d, N)
-    outer, inner, upper = blocks[i], blocks[d - i - 1], blocks[d - i]
-    ins = insertions[d - i - 1]
-    run = []  # run[c]: the BO(d-i) index of nu + k, for (k, nu) of degree c in Y1 order
+    if not (0 <= i <= d - 1):
+        raise ValueError("need 0 <= i <= d-1")
+    blocks, insertions = _tables(d, N)
+    outer, inner, f_inner, g_outer = blocks[i], blocks[d - i - 1], blocks[d - i], blocks[i + 1]
+    into_f, into_g = insertions[d - i - 1], insertions[i]
+    # runs[c]: a^k * m_nu of degree c as (k, the nu of degree c - k), k ascending;
+    # BO(0) has degree 0 only, so its empty runs are left out rather than walked
+    runs = [[(k, inner.members[c - k]) for k in range(c + 1) if inner.members[c - k]]
+            for c in range(N + 1)]
+    f_runs = [[f_inner.local[into_f[nu][k]] for k, nus in run for nu in nus] for run in runs]
+    f, g = [], []
     for n in range(N + 1):
-        run.append([upper.local[ins[p][k]] for k in range(n + 1) for p in inner.members[n - k]])
-        level, base = [], 0
-        for a in outer.degrees:
+        start_f, start_g = _starts(outer, f_inner.dims, n), _starts(g_outer, inner.dims, n)
+        f_n, g_n = [], []
+        for mu, a in enumerate(outer.degrees):
             if a <= n:
-                level += map(base.__add__, run[n - a])
-                base += upper.dims[n - a]
-        yield level
-
-
-def g_levels(i: int, d: int, N: int = DEFAULT_TRUNCATION):
-    """map_g(i, d, N).images, one degree at a time, as f_levels.
-
-    m_mu * a^k * m_nu is in the image of m_{mu + k} * m_nu alone.
-    """
-    blocks, insertions = _line_tables(i, d, N)
-    outer, inner, upper = blocks[i], blocks[d - i - 1], blocks[i + 1]
-    ins = insertions[i]
-    top = max(inner.degrees)  # 0 for BO(0), N otherwise
-    low = []
-    for n in range(N + 1):
-        # off[p]: the index in Y(i+1)_n where the run under upper's element p starts
-        width = inner.dims[n::-1] + [0] * (N - n)
-        off = list(accumulate(map(width.__getitem__, upper.degrees), initial=0))
-        # (p, insertion row, degree) of outer's elements of degree <= n, in order
-        low = sorted(low + [(p, ins[p], n) for p in outer.members[n]])
-        level = []
-        for _, row, a in low:
-            c = n - a
-            # the runs of inner degree c - k above top are empty
-            for k in range(c - top if c > top else 0, c + 1):
-                o = off[row[k]]
-                level += range(o, o + inner.dims[c - k])
-        yield level
+                f_n += map(start_f[mu].__add__, f_runs[n - a])
+                row = into_g[mu]
+                for k, nus in runs[n - a]:
+                    s = start_g[row[k]]
+                    g_n += range(s, s + len(nus))  # local[nu] counts up within a degree
+        f.append(f_n)
+        g.append(g_n)
+    return RingMap(i, i, d, N, f), RingMap(i + 1, i, d, N, g)
 
 
 def map_f(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     """H*(Y(i)) -> H*(Y1(i)): identity on BO(i), line summed into BO(d-i)."""
-    return RingMap(i, i, d, N, list(f_levels(i, d, N)))
+    return line_maps(i, d, N)[0]
 
 
 def map_g(i: int, d: int, N: int = DEFAULT_TRUNCATION) -> RingMap:
     """H*(Y(i+1)) -> H*(Y1(i)): line summed into BO(i+1), identity on BO(d-i-1)."""
-    return RingMap(i + 1, i, d, N, list(g_levels(i, d, N)))
+    return line_maps(i, d, N)[1]

@@ -424,9 +424,8 @@ def _newton(system, z0, box, prune=None, group=None):
                 break
             if k == 1 and group is not None:
                 key = np.column_stack((group[live], Z[live].view(np.int64)))
-                key = key.view(f"V{key.shape[1] * key.itemsize}").ravel().tolist()
-                first = dict(zip(key[::-1], live[::-1].tolist()))  # the lowest row wins
-                src[live] = list(map(first.__getitem__, key))
+                _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+                src[live] = live[first][inverse.ravel()]  # live ascends: the lowest row wins
                 live = live[src[live] == live]
                 own, best = best, np.full_like(best, np.nan)
             z = Z[live]

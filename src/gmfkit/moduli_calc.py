@@ -48,7 +48,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
 
 from ._record import record
-from .char_class_maps import _product_dims, _tables, map_f, map_g
+from .char_class_maps import RingMap, _product_dims, _tables, line_maps
 from .graded_f2 import (DEFAULT_TRUNCATION, PoincareSeries, _check_truncation,
                         series_add, series_BO, series_BSO, series_equal, series_from_coeffs,
                         series_mul, series_one, series_shift)
@@ -104,8 +104,8 @@ def build_zigzag(d: int, N: int = DEFAULT_TRUNCATION) -> ZigzagDiagram:
     if d < 1:
         raise ValueError("need d >= 1")
     # every map reads the one cached set of BO(0..d) tables for (d, N)
-    return ZigzagDiagram(d, N, tuple(map_f(i, d, N).homology_map() for i in range(d)),
-                         tuple(map_g(i, d, N).homology_map() for i in range(d)))
+    fs, gs = zip(*(line_maps(i, d, N) for i in range(d)))
+    return ZigzagDiagram(d, N, tuple(map(RingMap.homology_map, fs)), tuple(map(RingMap.homology_map, gs)))
 
 
 @record

@@ -55,9 +55,9 @@ def test_traced_worker_runs(argv):
     assert isinstance(result["layers"], dict) and result["layers"]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
 def test_zigzag_passes_the_bench_oracle(d):
-    N = 8
+    N = {5: 20, 8: 12}.get(d, 8)  # the series workload's (5, 20) and (8, 12)
     got = _load("oracles").zigzag_oracle(build_zigzag(d, N), d, N)
     assert got["errors"] == []
     series = sigma_gmf_series(d, N)
