@@ -31,19 +31,28 @@ line_maps walks Y1(i) once, mu then k then nu, and sends m_mu * a^k * m_nu
     by f to start[mu] + local[nu + k]  in Y(i)   = BO(i) x BO(d-i),
     by g to start[mu + k] + local[nu]  in Y(i+1) = BO(i+1) x BO(d-i-1).
 
-The tables are BO(0..d), each graded_f2's one lexicographic monomial list
-(_Block reads _monomials, which MonomialBasis groups by degree; no
-MonomialBasis is built), and, for each m, the position in BO(m+1) of each
-element of BO(m) with one part k inserted.
+The tables are BO(0..d), each in the lexicographic order a MonomialBasis
+lists (none is built), and, for each m, the position in BO(m+1) of each
+element lambda of BO(m) with one part k inserted: lambda + k.  One pass, m
+ascending, lists BO(m+1) from BO(m) and fills the table BO(m) -> BO(m+1).
+In lexicographic order BO(m+1) is the pairs (c, lambda), c = 0..N outside
+and lambda in BO(m)'s order inside, that fit in degree N: lambda with a new
+largest part lambda_1 + c, exponent tuple (c,) + e.  So for k >= lambda_1,
+lambda + k is the pair (k - lambda_1, lambda), whose position is recorded as
+it is listed.  For k < lambda_1, lambda + k is lambda_1 put on top of
+x = lambda-hat + k, lambda-hat being lambda less its largest part: x is
+entry k of lambda-hat's row one table down, and lambda + k is entry lambda_1
+of x's row, one recorded in this pass.  No exponent tuple is looked up.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import accumulate
+import gc
+from functools import cached_property, lru_cache, wraps
+from itertools import accumulate, count
 
 from .graded_f2 import (DEFAULT_TRUNCATION, GradedMap, MonomialBasis, _check_truncation,
-                        _monomials, _partition_counts)
+                        _partition_counts)
 
 
 def _bo_product(ranks, N: int) -> MonomialBasis:
@@ -57,50 +66,74 @@ def _product_dims(ranks, N: int) -> tuple:
 
 
 class _Block:
-    """H*(BO(m)) up to degree N, every degree at once in lexicographic order:
-    _monomials' list, which a MonomialBasis groups by degree, so local[p] is
-    p's index in its degree's basis."""
+    """H*(BO(m)) up to degree N, every degree at once in lexicographic order,
+    the order a MonomialBasis lists each degree in, so local[p] is p's index
+    in its degree's basis."""
 
-    def __init__(self, m: int, N: int):
-        _check_truncation(N)
+    def __init__(self, order: list, degrees: list, N: int):
         # order[p]: an exponent tuple; degrees[p]: its degree; local[p]: its
         # index in that degree's basis
-        self.order, self.degrees = (list(col) for col in zip(*_monomials(range(1, m + 1), N)))
+        self.order, self.degrees = order, degrees
         self.local = []
         self.members = [[] for _ in range(N + 1)]  # positions by degree, in basis order
-        for p, n in enumerate(self.degrees):
+        for p, n in enumerate(degrees):
             level = self.members[n]
             self.local.append(len(level))
             level.append(p)
         self.dims = [len(level) for level in self.members]
 
 
-def _insertions(lower: _Block, upper: _Block, N: int) -> list:
-    """table[p][k]: the position in upper of lower's element p with a part k
-    inserted, for k = 0..N - |p|; upper is the block with one more part."""
-    where = {e: p for p, e in enumerate(upper.order)}
-    table = []
-    for e, a in zip(lower.order, lower.degrees):
-        lam = list(accumulate(reversed(e), initial=0))[::-1]  # lambda_1..lambda_m, 0
-        j = len(e)  # the number of parts above k
-        row = []
-        for k in range(N - a + 1):
-            while j and lam[j - 1] <= k:
-                j -= 1
-            # lambda_1..lambda_j > k >= lambda_{j+1}: e_j = lambda_j - lambda_{j+1}
-            # splits at k, or k - lambda_1 becomes the first exponent when j = 0
-            row.append(where[e[:j - 1] + (lam[j - 1] - k, k - lam[j]) + e[j:] if j
-                             else (k - lam[0],) + e])
-        table.append(row)
-    return table
+def _gc_paused(build):
+    """build, run with the cycle collector paused.  For builders of many
+    lists and tuples that form no reference cycle: a collector pass over
+    them frees nothing, and how many full passes fall inside the build
+    depends on what was allocated before it.  The first pass after the build
+    examines what it kept, once."""
+
+    @wraps(build)
+    def paused(*args):
+        if not gc.isenabled():
+            return build(*args)
+        gc.disable()
+        try:
+            return build(*args)
+        finally:
+            gc.enable()
+    return paused
 
 
 # build_zigzag(d, N) reads one entry; a few shapes cover a CLI run
 @lru_cache(maxsize=4)
+@_gc_paused
 def _tables(d: int, N: int) -> tuple:
-    """BO(0..d), and the insertion tables BO(m) -> BO(m+1) for m = 0..d-1."""
-    blocks = [_Block(m, N) for m in range(d + 1)]
-    return blocks, [_insertions(blocks[m], blocks[m + 1], N) for m in range(d)]
+    """BO(0..d), and the insertion tables BO(m) -> BO(m+1) for m = 0..d-1:
+    table[p][k] is the position in BO(m+1) of p with a part k inserted, for
+    k = 0..N - |p|."""
+    _check_truncation(N)
+    # tops[p]: p's largest part lambda_1; hats[p]: lambda-hat's position one
+    # block down; below: the table into this block (BO(0) reads none of it)
+    order, degrees, tops, hats, below = [()], [0], [0], [0], [[]]
+    blocks, insertions = [_Block(order, degrees, N)], []
+    for _ in range(d):
+        up_order, up_degrees, up_tops, up_hats = [], [], [], []
+        tails = [[] for _ in order]  # tails[p][c]: the position of (c, p), c = k - lambda_1
+        room = [N - a - t for a, t in zip(degrees, tops)]  # the largest c that fits
+        kept = range(len(order))
+        for c in range(N + 1):
+            kept = [p for p in kept if room[p] >= c]
+            for p, q in zip(kept, count(len(up_order))):
+                tails[p].append(q)
+            up_order += [(c,) + order[p] for p in kept]
+            up_degrees += [N - room[p] + c for p in kept]
+            up_tops += [tops[p] + c for p in kept]
+            up_hats += kept
+        # k < lambda_1: x = below[hat][k], and lambda + k is (lambda_1 - x_1, x)
+        table = [[tails[x][t - tops[x]] for x in below[h][:min(t, N - a + 1)]] + tail
+                 for tail, t, h, a in zip(tails, tops, hats, degrees)]
+        insertions.append(table)
+        order, degrees, tops, hats, below = up_order, up_degrees, up_tops, up_hats, table
+        blocks.append(_Block(order, degrees, N))
+    return blocks, insertions
 
 
 class RingMap:

@@ -424,8 +424,7 @@ def _newton(system, z0, box, prune=None, group=None):
                 break
             if k == 1 and group is not None:
                 key = np.column_stack((group[live], Z[live].view(np.int64)))
-                _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-                src[live] = live[first][inverse.ravel()]  # live ascends: the lowest row wins
+                src[live] = live[_leaders(key)]  # live ascends: the lowest row wins
                 live = live[src[live] == live]
                 own, best = best, np.full_like(best, np.nan)
             z = Z[live]
@@ -480,6 +479,22 @@ def _row_norms(V) -> np.ndarray:
     for col in V.T:
         s += col * col
     return np.sqrt(s)
+
+
+def _leaders(key) -> np.ndarray:
+    """For each row of the 2-d integer array key, the lowest row equal to it.
+
+    A stable lexsort keeps the rows of each run of equal keys ascending, so
+    a run's first row is its lowest; a run starts where a row differs from
+    the row before it.
+    """
+    order = np.lexsort(key.T)
+    ranked = key[order]
+    start = np.ones(len(key), dtype=bool)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    lead = np.empty_like(order)
+    lead[order] = order[start][np.cumsum(start) - 1]
+    return lead
 
 
 def _box_arrays(box, d):

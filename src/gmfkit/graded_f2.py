@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
+from operator import mul
 
 from ._record import record
 
@@ -79,18 +80,17 @@ def series_mul(a: PoincareSeries, b: PoincareSeries) -> PoincareSeries:
 
     The product coefficient at degree n is only fully determined when every
     contributing pair lies in the known ranges, so the result truncates at
-    min(Na + mb, Nb + ma).
+    min(Na + mb, Nb + ma): it has as many coefficients as the shorter factor,
+    and coefficient j sums a_i * b_(j-i) over i = 0..j, counted from each
+    factor's min_degree.
     """
     lo = a.min_degree + b.min_degree
     hi = min(a.truncation + b.min_degree, b.truncation + a.min_degree)
     if hi < lo:
         raise ValueError("empty overlap of valid ranges")
-    am, bm = a.min_degree, b.min_degree
-    out = []
-    for n in range(lo, hi + 1):
-        # the degrees i + j = n with i and j in a's and b's known ranges
-        i0, i1 = max(am, n - b.truncation), min(a.truncation, n - bm)
-        out.append(sum(a.coeffs[i - am] * b.coeffs[n - i - bm] for i in range(i0, i1 + 1)))
+    ac, rb = a.coeffs, b.coeffs[::-1]
+    top = len(rb) - 1
+    out = [sum(map(mul, ac[:j + 1], rb[top - j:])) for j in range(hi - lo + 1)]
     return series_from_coeffs(out, lo)
 
 

@@ -48,7 +48,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
 
 from ._record import record
-from .char_class_maps import RingMap, _product_dims, _tables, line_maps
+from .char_class_maps import RingMap, _gc_paused, _product_dims, _tables, line_maps
 from .graded_f2 import (DEFAULT_TRUNCATION, PoincareSeries, _check_truncation,
                         series_add, series_BO, series_BSO, series_equal, series_from_coeffs,
                         series_mul, series_one, series_shift)
@@ -204,6 +204,7 @@ def _check_insertions(table, lower, upper, N: int) -> None:
 # label is the Y(0) vertex of its partition.  So rank Phi_n is the reached
 # rows' vertices of degree n plus those unions.  Each result is a few tuples.
 @lru_cache(maxsize=64)
+@_gc_paused
 def _hocolim_std(d: int, N: int) -> HocolimResult:
     if d < 1:
         raise ValueError("need d >= 1")

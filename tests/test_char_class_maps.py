@@ -9,6 +9,7 @@ A map's cohomology columns are read off the rows of its homology map."""
 
 from __future__ import annotations
 
+import hashlib
 from bisect import insort
 from collections import Counter
 from itertools import accumulate, permutations
@@ -16,7 +17,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from gmfkit.char_class_maps import _Block, build_Y, build_Y1, map_f, map_g
+from gmfkit.char_class_maps import _tables, build_Y, build_Y1, map_f, map_g
 from gmfkit.graded_f2 import rank_f2, series_BO, series_mul, series_one, transpose_bits
 from gmfkit.moduli_calc import build_zigzag, hocolim_series
 
@@ -262,13 +263,49 @@ def _sorted_block(m, N):
 
 
 def test_block_lists_the_sorted_basis():
-    for m in range(9):
-        for N in range(25):
-            block = _Block(m, N)
+    for N in range(25):
+        blocks = _tables(8, N)[0]
+        for m in range(9):
+            block = blocks[m]
             got = block.order, block.degrees, block.local, block.members, block.dims
             assert got == _sorted_block(m, N), (m, N)
     with pytest.raises(ValueError, match="truncation must be nonnegative"):
-        _Block(2, -1)
+        _tables(2, -1)
+
+
+def _insert(e, k) -> tuple:
+    """The exponent tuple of lambda with a part k inserted, e being lambda's
+    in BO(m): lambda_j = e_j + ... + e_m, and e'_j = lambda'_j - lambda'_(j+1)."""
+    lam = sorted([sum(e[j:]) for j in range(len(e))] + [k], reverse=True) + [0]
+    return tuple(lam[j] - lam[j + 1] for j in range(len(e) + 1))
+
+
+def test_insertion_tables_match_the_sorted_blocks():
+    """_tables(d, N)[1][m][p][k] is the index, in the sorted brute-force
+    listing of BO(m+1), of BO(m)'s element p with a part k inserted, for
+    every k = 0..N - |p|."""
+    for N in range(13):
+        insertions = _tables(7, N)[1]
+        for m in range(7):
+            lower, degrees = _sorted_block(m, N)[:2]
+            where = {e: q for q, e in enumerate(_sorted_block(m + 1, N)[0])}
+            want = [[where[_insert(e, k)] for k in range(N - a + 1)] for e, a in zip(lower, degrees)]
+            assert insertions[m] == want, (m, N)
+
+
+@pytest.mark.parametrize("d, N, digest", [
+    (8, 20, "3cdd6baf9a2aaf494de3adf9878728ef4d58a8fee1e2ce79e9096d132ee2a798"),
+    (10, 16, "7974206de1b025832195a8d6f6a788506b17cb0d706e6e58a815eecbe4b97446"),
+])
+def test_tables_frozen_digest(d, N, digest):
+    """Blocks and tables frozen from a builder that found every insertion
+    entry by looking its exponent tuple up in a dict of BO(m+1)."""
+    blocks, insertions = _tables(d, N)
+    h = hashlib.sha256()
+    for b in blocks:
+        h.update(repr((b.order, b.degrees, b.local, b.members, b.dims)).encode())
+    h.update(repr(insertions).encode())
+    assert h.hexdigest() == digest
 
 
 def test_ring_validation():

@@ -389,6 +389,19 @@ def test_batched_newton_singular_and_failing_rows():
     assert len(seeds) == 8 and np.isnan(family_analysis._newton(system, seeds, box)).all()
 
 
+def test_leaders_match_unique_first_indices():
+    """_newton's group merge: each row's leader is the first index np.unique
+    gives its key, on keys with many duplicate rows, negative entries and
+    float bit patterns viewed as int64, down to one row and to none."""
+    rng = np.random.default_rng(34)
+    for rows in (0, 1, 2, 7, 60, 500):
+        for cols in (1, 2, 3):
+            key = rng.integers(-3, 3, size=(rows, cols))
+            key[:, -1] = rng.choice(np.array([0.0, -0.0, 1.5, -2.25]), rows).view(np.int64)
+            _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            assert family_analysis._leaders(key).tolist() == first[inverse.ravel()].tolist()
+
+
 def test_dedup_matches_the_pairwise_norm(monkeypatch):
     """_dedup keeps, bit for bit and in order, the points that the pairwise
     rule keeps: a point goes when its _distance to one kept before it is

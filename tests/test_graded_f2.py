@@ -136,6 +136,28 @@ def test_series_mul_truncation_with_negative_min_degree():
     assert [p.coeff(n) for n in (-2, -1)] == [1, 2]
 
 
+def _degree_window_mul(a, b):
+    """The Cauchy product summed over the degree pairs i + j = n with i and
+    j in a's and b's known ranges, one term at a time."""
+    lo = a.min_degree + b.min_degree
+    hi = min(a.truncation + b.min_degree, b.truncation + a.min_degree)
+    out = []
+    for n in range(lo, hi + 1):
+        i0, i1 = max(a.min_degree, n - b.truncation), min(a.truncation, n - b.min_degree)
+        out.append(sum(a.coeff(i) * b.coeff(n - i) for i in range(i0, i1 + 1)))
+    return lo, out, hi
+
+
+def test_series_mul_matches_the_degree_window_sum():
+    rng = random.Random(34)
+    for _ in range(300):
+        a, b = (series_from_coeffs([rng.randint(0, 9) ** rng.randint(1, 30)
+                                    for _ in range(rng.randint(1, 12))], rng.randint(-8, 4))
+                for _ in range(2))
+        p = series_mul(a, b)
+        assert (p.min_degree, list(p.coeffs), p.truncation) == _degree_window_mul(a, b), (a, b)
+
+
 def test_series_shift_and_equal():
     s = series_from_coeffs([1, 0, 2])
     t = series_shift(s, -3)

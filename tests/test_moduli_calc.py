@@ -124,7 +124,7 @@ def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
             cache.cache_clear()
         built.clear()
         build_zigzag(d, 8)
-        assert built == [(m, 8) for m in range(d + 1)], d
+        assert [(len(order[0]), N) for order, _, N in built] == [(m, 8) for m in range(d + 1)], d
         built.clear()
         build_zigzag(d, 8)
         assert built == [], d
