@@ -689,44 +689,45 @@ class TraceResult:
     samples: tuple  # (t, list of CriticalPoint) per grid value
 
 
-def _refine_fold(calc, candidates, box) -> list:
-    """Newton on the augmented system (grad f_t(x), mu_min(H_t(x))) = 0 in (x, t).
+def _refine_fold(calc, candidates, box, grid_dt) -> np.ndarray:
+    """The (t, x) to classify for each (t, x, ...) of candidates, one row each:
+    the point Newton on the augmented system (grad f_t(x), mu_min(H_t(x))) = 0
+    in (x, t) polishes it to, if that lies within 2 grid_dt of its t and
+    1e-9 of the fiber box, else the candidate's own point.
 
-    Locates the degenerate point itself rather than a nearby critical
-    point, which one-dimensional refinements cannot do when the smallest
-    eigenvalue touches zero without crossing (the kernel-cubic test at the
-    returned point then reads the true local model, not grid-scale noise).
-    Every (t, x, ...) of candidates starts one row of a single _newton run:
-    at() evaluates the live rows in one call per step, and each row's eigh
-    and kernel products are its own, so a row gives, bit for bit, what it
-    gives alone.  Returns, per candidate, (t, x) or None if its iteration
-    fails to converge.
+    The polish locates the degenerate point itself rather than a nearby
+    critical point, which one-dimensional refinements cannot do when the
+    smallest eigenvalue touches zero without crossing (the kernel-cubic test
+    there then reads the true local model, not grid-scale noise).  Every
+    candidate starts one row of a single _newton run: at() evaluates the live
+    rows in one call per step, and one stacked eigh and batched kernel
+    products serve the rows whose Hessian is finite, so a row gives, bit for
+    bit, what it gives alone.
     """
     d = calc.d
+    lo, hi = box
 
     def system(Z, live):
-        grad, H, T, grad_dt, H_dt = calc.at(np.hstack((Z[:, d:], Z[:, :d])),
+        grad, H, T, grad_dt, H_dt = calc.at(np.roll(Z, 1, axis=1),
                                             "grad", "hess", "third", "grad_dt", "hess_dt")
         r, J = np.full((len(Z), d + 1), np.nan), np.full((len(Z), d + 1, d + 1), np.nan)
-        for i in range(len(Z)):
-            if not np.isfinite(H[i]).all():  # too far out for a float: the run ends
-                continue
-            w, V = np.linalg.eigh(H[i])
-            i0 = int(np.argmin(np.abs(w)))
-            v = V[:, i0]
-            J[i, :d, :d] = H[i]
-            J[i, :d, d] = grad_dt[i]
-            for c in range(d):  # T[i, :, :, c] = dH/dx_c
-                J[i, d, c] = float(v @ T[i, :, :, c] @ v)
-            J[i, d, d] = float(v @ H_dt[i] @ v)
-            r[i, :d], r[i, d] = grad[i], float(w[i0])
+        ok = np.isfinite(H).all(axis=(1, 2))  # a Hessian too far out for a float ends the run
+        w, V = np.linalg.eigh(H[ok])
+        i0 = np.argmin(np.abs(w), axis=1)
+        v = V[np.arange(len(V)), :, i0]  # the kernel direction of each row
+        J[ok, :d, :d] = H[ok]
+        J[ok, :d, d] = grad_dt[ok]
+        J[ok, d, :d] = (v[:, None, None, :] @ T[ok] @ v[:, None, :, None])[:, :, 0, 0]  # T[i, c] = dH/dx_c
+        J[ok, d, d] = (v[:, None, :] @ H_dt[ok] @ v[:, :, None])[:, 0, 0]
+        r[ok, :d], r[ok, d] = grad[ok], w[np.arange(len(w)), i0]
         return r, J
 
-    if not candidates:  # a _newton run needs a row
-        return []
-    z0 = np.array([tuple(x) + (t,) for t, x, *_ in candidates], dtype=float)
-    Z = _newton(system, z0, box)
-    return [None if np.isnan(z).any() else (float(z[d]), z[:d]) for z in Z]
+    C = np.array([(t,) + tuple(x) for t, x, *_ in candidates], dtype=float).reshape(-1, d + 1)
+    P = np.roll(_newton(system, np.roll(C, -1, axis=1), box), 1, axis=1)
+    with np.errstate(over="ignore"):  # a row that did not converge is NaN and is not kept
+        kept = ((np.abs(P[:, 0] - C[:, 0]) <= 2.0 * grid_dt)
+                & (P[:, 1:] >= lo - 1e-9).all(axis=1) & (P[:, 1:] <= hi + 1e-9).all(axis=1))
+    return np.where(kept[:, None], P, C)
 
 
 def _match_tracks(prev_pts, next_pts) -> dict:
@@ -828,13 +829,12 @@ def trace_birth_death(
     # along tracks: sign changes and interior minima of mu; mu also flips
     # sign where two eigenvalues swap as the smallest in magnitude, so only a
     # sign change of det H is sure to hold a degenerate point
+    (H,) = calc.at(np.array([(float(ts[a]),) + tuple(p.x) for tr in tracks for a, p in tr])
+                   .reshape(-1, 1 + d), "hess")
+    w = np.linalg.eigvalsh(H)
+    scan = zip(w[np.arange(len(w)), np.argmin(np.abs(w), axis=1)].tolist(), np.linalg.det(H).tolist())
     for tr in tracks:
-        if len(tr) < 2:
-            continue
-        (H,) = calc.at(np.array([(float(ts[a]),) + tuple(p.x) for a, p in tr]), "hess")
-        w = np.linalg.eigvalsh(H)
-        mus = w[np.arange(len(w)), np.argmin(np.abs(w), axis=1)].tolist()
-        dets = np.linalg.det(H).tolist()
+        mus, dets = zip(*itertools.islice(scan, len(tr)))  # this track's points, in order
         for u in range(len(tr) - 1):
             (a, pa), (b, pb) = tr[u], tr[u + 1]
             if mus[u] == 0.0 or mus[u] * mus[u + 1] < 0.0:
@@ -850,24 +850,21 @@ def trace_birth_death(
                 candidates.append((float(ts[a]), p.x, None))
 
     # polish the candidates on the augmented fold system, all in one batch,
-    # rejecting a result more than two grid cells away in t or outside the
-    # fiber box; an unpolished candidate is classified as it stands, and as
-    # it is rarely degenerate at grid scale it is usually dropped
-    grid_dt = span / (steps - 1)
+    # and classify the points _refine_fold returns from one evaluation; a
+    # candidate left unpolished is rarely degenerate at grid scale, so it is
+    # usually dropped
     slack = 1e-6 * span
     events: list = []
     degenerate: list = []
     unlocated = []
-    for (t_star, x_star, must), ref in zip(candidates, _refine_fold(calc, candidates, (lo, hi))):
-        if ref is not None:
-            t_r, x_r = ref
-            if (
-                abs(t_r - t_star) <= 2.0 * grid_dt
-                and np.all(x_r >= lo - 1e-9) and np.all(x_r <= hi + 1e-9)
-            ):
-                t_star, x_star = t_r, np.asarray(x_r)
+    P = _refine_fold(calc, candidates, (lo, hi), span / (steps - 1))
+    jets = calc.at(P, "value", "grad", "hess", "third")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite jet is skipped below
+        dets = np.linalg.det(jets[2])
+    for (_, _, must), row, value, grad, hess, third, det in zip(candidates, P, *jets, dets):
+        t_star, x_star = float(row[0]), row[1:]
         try:
-            jet = fiber_jet3(F, (t_star,), x_star)
+            jet = jet_from_parts(d, value, grad, hess / 2.0, third / 6.0)
         except ValueError:  # a coefficient too large for a float: nothing to classify
             if must is not None:
                 unlocated.append(must)
@@ -881,8 +878,7 @@ def trace_birth_death(
         if cls.kind == BIRTH_DEATH:
             if _near_duplicate(((e.t_star, e.x_star) for e in events), t_star, x_star, span):
                 continue
-            (H,) = calc.at((t_star,) + tuple(x_star), "hess")
-            events.append(BirthDeathEvent(t_star, x_star, cls.index, float(np.linalg.det(H))))
+            events.append(BirthDeathEvent(t_star, x_star, cls.index, float(det)))
         elif cls.kind == DEGENERATE:
             if _near_duplicate(((f.t, f.x) for f in degenerate), t_star, x_star, span):
                 continue

@@ -255,6 +255,25 @@ def test_trace_family_swallowtail_fails_axiom(capsys):
     assert "axiom_gmf=Fail" in out
 
 
+def test_trace_family_off_grid_swallowtail_is_flagged(capsys):
+    """On 40 grid values t = 0 is off the grid, so the swallowtail's
+    degenerate point is reached only through the interior-minimum candidate
+    and the fold polish.  The flag's point is checked against 0, not by its
+    printed digits, which depend on the last bits."""
+    assert main(["trace-family", "--preset", "swallowtail",
+                 "--t0", "-1", "--t1", "1", "--steps", "40"]) == 1
+    out = capsys.readouterr().out
+    _, rows = _csv_rows(out)
+    flags = [line.split() for line in out.splitlines() if line.startswith("# degenerate ")]
+    assert rows == [] and len(flags) == 1
+    _, _, t, x, reason = flags[0]
+    assert reason == "reason=KernelCubicVanishes"
+    assert abs(float(t.removeprefix("t="))) < 1e-9
+    assert abs(float(x.removeprefix("x=(").removesuffix(")"))) < 1e-9
+    assert out.endswith("# events=0 degenerate=1 warnings=0 axiom_gmf=Fail "
+                        "window=[-1,1] steps=40\n")
+
+
 def test_trace_family_degenerate_sample_fails_axiom(tmp_path, capsys):
     """f = -0.14 + 0.78 t x is constant at the grid value t = 0, so every
     critical point found there is degenerate, though no fold is located:

@@ -27,9 +27,12 @@ from gmfkit.family_analysis import (
 )
 from gmfkit.jet_core import (
     BIRTH_DEATH,
+    DEGENERATE,
     KERNEL_CUBIC_VANISHES,
     NONDEGENERATE,
+    classify,
     evaluate,
+    jet_from_parts,
 )
 
 # ---------------------------------------------------------------------------
@@ -712,23 +715,219 @@ def test_prune_changes_no_sample(monkeypatch, name, F, half, steps):
         [[_point_bits(p) for p in pts] for pts in unpruned]
 
 
+def _polish_batches(monkeypatch):
+    """The (calc, candidates, box, grid_dt) of each _refine_fold batch, and
+    the trace result, for the seven bench families traced on [-1, 1]."""
+    refine = family_analysis._refine_fold
+    batches = []
+    monkeypatch.setattr(family_analysis, "_refine_fold",
+                        lambda *args: batches.append(args) or refine(*args))
+    results = [trace_birth_death(F, -1.0, 1.0) for _, F, _, _ in _PRUNE_CASES[:7]]
+    monkeypatch.setattr(family_analysis, "_refine_fold", refine)
+    assert len(batches) == 7 and max(len(b[1]) for b in batches) > 1
+    return batches, results
+
+
 def test_fold_polish_rows_are_what_each_gives_alone(monkeypatch):
     """The fold polish is one _newton batch; each of its rows gives, bit for
     bit, what its candidate gives polished alone."""
     refine = family_analysis._refine_fold
-    batches = []
-    monkeypatch.setattr(family_analysis, "_refine_fold",
-                        lambda calc, candidates, box: batches.append((calc, candidates, box))
-                        or refine(calc, candidates, box))
-    for _, F, _, _ in _PRUNE_CASES[:7]:
-        trace_birth_death(F, -1.0, 1.0)
-    assert len(batches) == 7 and max(len(c) for _, c, _ in batches) > 1
-    for calc, candidates, box in batches:
-        for c, got in zip(candidates, refine(calc, candidates, box)):
-            (alone,) = refine(calc, [c], box)
-            assert (got is None) == (alone is None)
-            if got is not None:
-                assert got[0] == alone[0] and got[1].tobytes() == alone[1].tobytes()
+    for calc, candidates, box, grid_dt in _polish_batches(monkeypatch)[0]:
+        for c, got in zip(candidates, refine(calc, candidates, box, grid_dt)):
+            (alone,) = refine(calc, [c], box, grid_dt)
+            assert got.tobytes() == alone.tobytes()
+
+
+def _parent_fold_system(calc):
+    """The fold system evaluated row by row, one eigh and one set of kernel
+    products per row: the reference for _refine_fold's batched one."""
+    d = calc.d
+
+    def system(Z, live):
+        grad, H, T, grad_dt, H_dt = calc.at(np.hstack((Z[:, d:], Z[:, :d])),
+                                            "grad", "hess", "third", "grad_dt", "hess_dt")
+        r, J = np.full((len(Z), d + 1), np.nan), np.full((len(Z), d + 1, d + 1), np.nan)
+        for i in range(len(Z)):
+            if not np.isfinite(H[i]).all():
+                continue
+            w, V = np.linalg.eigh(H[i])
+            i0 = int(np.argmin(np.abs(w)))
+            v = V[:, i0]
+            J[i, :d, :d] = H[i]
+            J[i, :d, d] = grad_dt[i]
+            for c in range(d):  # T[i, :, :, c] = dH/dx_c
+                J[i, d, c] = float(v @ T[i, :, :, c] @ v)
+            J[i, d, d] = float(v @ H_dt[i] @ v)
+            r[i, :d], r[i, d] = grad[i], float(w[i0])
+        return r, J
+
+    return system
+
+
+def _parent_polish(F, candidates, box, grid_dt):
+    """Each candidate polished and classified on its own: the per-row fold
+    system in one _newton run, the polished point kept within 2 grid_dt and
+    the box +-1e-9, then fiber_jet3, classify at EVENT_TOL and det H from a
+    second at().  Per candidate (t, x, verdict, det, H), the last three None
+    where the jet is too large for a float."""
+    calc = family_analysis._calculus(F)
+    d, (lo, hi) = calc.d, box
+    z0 = np.array([tuple(x) + (t,) for t, x, *_ in candidates], dtype=float)
+    out = []
+    for (t, x, *_), z in zip(candidates, family_analysis._newton(_parent_fold_system(calc), z0, box)):
+        if (not np.isnan(z).any() and abs(float(z[d]) - t) <= 2.0 * grid_dt
+                and np.all(z[:d] >= lo - 1e-9) and np.all(z[:d] <= hi + 1e-9)):
+            t, x = float(z[d]), z[:d]
+        try:
+            jet = fiber_jet3(F, (t,), x)
+        except ValueError:
+            out.append((t, x, None, None, None))
+            continue
+        (H,) = calc.at((t,) + tuple(x), "hess")
+        out.append((t, x, classify(jet, family_analysis.EVENT_TOL), float(np.linalg.det(H)), H))
+    return out
+
+
+def _parent_trace_tail(outcomes, candidates, span):
+    """Events, flags and warnings from _parent_polish's outcomes, as
+    trace_birth_death makes them."""
+    slack = 1e-6 * span
+    events, degenerate, unlocated = [], [], []
+    for (t, x, cls, det, H), (_, _, must) in zip(outcomes, candidates):
+        if cls is None:
+            if must is not None:
+                unlocated.append(must)
+            continue
+        if must is not None and not (cls.kind in (BIRTH_DEATH, DEGENERATE)
+                                     and must[0] - slack <= t <= must[1] + slack):
+            unlocated.append(must)
+        if cls.kind == BIRTH_DEATH:
+            if not family_analysis._near_duplicate(((e[0], e[1]) for e in events), t, x, span):
+                events.append((t, x, cls.index, det, H))
+        elif cls.kind == DEGENERATE:
+            if not family_analysis._near_duplicate(((f[0], f[1]) for f in degenerate), t, x, span):
+                degenerate.append((t, x, cls.reason))
+    located = [e[:2] for e in events] + [f[:2] for f in degenerate]
+    warned = []
+    for t_lo, t_hi, why, p, q in unlocated:
+        sep = family_analysis._distance(p.x, q.x)
+        if DEGENERATE not in (p.cls.kind, q.cls.kind) and not any(
+                t_lo - slack <= t <= t_hi + slack
+                and min(family_analysis._distance(x, p.x), family_analysis._distance(x, q.x)) <= sep
+                for t, x in located):
+            warned.append(f"fold not located on [{t_lo!r}, {t_hi!r}], where {why}")
+    return sorted(events, key=lambda e: e[0]), sorted(degenerate, key=lambda f: f[0]), warned
+
+
+def _assert_rows_close(new, old):
+    """new and old agree row by row within 1e-12 of the row's largest finite
+    magnitude, and non-finite entry for non-finite entry."""
+    new, old = new.reshape(len(new), -1), old.reshape(len(old), -1)
+    finite = np.isfinite(old)
+    assert np.array_equal(new[~finite], old[~finite], equal_nan=True)
+    scale = np.where(finite, np.abs(old), 0.0).max(axis=1, keepdims=True, initial=0.0)
+    assert (np.abs(new - old) <= 1e-12 * scale)[finite].all()
+
+
+def _det_close(got, det, H) -> bool:
+    """got within 1e-12 of det, relative to the d-th power of H's largest
+    entry: det H cancels to near 0 at a fold."""
+    return abs(got - det) <= 1e-12 * max(1.0, float(np.abs(H).max())) ** len(H)
+
+
+def _assert_polish_matches_the_parent(monkeypatch, F, candidates, box, grid_dt):
+    """_refine_fold's system against _parent_fold_system on the start rows
+    and the returned ones, and each returned point, classified from one at()
+    call with det H from the same Hessians, against _parent_polish."""
+    calc = family_analysis._calculus(F)
+    d = calc.d
+    newton, systems = family_analysis._newton, []
+    monkeypatch.setattr(family_analysis, "_newton",
+                        lambda system, z0, box: systems.append(system) or newton(system, z0, box))
+    P = family_analysis._refine_fold(calc, candidates, box, grid_dt)
+    monkeypatch.setattr(family_analysis, "_newton", newton)
+    C = np.array([(t,) + tuple(x) for t, x, *_ in candidates])
+    Z = np.vstack((C, P))[:, list(range(1, d + 1)) + [0]]  # as (x, t) rows
+    for got, want in zip(systems[0](Z, np.arange(len(Z))), _parent_fold_system(calc)(Z, None)):
+        _assert_rows_close(got, want)
+    value, grad, hess, third = calc.at(P, "value", "grad", "hess", "third")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(hess)
+    reference = _parent_polish(F, candidates, box, grid_dt)
+    for i, (t, x, cls, det, H) in enumerate(reference):
+        assert abs(P[i, 0] - t) <= 1e-12 and np.abs(P[i, 1:] - x).max() <= 1e-12
+        try:
+            got = classify(jet_from_parts(d, value[i], grad[i], hess[i] / 2.0, third[i] / 6.0),
+                           family_analysis.EVENT_TOL)
+        except ValueError:
+            assert cls is None
+            continue
+        assert (got.kind, got.index, got.reason) == (cls.kind, cls.index, cls.reason)
+        assert _det_close(dets[i], det, H)
+    return reference
+
+
+def test_fold_polish_batch_matches_the_per_candidate_reference(monkeypatch):
+    """On each bench family's polish batch, the batched fold system and the
+    one-evaluation classification match the per-row system and the
+    per-candidate polish they replace, and so do the trace's events, flags
+    and warnings."""
+    for (calc, candidates, box, grid_dt), res in zip(*_polish_batches(monkeypatch)):
+        F = next(F for _, F, _, _ in _PRUNE_CASES[:7] if family_analysis._calculus(F) is calc)
+        outcomes = _assert_polish_matches_the_parent(monkeypatch, F, candidates, box, grid_dt)
+        events, degenerate, warned = _parent_trace_tail(outcomes, candidates, 2.0)
+        assert len(res.events) == len(events) and len(res.degenerate) == len(degenerate)
+        for e, (t, x, index, det, H) in zip(res.events, events):
+            assert abs(e.t_star - t) <= 1e-12 and np.abs(e.x_star - x).max() <= 1e-12
+            assert e.index == index and _det_close(e.det_hessian, det, H)
+        for f, (t, x, reason) in zip(res.degenerate, degenerate):
+            assert abs(f.t - t) <= 1e-12 and np.abs(f.x - x).max() <= 1e-12 and f.reason == reason
+        assert list(res.warnings) == warned
+
+
+# x^3 + t x y + (t^2 - 0.09) x + (1 + t/2) y^2 + 0.3 t y^3: folds near
+# t = +-0.3, where the Hessian moves with t, unlike in the presets
+_T_IN_THE_HESSIAN = PolyFamily(1, 2, (((0, 3, 0), 1.0), ((1, 1, 1), 1.0), ((2, 1, 0), 1.0),
+                                      ((0, 1, 0), -0.09), ((1, 0, 2), 0.5), ((0, 0, 2), 1.0),
+                                      ((1, 0, 3), 0.3)))
+
+
+@pytest.mark.parametrize("F", [preset_family("swallowtail"), _rotated_cusp(0.113),
+                               preset_family("suspended-cusp-1"), _T_IN_THE_HESSIAN],
+                         ids=["swallowtail", "rotated-cusp", "suspended-cusp-1", "t-in-the-hessian"])
+def test_fold_polish_random_batch_matches_the_per_candidate_reference(monkeypatch, F):
+    """A seeded batch of candidates over the box, a tenth of them so far out
+    that their Hessian is not finite and their run ends at once, matches the
+    per-candidate reference with windows of 0.1 and 2 in t; in the wider one
+    most rows polish."""
+    d = F.fiber_dim
+    rng = np.random.default_rng(35)
+    X = rng.uniform(-2.0, 2.0, size=(60, d))
+    X[::10] = 1e308
+    candidates = [(float(t), x, None) for t, x in zip(rng.uniform(-1.0, 1.0, 60), X)]
+    box = (np.full(d, -2.0), np.full(d, 2.0))
+    (H,) = family_analysis._calculus(F).at(np.column_stack((np.zeros(60), X)), "hess")
+    assert (~np.isfinite(H).all(axis=(1, 2))).sum() == 6
+    for grid_dt in (0.05, 1.0):
+        outcomes = _assert_polish_matches_the_parent(monkeypatch, F, candidates, box, grid_dt)
+    kinds = [cls and cls.kind for _, _, cls, _, _ in outcomes]
+    assert kinds.count(None) == 6 and {BIRTH_DEATH, DEGENERATE} & set(kinds)
+
+
+@pytest.mark.parametrize("lo, grid_dt, polished", [
+    (-2.0, 0.005, True),   # |t* - t| = 2 grid_dt
+    (-2.0, 0.004, False),  # beyond 2 grid_dt
+    (5e-10, 0.01, True),   # x* = 0 within 1e-9 of the box
+    (1e-8, 0.01, False),   # x* = 0 beyond it
+])
+def test_fold_polish_keeps_a_point_near_its_candidate_and_the_box(lo, grid_dt, polished):
+    """The cusp's candidate (t, x) = (0.01, 0.05) polishes to its fold (0, 0),
+    which _refine_fold returns only within 2 grid_dt of t and 1e-9 of the
+    fiber box, and the candidate's own point otherwise."""
+    (row,) = family_analysis._refine_fold(family_analysis._calculus(CUSP),
+                                          [(0.01, np.array([0.05]), None)],
+                                          (np.array([lo]), np.array([2.0])), grid_dt)
+    assert row.tolist() == ([0.0, 0.0] if polished else [0.01, 0.05])
 
 
 # ---------------------------------------------------------------------------

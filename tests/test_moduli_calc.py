@@ -22,6 +22,7 @@ from gmfkit.graded_f2 import (
     series_add,
     series_BSO,
     series_equal,
+    series_from_coeffs,
     series_grassmannian,
     series_mul,
     series_one,
@@ -484,6 +485,67 @@ def test_zigzag_checks_fail_under_a_lowered_rank(monkeypatch, capsys, check, d):
         assert '"verdict": "Fail"' in capsys.readouterr().out
     finally:
         moduli_calc._hocolim_std.cache_clear()
+
+
+def _cofiber_off_in_its_top_degree(monkeypatch):
+    exact = moduli_calc._mv_cofiber
+
+    def off(h):
+        c = list(exact(h).coeffs)
+        c[-1] += 1
+        return series_from_coeffs(c)
+
+    monkeypatch.setattr(moduli_calc, "_mv_cofiber", off)
+
+
+def _bo_with_two_components(monkeypatch):
+    exact = moduli_calc.series_BO
+    monkeypatch.setattr(moduli_calc, "series_BO",
+                        lambda m, N: series_from_coeffs((2,) + exact(m, N).coeffs[1:]))
+
+
+def _base_bumped_in_degree_1(monkeypatch):
+    exact = moduli_calc._BASE_SERIES["o"]
+
+    def bumped(m, N):
+        c = list(exact(m, N).coeffs)
+        c[1] += 1
+        return series_from_coeffs(c)
+
+    monkeypatch.setitem(moduli_calc._BASE_SERIES, "o", bumped)
+
+
+@pytest.mark.parametrize("check, fault", [
+    ("hocolim-cofiber", _cofiber_off_in_its_top_degree),
+    ("connectivity", _bo_with_two_components),
+    ("gysin", _base_bumped_in_degree_1),
+])
+def test_checks_fail_under_a_fault_of_their_own(monkeypatch, capsys, check, fault):
+    """Each check that no other test makes fail turns Fail, with exit 1, at
+    d = 3, N = 10 under a named fault: hocolim-cofiber under _mv_cofiber off
+    by one in its top degree, connectivity under a series_BO whose degree-0
+    coefficient is 2, and gysin with structure o under _BASE_SERIES["o"]
+    bumped in degree 1 (the table holds series_BO itself, so patching the
+    module's series_BO does not reach it).  The faults of sigma-mf-cofibration
+    and d1-oracle are the lowered ranks above.  Part (c) of connectivity,
+    negative-degree agreement read from the mtgmf bounds, has no fault of its
+    own: it reads lower == upper, which the reported bounds give by
+    construction (ROADMAP item 1)."""
+    argv = ["verify", "--check", check, "--d", "3", "--max-degree", "10", "--structure", "o"]
+
+    def run():
+        moduli_calc._hocolim_std.cache_clear()
+        moduli_calc._closed_form.cache_clear()
+        code = cli.main(argv)
+        return code, json.loads(capsys.readouterr().out)["verdict"]
+
+    try:
+        assert run() == (0, "Pass")
+        fault(monkeypatch)
+        assert run() == (1, "Fail")
+    finally:
+        moduli_calc._hocolim_std.cache_clear()
+        moduli_calc._closed_form.cache_clear()
 
 
 # ---------------------------------------------------------------------------
