@@ -3,7 +3,9 @@
 Subcommands: classify-jet, trace-family, series, verify.  All output is
 UTF-8 JSON or CSV on stdout (or --out PATH).  Exit codes: 0 success,
 1 check/axiom failure, 2 malformed input or unknown object, 3 dimension
-inconsistency in a jet file.  Series are truncated at --max-degree, 32 by
+inconsistency in a jet file; classify-jet --jsonl writes one line per jet
+line of its input, an error line for a jet that fails, and exits with the
+largest code of its lines.  Series are truncated at --max-degree, 32 by
 default.  trace-family's axiom_gmf fails on a located degenerate point and
 on any sampled critical point that classifies as degenerate; when it fails
 with no located point, each failing sampled point gets a `# failing sample`
@@ -13,6 +15,7 @@ line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -36,6 +39,19 @@ def _read_json(path: str) -> dict:
     return json.loads(text)
 
 
+_INPUT_ERRORS = (ValueError, IndexError, KeyError, OSError)
+
+
+def _error(e: Exception) -> tuple:
+    """(exit code, message) for an input error: 3 for a jet's dimension inconsistency
+    (an IndexError, checked before ValueError: a jet's DimensionError is both), else 2."""
+    if isinstance(e, json.JSONDecodeError):
+        return 2, f"malformed JSON: {e}"
+    if isinstance(e, IndexError):
+        return 3, f"dimension inconsistency: {e}"
+    return 2, str(e)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -48,16 +64,39 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def cmd_classify_jet(args) -> int:
-    jet = jet_core.jet_from_json_dict(_read_json(args.input))
-    cls, split = jet_core._classify_split(jet, args.tol)
+def _classification(data, tol: float) -> dict:
+    """classify-jet's output object for one jet's JSON."""
+    jet = jet_core.jet_from_json_dict(data)
+    cls, split = jet_core._classify_split(jet, tol)
     if split is None:  # classify reads no split of a regular jet; the output still names one
-        split = jet_core.spectral_split(jet.quadratic, args.tol)
+        split = jet_core.spectral_split(jet.quadratic, tol)
     out = {k: v for k, v in cls.to_json_dict(split).items() if v is not None}
     out["dim"] = jet.dim
-    out["tol"] = args.tol
-    _emit(json.dumps(out, indent=2) + "\n", args.out)
-    return 0
+    out["tol"] = tol
+    return out
+
+
+def cmd_classify_jet(args) -> int:
+    if not args.jsonl:
+        _emit(json.dumps(_classification(_read_json(args.input), args.tol), indent=2) + "\n",
+              args.out)
+        return 0
+    jet_core._check_tol(args.tol)  # a bad --tol refuses the batch, not each line
+    worst = 0
+    with contextlib.ExitStack() as stack:
+        lines = (getattr(sys.stdin, "buffer", sys.stdin) if args.input == "-"
+                 else stack.enter_context(open(args.input, "rb")))
+        out = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        for n, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = _classification(json.loads(line), args.tol)
+            except _INPUT_ERRORS as e:
+                code, message = _error(e)
+                obj, worst = {"line": n, "error": message, "code": code}, max(worst, code)
+            out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    return worst
 
 
 def _load_family(args) -> family_analysis.PolyFamily:
@@ -207,6 +246,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if one in (None, "classify-jet"):
         c = sub.add_parser("classify-jet", help="classify a 3-jet from JSON")
         c.add_argument("--input", required=True, help="jet JSON path, or - for stdin")
+        c.add_argument("--jsonl", action="store_true",
+                       help="one jet per input line, one compact result or error per output line")
         c.add_argument("--tol", type=float, default=jet_core.DEFAULT_TOL)
         c.add_argument("--out", default=None)
         c.set_defaults(func=cmd_classify_jet)
@@ -248,15 +289,10 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as e:
-        print(f"error: malformed JSON: {e}", file=sys.stderr)
-        return 2
-    except IndexError as e:  # before ValueError: a jet's DimensionError is both
-        print(f"error: dimension inconsistency: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except _INPUT_ERRORS as e:
+        code, message = _error(e)
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 def entry():

@@ -25,6 +25,9 @@ commands, never loads it.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import operator
 
@@ -106,8 +109,9 @@ def _valid_jet(dim, constant, linear, quadratic, cubic) -> Jet3:
     triple in 1..dim, and dim >= 1 last.  Parts that disagree raise DimensionError."""
     d = _integer(dim, "dim")
     c = float(constant)
-    lin = np.asarray(linear, dtype=float).ravel()
-    quad = np.asarray(quadratic, dtype=float)
+    # copies, so that the caller cannot change a jet (or its kept verdict) through its input
+    lin = np.array(linear, dtype=float).ravel()
+    quad = np.array(quadratic, dtype=float)
     if lin.size != d:
         raise DimensionError(f"linear part has {lin.size} entries, expected {d}")
     if quad.size != d * d:
@@ -164,58 +168,78 @@ class GmfClass:
         return out
 
 
-def _multiplicity(i: int, j: int, k: int) -> int:
-    # number of distinct permutations of the index multiset
-    if i == j == k:
-        return 1
-    if i == j or j == k:
-        return 3
-    return 6
+def _cubic_form(jet: Jet3, v) -> float:
+    """r(v, v, v) for a float array v of length dim: each sorted triple's coefficient
+    times its number of distinct permutations times the monomial."""
+    v = v.tolist()
+    val = 0.0
+    for (i, j, k), c in jet.cubic.items():
+        val += c * (1 if i == k else 3 if i == j or j == k else 6) * v[i - 1] * v[j - 1] * v[k - 1]
+    return val
 
 
 def evaluate(jet: Jet3, x) -> float:
     """Value of the jet polynomial at x."""
     x = np.asarray(x, dtype=float).reshape(jet.dim)
-    val = jet.constant + float(jet.linear @ x) + float(x @ jet.quadratic @ x)
-    for (i, j, k), v in jet.cubic.items():
-        val += v * _multiplicity(i, j, k) * x[i - 1] * x[j - 1] * x[k - 1]
-    return val
+    return jet.constant + float(jet.linear @ x) + float(x @ jet.quadratic @ x) + _cubic_form(jet, x)
+
+
+# The six permutations of a sorted triple's positions, in the order compose_linear adds
+# the transposes T, T.transpose(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0) at it
+_PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0))
+
+
+@functools.lru_cache(maxsize=16)
+def _triples(d: int) -> tuple:
+    """Dimension d's index table: the sorted triples (1-based, lexicographic), the row of
+    each, and a (6, rows) array of the flat positions in a d x d x d tensor of each
+    triple's permutations, in _PERMUTATIONS' order (row 0: the triple itself)."""
+    keys = tuple(itertools.combinations_with_replacement(range(1, d + 1), 3))
+    idx = np.array(keys, dtype=np.intp).reshape(-1, 3) - 1
+    flat = np.ascontiguousarray((idx[:, np.array(_PERMUTATIONS)] @ np.array([d * d, d, 1])).T)
+    flat.flags.writeable = False  # shared by every caller of the cache
+    return keys, dict(zip(keys, range(len(keys)))), flat
 
 
 def cubic_tensor(jet: Jet3) -> np.ndarray:
     """Dense symmetric d x d x d tensor of the cubic part."""
     d = jet.dim
-    T = np.zeros((d, d, d))
-    for (i, j, k), v in jet.cubic.items():
-        for a, b, c in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            T[a - 1, b - 1, c - 1] = v
-    return T
+    _, row, perms = _triples(d)
+    T = np.zeros(d ** 3)
+    T[perms[:, list(map(row.__getitem__, jet.cubic))]] = list(jet.cubic.values())
+    return T.reshape(d, d, d)
+
+
+def _jet_from_sorted(d: int, constant, linear, quadratic, values) -> Jet3:
+    """The jet whose cubic coefficients at _triples(d)'s sorted triples are values; a
+    NaN is kept, for the checks to reject."""
+    cubic = [(t, v) for t, v in zip(_triples(d)[0], values.tolist()) if v != 0.0]
+    return _valid_jet(d, constant, linear, (quadratic + quadratic.T) / 2.0, cubic)
 
 
 def jet_from_parts(dim, constant, linear, quadratic, tensor) -> Jet3:
-    """Assemble a Jet3 from a dense symmetric cubic tensor."""
-    quad = np.asarray(quadratic, dtype=float)
-    d = int(dim)
-    tensor = np.asarray(tensor, dtype=float).tolist()
-    # a NaN entry is kept, for the checks to reject
-    cubic = [((i, j, k), v) for i in range(1, d + 1) for j in range(i, d + 1)
-             for k in range(j, d + 1) if (v := tensor[i - 1][j - 1][k - 1]) != 0.0]
-    return _valid_jet(d, constant, linear, (quad + quad.T) / 2.0, cubic)
+    """Assemble a Jet3 from a dense symmetric cubic tensor of shape (dim, dim, dim);
+    its entries at the sorted triples are the coefficients."""
+    d = _integer(dim, "dim")
+    tensor = np.asarray(tensor, dtype=float)
+    if tensor.shape != (d, d, d):
+        raise DimensionError(f"cubic tensor has shape {tensor.shape}, expected {(d, d, d)}")
+    return _jet_from_sorted(d, constant, linear, np.asarray(quadratic, dtype=float),
+                            tensor.ravel()[_triples(d)[2][0]])
 
 
 def compose_linear(jet: Jet3, M) -> Jet3:
     """The jet of p(Mx): substitute x -> Mx for a d x d matrix M."""
     d = jet.dim
     M = np.asarray(M, dtype=float).reshape(d, d)
-    lin = M.T @ jet.linear
-    quad = M.T @ jet.quadratic @ M
     T = cubic_tensor(jet)
     for _ in range(3):  # contract the leading axis with M: (a,b,c) -> (b,c,u) -> (c,u,v) -> (u,v,w)
         T = T.reshape(d, d * d).T @ M
-    T = T.reshape(d, d, d)
-    T = (T + T.transpose(0, 2, 1) + T.transpose(1, 0, 2)
-         + T.transpose(1, 2, 0) + T.transpose(2, 0, 1) + T.transpose(2, 1, 0)) / 6.0
-    return jet_from_parts(d, jet.constant, lin, quad, T)
+    # the symmetrised tensor at the sorted triples only: its six transposes there, added
+    # in _PERMUTATIONS' order
+    G = T.ravel()[_triples(d)[2]]
+    return _jet_from_sorted(d, jet.constant, M.T @ jet.linear, M.T @ jet.quadratic @ M,
+                            (G[0] + G[1] + G[2] + G[3] + G[4] + G[5]) / 6.0)
 
 
 def scale(jet: Jet3) -> float:
@@ -245,16 +269,17 @@ def spectral_split(q, tol: float = DEFAULT_TOL) -> SpectralSplit:
     # equals itself (tolist makes fresh floats, so no identity shortcut applies)
     if q.tolist() != q.T.tolist():
         raise ValueError("q must be exactly symmetric")
-    # eigh returns w ascending, so the blocks are already contiguous and in order
+    # eigh returns w ascending, so the blocks are already contiguous and in order, the
+    # largest |lambda| is at an end, and bisection counts the outer blocks
     w, V = np.linalg.eigh(q)
     wl = w.tolist()
-    thresh = tol * max(1.0, max(map(abs, wl), default=0.0))
-    neg = sum(x < -thresh for x in wl)
-    zero = sum(abs(x) <= thresh for x in wl)
-    pos = sum(x > thresh for x in wl)
-    if neg + zero + pos != len(wl):  # a NaN eigenvalue, or a NaN threshold
+    thresh = tol * max(1.0, -wl[0], wl[-1]) if wl else 0.0
+    if thresh != thresh or any(map(math.isnan, wl)):
         raise ValueError(f"spectrum {wl} does not split at tol {tol}")
-    return SpectralSplit(neg_dim=neg, zero_dim=zero, pos_dim=pos, basis=V, eigenvalues=w)
+    neg = bisect.bisect_left(wl, -thresh)
+    pos = len(wl) - bisect.bisect_right(wl, thresh)
+    return SpectralSplit(neg_dim=neg, zero_dim=len(wl) - neg - pos, pos_dim=pos, basis=V,
+                         eigenvalues=w)
 
 
 def restrict_cubic(jet: Jet3, v) -> float:
@@ -262,28 +287,36 @@ def restrict_cubic(jet: Jet3, v) -> float:
     v = np.asarray(v, dtype=float).reshape(jet.dim)
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError("v must be a unit vector")
-    v = v.tolist()
-    val = 0.0
-    for (i, j, k), c in jet.cubic.items():
-        val += c * _multiplicity(i, j, k) * v[i - 1] * v[j - 1] * v[k - 1]
-    return val
+    return _cubic_form(jet, v)
+
+
+def _gradient_norm(jet: Jet3) -> float:
+    """||l||, inf for a gradient too large to square."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(jet.linear))
 
 
 def _classify_split(jet: Jet3, tol: float) -> tuple:
-    """classify's verdict and the spectral split it read, None for a regular jet."""
+    """classify's verdict and the spectral split it read, None for a regular jet, kept
+    per tol in the jet's __dict__ beside its fields (which equality, hash and repr read
+    alone), so a jet is classified and split once per tol."""
     _check_tol(tol)
+    memo = jet.__dict__.setdefault("_verdicts", {})
+    if tol not in memo:
+        memo[tol] = _classified(jet, tol)
+    return memo[tol]
+
+
+def _classified(jet: Jet3, tol: float) -> tuple:
     s = scale(jet)
-    with np.errstate(over="ignore"):  # a gradient too large to square reads as inf: Regular
-        grad_norm = float(np.linalg.norm(jet.linear))
-    if grad_norm > tol * s:
+    if _gradient_norm(jet) > tol * s:
         return GmfClass(REGULAR), None
     split = spectral_split(jet.quadratic, tol)
     if split.zero_dim == 0:
         return GmfClass(NONDEGENERATE, index=split.neg_dim), split
     if split.zero_dim == 1:
         v = split.basis[:, split.neg_dim]
-        v = v / np.linalg.norm(v)
-        if abs(restrict_cubic(jet, v)) > tol * s:
+        if abs(_cubic_form(jet, v / np.linalg.norm(v))) > tol * s:
             return GmfClass(BIRTH_DEATH, index=split.neg_dim), split
         return GmfClass(DEGENERATE, reason=KERNEL_CUBIC_VANISHES), split
     return GmfClass(DEGENERATE, reason=KERNEL_DIM_AT_LEAST_2), split
@@ -320,19 +353,21 @@ def birth_death_linear_normal_form(jet: Jet3, tol: float = DEFAULT_TOL) -> Norma
     i = split.neg_dim
     kernel_col = split.basis[:, i] / np.linalg.norm(split.basis[:, i])
     # r(v, v, v) on the kernel axis is the axis-1 cubic coefficient after x -> U x
-    b111 = restrict_cubic(jet, kernel_col)
+    b111 = _cubic_form(jet, kernel_col)
     if b111 < 0:
         kernel_col, b111 = -kernel_col, -b111
-    U = np.column_stack([kernel_col, split.basis[:, :i], split.basis[:, i + 1 :]])
-    s = np.concatenate(([b111 ** (-1.0 / 3.0)],
-                        1.0 / np.sqrt(np.abs(np.delete(split.eigenvalues, i)))))
+    others = [*range(i), *range(i + 1, d)]
+    U = split.basis[:, [i, *others]]
+    U[:, 0] = kernel_col
+    s = np.concatenate(([b111 ** (-1.0 / 3.0)], 1.0 / np.sqrt(np.abs(split.eigenvalues[others]))))
     reduced_raw = compose_linear(jet, U * s)
 
-    off = reduced_raw.quadratic - np.diag(np.diag(reduced_raw.quadratic))
-    residual = max(float(np.max(np.abs(reduced_raw.linear))), float(np.max(np.abs(off))))
-    for idx, v in reduced_raw.cubic.items():
-        if idx != (1, 1, 1):
-            residual = max(residual, abs(v))
+    off = np.abs(reduced_raw.quadratic)
+    off.flat[:: d + 1] = 0.0
+    cross = dict(reduced_raw.cubic)
+    cross.pop((1, 1, 1), None)
+    residual = max(float(np.abs(reduced_raw.linear).max()), float(off.max()),
+                   *map(abs, cross.values()))
 
     reduced = _checked_jet(d, reduced_raw.constant, reduced_raw.linear,
                            np.diag([0.0] + [-1.0] * i + [1.0] * (d - 1 - i)), reduced_raw.cubic)

@@ -4,7 +4,11 @@ checked against independently-routed oracles (general eigensolver + SVD kernel
 
 from __future__ import annotations
 
+import importlib.util
+import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,7 @@ def test_cubic_tensor_round_trip():
     for _ in range(20):
         d = int(rng.integers(1, 5))
         jet = _random_jet(rng, d)
+        assert np.array_equal(cubic_tensor(jet), _dense_cubic(jet))
         back = jet_from_parts(d, jet.constant, jet.linear, jet.quadratic,
                               cubic_tensor(jet))
         assert back.cubic.keys() == jet.cubic.keys()
@@ -236,6 +241,25 @@ def _einsum_compose(jet: Jet3, M) -> Jet3:
             [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]) / 6.0
     return jet_from_parts(jet.dim, jet.constant, M.T @ jet.linear,
                           M.T @ jet.quadratic @ M, T)
+
+
+def test_compose_linear_keeps_every_float_of_the_dense_route():
+    """compose_linear symmetrises only at the sorted triples; the dense route
+    (symmetrise the whole contracted tensor, then read the sorted triples)
+    gives the same floats."""
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        d = int(rng.integers(1, 7))
+        jet, M = _random_jet(rng, d), rng.normal(size=(d, d))
+        T = _dense_cubic(jet)
+        for _ in range(3):
+            T = T.reshape(d, d * d).T @ M
+        T = T.reshape(d, d, d)
+        T = (T + T.transpose(0, 2, 1) + T.transpose(1, 0, 2)
+             + T.transpose(1, 2, 0) + T.transpose(2, 0, 1) + T.transpose(2, 1, 0)) / 6.0
+        got = compose_linear(jet, M)
+        assert got.cubic == jet_from_parts(d, 0.0, np.zeros(d), np.zeros((d, d)), T).cubic
+        assert list(got.cubic) == sorted(got.cubic)
 
 
 def test_compose_linear_matches_the_einsum_partner():
@@ -548,7 +572,9 @@ def test_normal_form_is_the_substituted_jet():
 
 def test_each_classified_jet_is_split_once(monkeypatch, tmp_path, capsys):
     """The normal form and classify-jet use the split that classification
-    read: one spectral_split (one eigh) per jet, whatever its stratum."""
+    read: one spectral_split (one eigh) per jet, whatever its stratum.  A jet
+    keeps that split per tol, so a normal form after classify splits no more,
+    and another tol splits again."""
     calls = []
     split = jet_core.spectral_split
     monkeypatch.setattr(jet_core, "spectral_split",
@@ -568,6 +594,15 @@ def test_each_classified_jet_is_split_once(monkeypatch, tmp_path, capsys):
             calls.clear()
             birth_death_linear_normal_form(jet)
             assert len(calls) == 1
+            fresh = jet_from_json_dict(jet_to_json_dict(jet))
+            calls.clear()
+            assert classify(fresh).kind == BIRTH_DEATH
+            birth_death_linear_normal_form(fresh)
+            assert len(calls) == 1
+        calls.clear()
+        classify(jet, 1e-8)  # another tol: a split of its own, kept in turn
+        classify(jet, 1e-8)
+        assert len(calls) == (kind != REGULAR)
 
 
 def test_normal_form_rejects_other_strata():
@@ -604,6 +639,36 @@ def test_jet3_validation():
     # a NaN tensor entry reaches Jet3 instead of being dropped as zero
     with pytest.raises(ValueError):
         jet_from_parts(1, 0.0, [0.0], [[1.0]], np.full((1, 1, 1), nan))
+
+
+def test_jet_from_parts_refuses_a_tensor_of_another_shape():
+    """The tensor must have shape (dim, dim, dim): a larger one is not
+    truncated, and a 2-D or flat one is a DimensionError (exit 3 in the CLI's
+    terms), not a TypeError; dim is an integer, never truncated."""
+    parts = dict(constant=0.0, linear=[0.0, 0.0], quadratic=np.eye(2))
+    for tensor in (np.ones((3, 3, 3)), np.ones((2, 2)), np.ones(8), np.ones((2, 2, 3))):
+        with pytest.raises(jet_core.DimensionError, match="cubic tensor has shape"):
+            jet_from_parts(2, tensor=tensor, **parts)
+    for dim in (2.7, 2.0, "2", True):
+        with pytest.raises(ValueError, match="not an integer"):
+            jet_from_parts(dim, tensor=np.zeros((2, 2, 2)), **parts)
+    jet = jet_from_parts(np.int64(2), tensor=np.ones((2, 2, 2)), **parts)
+    assert jet.dim == 2 and type(jet.dim) is int
+    assert jet.cubic == {(1, 1, 1): 1.0, (1, 1, 2): 1.0, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
+
+
+def test_a_jet_keeps_no_view_of_its_input():
+    """A jet copies its parts, so changing the caller's arrays afterwards changes
+    neither the jet nor the verdict it keeps."""
+    lin, quad = np.zeros(2), np.diag([1.0, 2.0])
+    for jet in (Jet3(2, 0.0, lin, quad, {}),
+                jet_from_parts(2, 0.0, lin, quad, np.zeros((2, 2, 2)))):
+        assert _as_tuple(classify(jet)) == (NONDEGENERATE, 0, None)
+        lin[0], quad[0, 0] = 5.0, -1.0
+        assert jet.linear.tolist() == [0.0, 0.0]
+        assert jet.quadratic.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+        assert _as_tuple(classify(jet)) == (NONDEGENERATE, 0, None)
+        lin[0], quad[0, 0] = 0.0, 1.0
 
 
 def test_jet_json_round_trip():
@@ -648,52 +713,55 @@ def test_jet_json_error_classes():
         jet_from_json_dict({**good, "cubic": [{"idx": [1, 1, 2]}]})
 
 
+_GOOD_JSON = {"dim": 2, "constant": 0.0, "linear": [0.0, 0.0], "quadratic": [1.0, 0.0, 0.0, 1.0],
+              "cubic": [{"idx": [1, 1, 2], "coeff": 1.0}]}
+_NAN, _INF = float("nan"), float("inf")
+_PARSE_DEFECTS = [  # (the defect in JSON, the same defect as Jet3 fields, the parser's class)
+    ({"dim": 0, "linear": [], "quadratic": [], "cubic": []},
+     dict(dim=0, linear=[], quadratic=np.zeros((0, 0)), cubic={}), ValueError),
+    ({"dim": -1}, dict(dim=-1), IndexError),
+    ({"linear": [0.0]}, dict(linear=[0.0]), IndexError),
+    ({"quadratic": [1.0, 0.0, 0.0]}, dict(quadratic=[1.0, 0.0, 0.0]), IndexError),
+    ({"constant": _INF}, dict(constant=_INF), ValueError),
+    ({"linear": [0.0, _NAN]}, dict(linear=[0.0, _NAN]), ValueError),
+    ({"quadratic": [1.0, 0.0, 0.0, -_INF]}, dict(quadratic=[[1.0, 0.0], [0.0, -_INF]]),
+     ValueError),
+    ({"cubic": [{"idx": [1, 1, 2], "coeff": _NAN}]}, dict(cubic={(1, 1, 2): _NAN}),
+     ValueError),
+    ({"quadratic": [1.0, 2.0, 0.0, 1.0]}, dict(quadratic=[[1.0, 2.0], [0.0, 1.0]]),
+     IndexError),
+    ({"cubic": [{"idx": [2, 1, 1], "coeff": 1.0}]}, dict(cubic={(2, 1, 1): 1.0}),
+     IndexError),
+    ({"cubic": [{"idx": [1, 2, 3], "coeff": 1.0}]}, dict(cubic={(1, 2, 3): 1.0}),
+     IndexError),
+    ({"cubic": [{"idx": [0, 1, 1], "coeff": 1.0}]}, dict(cubic={(0, 1, 1): 1.0}),
+     IndexError),
+    ({"cubic": [{"idx": [1, 1], "coeff": 1.0}]}, dict(cubic={(1, 1): 1.0}), ValueError),
+    ({"cubic": [{"idx": [1, 1, 2, 2], "coeff": 1.0}]}, dict(cubic={(1, 1, 2, 2): 1.0}),
+     ValueError),
+    # two defects: the first in the checks' order decides the class
+    ({"cubic": [{"idx": [1, 1, 3], "coeff": 1.0}, {"idx": [1, 1, 1], "coeff": _NAN}]},
+     dict(cubic={(1, 1, 3): 1.0, (1, 1, 1): _NAN}), IndexError),
+    ({"cubic": [{"idx": [1, 1, 1], "coeff": _NAN}, {"idx": [1, 1, 3], "coeff": 1.0}]},
+     dict(cubic={(1, 1, 1): _NAN, (1, 1, 3): 1.0}), ValueError),
+    ({"linear": [0.0, _NAN], "quadratic": [1.0, 2.0, 0.0, 1.0]},
+     dict(linear=[0.0, _NAN], quadratic=[[1.0, 2.0], [0.0, 1.0]]), ValueError),
+    ({"quadratic": [1.0, 2.0, 0.0, _INF]}, dict(quadratic=[[1.0, 2.0], [0.0, _INF]]),
+     ValueError),
+    ({"dim": 0, "linear": [], "quadratic": [], "cubic": [{"idx": [1, 1, 1], "coeff": 1.0}]},
+     dict(dim=0, linear=[], quadratic=np.zeros((0, 0)), cubic={(1, 1, 1): 1.0}), IndexError),
+]
+
+
 def test_jet_json_parse_skips_no_check():
     """The parser and Jet3 make their value checks through one function: each
     defect gets the same class and message from both, the class the CLI maps
     to its exit code (IndexError: 3, any other ValueError: 2), and of two
     defects the first in the checks' order decides."""
-    good = {"dim": 2, "constant": 0.0, "linear": [0.0, 0.0], "quadratic": [1.0, 0.0, 0.0, 1.0],
-            "cubic": [{"idx": [1, 1, 2], "coeff": 1.0}]}
-    nan, inf = float("nan"), float("inf")
-    cases = [  # (the defect in JSON, the same defect as Jet3 fields, the parser's class)
-        ({"dim": 0, "linear": [], "quadratic": [], "cubic": []},
-         dict(dim=0, linear=[], quadratic=np.zeros((0, 0)), cubic={}), ValueError),
-        ({"dim": -1}, dict(dim=-1), IndexError),
-        ({"linear": [0.0]}, dict(linear=[0.0]), IndexError),
-        ({"quadratic": [1.0, 0.0, 0.0]}, dict(quadratic=[1.0, 0.0, 0.0]), IndexError),
-        ({"constant": inf}, dict(constant=inf), ValueError),
-        ({"linear": [0.0, nan]}, dict(linear=[0.0, nan]), ValueError),
-        ({"quadratic": [1.0, 0.0, 0.0, -inf]}, dict(quadratic=[[1.0, 0.0], [0.0, -inf]]),
-         ValueError),
-        ({"cubic": [{"idx": [1, 1, 2], "coeff": nan}]}, dict(cubic={(1, 1, 2): nan}),
-         ValueError),
-        ({"quadratic": [1.0, 2.0, 0.0, 1.0]}, dict(quadratic=[[1.0, 2.0], [0.0, 1.0]]),
-         IndexError),
-        ({"cubic": [{"idx": [2, 1, 1], "coeff": 1.0}]}, dict(cubic={(2, 1, 1): 1.0}),
-         IndexError),
-        ({"cubic": [{"idx": [1, 2, 3], "coeff": 1.0}]}, dict(cubic={(1, 2, 3): 1.0}),
-         IndexError),
-        ({"cubic": [{"idx": [0, 1, 1], "coeff": 1.0}]}, dict(cubic={(0, 1, 1): 1.0}),
-         IndexError),
-        ({"cubic": [{"idx": [1, 1], "coeff": 1.0}]}, dict(cubic={(1, 1): 1.0}), ValueError),
-        ({"cubic": [{"idx": [1, 1, 2, 2], "coeff": 1.0}]}, dict(cubic={(1, 1, 2, 2): 1.0}),
-         ValueError),
-        # two defects: the first in the checks' order decides the class
-        ({"cubic": [{"idx": [1, 1, 3], "coeff": 1.0}, {"idx": [1, 1, 1], "coeff": nan}]},
-         dict(cubic={(1, 1, 3): 1.0, (1, 1, 1): nan}), IndexError),
-        ({"cubic": [{"idx": [1, 1, 1], "coeff": nan}, {"idx": [1, 1, 3], "coeff": 1.0}]},
-         dict(cubic={(1, 1, 1): nan, (1, 1, 3): 1.0}), ValueError),
-        ({"linear": [0.0, nan], "quadratic": [1.0, 2.0, 0.0, 1.0]},
-         dict(linear=[0.0, nan], quadratic=[[1.0, 2.0], [0.0, 1.0]]), ValueError),
-        ({"quadratic": [1.0, 2.0, 0.0, inf]}, dict(quadratic=[[1.0, 2.0], [0.0, inf]]),
-         ValueError),
-        ({"dim": 0, "linear": [], "quadratic": [], "cubic": [{"idx": [1, 1, 1], "coeff": 1.0}]},
-         dict(dim=0, linear=[], quadratic=np.zeros((0, 0)), cubic={(1, 1, 1): 1.0}), IndexError),
-    ]
     fields = dict(dim=2, constant=0.0, linear=[0.0, 0.0], quadratic=np.eye(2),
                   cubic={(1, 1, 2): 1.0})
-    for defect, jet_defect, cls in cases:
+    good = _GOOD_JSON
+    for defect, jet_defect, cls in _PARSE_DEFECTS:
         with pytest.raises(cls) as parsed:
             jet_from_json_dict({**good, **defect})
         assert isinstance(parsed.value, IndexError) == (cls is IndexError), defect
@@ -748,3 +816,149 @@ def test_classification_json_shape():
     assert out["index"] == 1
     assert out["reason"] is None
     assert out["split"] == {"neg": 1, "zero": 1, "pos": 1}
+
+
+# ---------------------------------------------------------------------------
+# classify-jet --jsonl, and a fault for every stratum of the benchmark's planted jets
+
+
+def _bench_jets():
+    """bench/jets.py, loaded from where it lies: seeded jets of known strata
+    behind random rotations, and the benchmark's check of an output."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "jets.py"
+    spec = importlib.util.spec_from_file_location("bench_jets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _jsonl(tmp_path, capsys, lines, *args):
+    """(exit code, output lines) of classify-jet --jsonl over these input lines."""
+    path = tmp_path / "jets.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = main(["classify-jet", "--jsonl", "--input", str(path), *args])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def _single(tmp_path, capsys, line):
+    """(exit code, stdout, stderr) of classify-jet on one jet."""
+    path = tmp_path / "jet.json"
+    path.write_text(line, encoding="utf-8")
+    code = main(["classify-jet", "--input", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_jsonl_lines_are_the_single_jet_outputs(tmp_path, capsys):
+    """Over the benchmark's seed-1 batch, line k is jet k's classify-jet output
+    in compact form, and right."""
+    jets = _bench_jets()
+    batch = jets.make_batch(1, 40)
+    lines = [json.dumps(data) for data, _ in batch]
+    code, out = _jsonl(tmp_path, capsys, lines)
+    assert code == 0 and len(out) == len(batch) == 600
+    for line, (data, expected), got in zip(lines, batch, out):
+        single = _single(tmp_path, capsys, line)
+        assert single[0] == 0 and single[2] == ""
+        assert got == json.dumps(json.loads(single[1]), separators=(",", ":"))
+        assert jets.check_classification(json.loads(got), expected, data["dim"]) is None
+
+
+def test_jsonl_reports_each_defect_on_its_own_line(tmp_path, capsys):
+    """Each parse defect, between two good jets, gives one line with its line
+    number and the code and message of a single-jet run, and the jets around
+    it are still classified."""
+    good = json.dumps(_GOOD_JSON)
+    classified = json.dumps(json.loads(_single(tmp_path, capsys, good)[1]), separators=(",", ":"))
+    lines, want = [good], {}
+    for defect, _, cls in _PARSE_DEFECTS:
+        line = json.dumps({**_GOOD_JSON, **defect})
+        code, out, err = _single(tmp_path, capsys, line)
+        assert (code, out) == (3 if cls is IndexError else 2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        want[len(lines) + 1] = {"line": len(lines) + 1, "error": err[7:-1], "code": code}
+        lines += [line, good]
+    code, out = _jsonl(tmp_path, capsys, lines)
+    assert code == 3 and len(out) == len(lines)
+    for n, got in enumerate(out, 1):
+        assert got == (json.dumps(want[n], separators=(",", ":")) if n in want else classified)
+
+
+def test_jsonl_exit_code_is_the_largest_line_code(tmp_path, capsys, monkeypatch):
+    """0 when every line is classified, else the largest code of a failing line
+    (2 malformed, 3 dimension inconsistency); blank lines are skipped but
+    counted.  A bad --tol or an unreadable input refuses the batch (exit 2,
+    one error line, no output)."""
+    good, malformed = json.dumps(_GOOD_JSON), "{"
+    short = json.dumps({**_GOOD_JSON, "linear": [0.0]})
+    for lines, want in (([], 0), ([good, good], 0), ([good, malformed], 2), ([short, good], 3),
+                        ([malformed, short, malformed], 3), ([malformed, malformed], 2),
+                        (["", " ", short], 3)):
+        code, out = _jsonl(tmp_path, capsys, lines)
+        assert code == want, lines
+        assert [json.loads(o).get("line") for o in out] == \
+            [None if line == good else n for n, line in enumerate(lines, 1) if line.strip()]
+    batch = str(tmp_path / "jets.jsonl")
+    for args in (["--tol=nan"], ["--tol=-1"], ["--input", str(tmp_path / "missing.jsonl")]):
+        assert main(["classify-jet", "--jsonl", "--input", batch, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    # a line that is not UTF-8 is malformed, and the run goes on
+    (tmp_path / "bytes.jsonl").write_bytes(b"\xff{}\n" + good.encode() + b"\n")
+    assert main(["classify-jet", "--jsonl", "--input", str(tmp_path / "bytes.jsonl")]) == 2
+    assert [json.loads(o).get("code") for o in capsys.readouterr().out.splitlines()] == [2, None]
+    # stdin in, --out file out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{good}\n{short}\n"))
+    out_path = tmp_path / "out.jsonl"
+    assert main(["classify-jet", "--jsonl", "--input", "-", "--out", str(out_path)]) == 3
+    assert capsys.readouterr().out == ""
+    assert [json.loads(o).get("code") for o in out_path.read_text().splitlines()] == [None, 3]
+
+
+def _index_off_by_one(monkeypatch):
+    exact = jet_core.GmfClass
+    monkeypatch.setattr(jet_core, "GmfClass", lambda kind, index=None, reason=None: exact(
+        kind, None if index is None else index + 1, reason))
+
+
+def _scaled_tol(monkeypatch):
+    exact = jet_core._classify_split
+    monkeypatch.setattr(jet_core, "_classify_split", lambda jet, tol: exact(jet, tol * 1e-9))
+
+
+def _ignored_kernel_cubic(monkeypatch):
+    monkeypatch.setattr(jet_core, "_cubic_form", lambda jet, v: 0.0)
+
+
+def _skipped_gradient_test(monkeypatch):
+    monkeypatch.setattr(jet_core, "_gradient_norm", lambda jet: 0.0)
+
+
+@pytest.mark.parametrize("fault, stratum, at_least", [
+    (_skipped_gradient_test, "Regular", 24),
+    (_index_off_by_one, "NondegenerateCritical", 24),
+    (_ignored_kernel_cubic, "BirthDeath", 24),
+    (_scaled_tol, "KernelCubicVanishes", 12),
+    (_scaled_tol, "KernelDimAtLeast2", 12),
+])
+def test_each_stratum_fails_under_a_fault_of_its_own(monkeypatch, tmp_path, capsys, fault,
+                                                      stratum, at_least):
+    """classify-jet --jsonl over the benchmark's planted jets (8 per stratum
+    and dimension 2, 3, 5) is right before the fault, and under it wrong on
+    every jet of the stratum, or on half of them for the scaled tolerance: the
+    gradient test skipped, the verdict's index off by one, the kernel cubic
+    read as 0, or the tolerance scaled by 1e-9 (a kernel that rounding leaves
+    exactly 0, as for the zero quadratics at d = 2, stays a kernel)."""
+    jets = _bench_jets()
+    batch = jets.make_batch(1, 8)
+    lines = [json.dumps(data) for data, _ in batch]
+
+    def wrong():
+        out = _jsonl(tmp_path, capsys, lines)[1]
+        assert len(out) == len(batch)
+        return [exp.get("reason") or exp["class"] for (data, exp), got in zip(batch, out)
+                if jets.check_classification(json.loads(got), exp, data["dim"])]
+
+    assert wrong() == []
+    fault(monkeypatch)
+    assert wrong().count(stratum) >= at_least
