@@ -30,13 +30,22 @@ def _truncation(max_degree: int) -> int:
     return max_degree
 
 
+def _loads(text):
+    """json.loads, with input nested too deeply for the decoder read as malformed JSON:
+    the RecursionError of the decode alone, not one from gmfkit's own code."""
+    try:
+        return json.loads(text)
+    except RecursionError as e:
+        raise ValueError(f"malformed JSON: {e}") from None
+
+
 def _read_json(path: str) -> dict:
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    return _loads(text)
 
 
 _INPUT_ERRORS = (ValueError, IndexError, KeyError, OSError)
@@ -91,7 +100,7 @@ def cmd_classify_jet(args) -> int:
             if not line.strip():
                 continue
             try:
-                obj = _classification(json.loads(line), args.tol)
+                obj = _classification(_loads(line), args.tol)
             except _INPUT_ERRORS as e:
                 code, message = _error(e)
                 obj, worst = {"line": n, "error": message, "code": code}, max(worst, code)

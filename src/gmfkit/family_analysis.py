@@ -46,7 +46,8 @@ from .jet_core import (
     _integer,
     _json_numbers,
     _LazyNumpy,
-    classify,
+    _norms,
+    classify_parts,
     jet_from_parts,
 )
 
@@ -162,10 +163,10 @@ class _FamilyCalculus:
         (m, k + d) array of points, one per row, which puts a leading axis
         of length m on every result.  The powers of each coordinate that the
         named tables use come from one table, shared by the names and made
-        with Python's **: repeated multiplication and numpy's power each
-        differ from it in the last bit for some inputs, and Newton can then
-        stop elsewhere.  A power or product too large for a float reads as
-        infinite or NaN.
+        with Python's pow, the C pow that ** calls: repeated multiplication
+        and numpy's power each differ from it in the last bit for some
+        inputs, and Newton can then stop elsewhere.  A power or product too
+        large for a float reads as infinite or NaN.
         """
         pt = np.asarray(pt, dtype=float)
         rows = pt.reshape(-1, pt.shape[-1])
@@ -177,7 +178,8 @@ class _FamilyCalculus:
         for col, ps in zip(rows.T, powers):
             xs = col.tolist()
             try:
-                pw.append({1: col, **{p: np.array([x ** p for x in xs]) for p in ps}})
+                pw.append({1: col, **{p: np.fromiter(map(pow, xs, itertools.repeat(p)), float,
+                                                     len(xs)) for p in ps}})
             except OverflowError:
                 pw.append({1: col, **{p: np.array([_power(x, p) for x in xs]) for p in ps}})
         results = []
@@ -434,13 +436,18 @@ def _newton(system, z0, box, prune=None, group=None):
             best[live[small]] = z[small]
             step, go = _solve_rows(J, r)
             zn = z - step
-            step_norm, param_norm = _row_norms(step), _row_norms(zn[:, d:])
-            go &= np.isfinite(res_norm) & np.isfinite(step_norm) & np.isfinite(param_norm)
+            step_norm = _row_norms(step)
+            go &= np.isfinite(res_norm) & np.isfinite(step_norm)
+            if Z.shape[1] > d:  # unknown parameters: a run ends where their norm does not square
+                param_norm = _row_norms(zn[:, d:])
+                go &= np.isfinite(param_norm)
             go[go] = np.abs(zn[go, :d]).max(axis=1) <= reach
             live, zn = live[go], zn[go]
             Z[live] = zn
-            moving = step_norm[go] > 1e-14 * (1.0 + _row_norms(zn[:, :d]) + param_norm[go])
-            live = live[moving]
+            size = 1.0 + _row_norms(zn[:, :d])  # the stall test's scale, parameters included
+            if Z.shape[1] > d:
+                size += param_norm[go]
+            live = live[step_norm[go] > 1e-14 * size]
         Z, best = Z[src], reached(best)
         lead = np.flatnonzero(src == np.arange(len(Z)))  # a merged row's verdict is its leader's
         done = (_row_norms(system(Z[lead], lead)[0]) <= NEWTON_TOL)[np.searchsorted(lead, src)]
@@ -509,25 +516,50 @@ def _box_arrays(box, d):
 
 
 def _distance(x, y) -> float:
-    """Euclidean distance, inf when it is too large for a float."""
+    """Euclidean distance, inf when it is too large for a float: sqrt(v.dot(v))
+    for v = x - y, what np.linalg.norm computes for a 1-d float array."""
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(x - y))
+        v = x - y
+        return math.sqrt(v.dot(v))
 
 
-def _dedup(points, radius):
-    """The rows of points in order, less each within radius of one kept before it.
+def _dedup(fiber, X, radius) -> np.ndarray:
+    """The indices of the rows of X to keep, ascending: in each fiber (rows
+    with the same integer in fiber), its rows in order, less each within
+    radius of one kept before it in that fiber.
 
     Within means _distance <= radius.  Newton sends many seeds to the same
-    floats; a row equal to an earlier one (as a tuple, where -0.0 equals 0.0)
-    is dropped unmeasured: its distance to every row is its first copy's, so
-    whichever kept row covered the first copy covers it too.
+    floats: a row equal to an earlier one of its fiber (bit for bit after
+    + 0.0, so -0.0 equals 0.0) goes unmeasured, all in one _leaders pass, as
+    its distance to every row is its first copy's.  The rule then runs on the
+    first copies, and measures only the pairs whose largest coordinate gap is
+    within radius (1 + 1e-9): a computed distance is at least the largest gap
+    of the same difference, less a relative rounding under (d + 3) eps, far
+    below 1e-9 at any fiber dimension, so a pair with a larger gap is not
+    within radius.  Those pairs are found among the first copies sorted by
+    fiber and first coordinate, k places apart for k = 1, 2, ... until no
+    pair k apart is that close in its first coordinate.
     """
-    seen, kept = set(), []
-    for x, xs in zip(points, map(tuple, points.tolist())):
-        if xs not in seen and all(_distance(x, y) > radius for y in kept):
-            kept.append(x)
-        seen.add(xs)
-    return kept
+    first = np.flatnonzero(_leaders(np.column_stack((fiber, (X + 0.0).view(np.int64))))
+                           == np.arange(len(X)))
+    F, Y = fiber[first], X[first]
+    reach = radius * (1.0 + 1e-9)
+    order = np.lexsort((Y[:, 0], F))
+    f, y0 = F[order], Y[order, 0]
+    near = []  # (j, i): first copies j > i of one fiber within reach in every coordinate
+    with np.errstate(over="ignore"):  # a gap too large for a float is inf
+        for k in itertools.count(1):
+            close = np.flatnonzero((f[k:] == f[:-k]) & (y0[k:] - y0[:-k] <= reach))
+            if not close.size:
+                break
+            a, b = order[close], order[close + k]
+            keep = np.abs(Y[a] - Y[b]).max(axis=1) <= reach
+            near += zip(np.maximum(a, b)[keep].tolist(), np.minimum(a, b)[keep].tolist())
+    dropped = [False] * len(first)
+    for j, i in sorted(near):  # every i < j is settled before j
+        if not (dropped[j] or dropped[i]) and _distance(Y[j], Y[i]) <= radius:
+            dropped[j] = True
+    return first[~np.array(dropped, dtype=bool)]
 
 
 def _auto_grid(d: int) -> int:
@@ -575,13 +607,16 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
     """fiber_critical_points for every parameter tuple of ts, one list each.
 
     The seed grids of all the fibers are one batch of rows for _newton, each
-    row with its own parameter value and its own guards, and the jets of all
-    the points kept come from one evaluation, after _dedup has dropped each
-    fiber's repeated and near rows.  A row's result does not depend on the
-    other rows, so each list is what its fiber would give alone.  Its group
-    is its fiber: where the family is quadratic in some coordinates (the
-    suspended cusps and the cubic pair, not the cusp, swallowtail or rotated
-    cusp), the seeds that differ only there run once after the first step.
+    row with its own parameter value and its own guards.  Its converged
+    in-box rows then pass through whole-batch steps: one _dedup call drops
+    every fiber's repeated and near rows, one evaluation gives the jets of
+    the points kept, classify_parts classifies them all (None for a jet too
+    large for a float), and one lexsort orders each fiber's points by x.  A
+    row's result does not depend on the other rows, so each list is what its
+    fiber would give alone.  Its group is its fiber: where the family is
+    quadratic in some coordinates (the suspended cusps and the cubic pair,
+    not the cusp, swallowtail or rotated cusp), the seeds that differ only
+    there run once after the first step.
 
     The fibers that _gradient_excluded proves on the box of the in-box test
     below, inner, leave their seed grids out of the batch and read NaN
@@ -629,36 +664,27 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
                   int(candidates.sum()), PRUNE_STEP)
         return live[~proven[live // m]]
 
-    Z = np.full((len(ts), m, d), np.nan)
-    Z[run] = _newton(system, np.tile(seeds, (len(ts) - pruned, 1)), (lo, hi),
-                     prune=prune, group=np.arange(len(params)) // m).reshape(-1, m, d)
-    kept = []  # per fiber, the deduplicated in-box points
-    for Zt in Z:
-        converged = np.isfinite(Zt).all(axis=1)
-        dropped = m - int(converged.sum())
+    Z = np.full((len(ts) * m, d), np.nan)
+    Z.reshape(-1, m, d)[run] = _newton(system, np.tile(seeds, (len(ts) - pruned, 1)), (lo, hi),
+                                       prune=prune, group=np.arange(len(params)) // m
+                                       ).reshape(-1, m, d)
+    converged = np.isfinite(Z).all(axis=1)
+    for dropped in (m - converged.reshape(-1, m).sum(axis=1)).tolist():
         if dropped:
             _log_info("fiber_critical_points: %d of %d seeds did not converge", dropped, m)
-        kept.append(np.array(_dedup(Zt[converged & inside(Zt)], DEDUP_RADIUS)).reshape(-1, d))
-    X = np.concatenate(kept)
-    P = np.hstack((np.repeat(T, [len(Xt) for Xt in kept], axis=0), X))
-    jets = zip(X, *calc.at(P, "value", "grad", "hess", "third"))
-    out = []
-    for t, Xt in zip(ts, kept):
-        points = []
-        for x, value, grad, hess, third in itertools.islice(jets, len(Xt)):
-            try:
-                jet = jet_from_parts(d, value, grad, hess / 2.0, third / 6.0)
-            except ValueError:  # a coefficient too large for a float: nothing to classify
-                continue
-            points.append(CriticalPoint(
-                t=t[0] if F.param_dim == 1 else None,
-                x=x,
-                value=float(value),
-                cls=classify(jet, CLASSIFY_TOL),
-                grad_norm=float(np.linalg.norm(grad)),
-            ))
-        points.sort(key=lambda p: tuple(p.x))
-        out.append(points)
+    rows = np.flatnonzero(converged & inside(Z))  # by fiber, then seed
+    rows = rows[_dedup(rows // m, Z[rows], DEDUP_RADIUS)]
+    fiber, X = rows // m, Z[rows]
+    value, grad, hess, third = calc.at(np.hstack((T[fiber], X)), "value", "grad", "hess", "third")
+    # in row order, so that a spectrum that does not split raises as the first such point would
+    classes = classify_parts(d, value, grad, hess / 2.0, third / 6.0, CLASSIFY_TOL)
+    norms, value = _norms(grad).tolist(), value.tolist()
+    t = [p[0] if F.param_dim == 1 else None for p in ts]
+    out = [[] for _ in ts]
+    for r in np.lexsort((*X.T[::-1], fiber)).tolist():  # each fiber's points, by x as a tuple
+        if classes[r] is not None:  # None: a jet too large for a float, nothing to classify
+            out[fiber[r]].append(CriticalPoint(t=t[fiber[r]], x=X[r], value=value[r],
+                                               cls=classes[r], grad_norm=norms[r]))
     return out
 
 
@@ -858,18 +884,16 @@ def trace_birth_death(
     degenerate: list = []
     unlocated = []
     P = _refine_fold(calc, candidates, (lo, hi), span / (steps - 1))
-    jets = calc.at(P, "value", "grad", "hess", "third")
+    value, grad, hess, third = calc.at(P, "value", "grad", "hess", "third")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite jet is skipped below
-        dets = np.linalg.det(jets[2])
-    for (_, _, must), row, value, grad, hess, third, det in zip(candidates, P, *jets, dets):
+        dets = np.linalg.det(hess)
+    classes = classify_parts(d, value, grad, hess / 2.0, third / 6.0, EVENT_TOL)
+    for (_, _, must), row, cls, det in zip(candidates, P, classes, dets):
         t_star, x_star = float(row[0]), row[1:]
-        try:
-            jet = jet_from_parts(d, value, grad, hess / 2.0, third / 6.0)
-        except ValueError:  # a coefficient too large for a float: nothing to classify
+        if cls is None:  # a coefficient too large for a float: nothing to classify
             if must is not None:
                 unlocated.append(must)
             continue
-        cls = classify(jet, EVENT_TOL)
         if must is not None and not (
             cls.kind in (BIRTH_DEATH, DEGENERATE)
             and must[0] - slack <= t_star <= must[1] + slack

@@ -219,13 +219,19 @@ def _jet_from_sorted(d: int, constant, linear, quadratic, values) -> Jet3:
 
 def jet_from_parts(dim, constant, linear, quadratic, tensor) -> Jet3:
     """Assemble a Jet3 from a dense symmetric cubic tensor of shape (dim, dim, dim);
-    its entries at the sorted triples are the coefficients."""
+    its entries at the sorted triples are the coefficients.  The quadratic, dim^2
+    entries in any shape (read row by row), is symmetrised as (q + q^T) / 2, and an
+    entry that overflows there is not finite: a ValueError, with no numpy warning."""
     d = _integer(dim, "dim")
+    quad = np.asarray(quadratic, dtype=float)
+    if quad.size != d * d:  # before symmetrising, which would broadcast another shape
+        raise DimensionError(f"quadratic part has {quad.size} entries, expected {d * d}")
     tensor = np.asarray(tensor, dtype=float)
     if tensor.shape != (d, d, d):
         raise DimensionError(f"cubic tensor has shape {tensor.shape}, expected {(d, d, d)}")
-    return _jet_from_sorted(d, constant, linear, np.asarray(quadratic, dtype=float),
-                            tensor.ravel()[_triples(d)[2][0]])
+    with np.errstate(over="ignore"):
+        return _jet_from_sorted(d, constant, linear, quad.reshape(d, d),
+                                tensor.ravel()[_triples(d)[2][0]])
 
 
 def compose_linear(jet: Jet3, M) -> Jet3:
@@ -290,6 +296,15 @@ def restrict_cubic(jet: Jet3, v) -> float:
     return _cubic_form(jet, v)
 
 
+def _norms(rows) -> np.ndarray:
+    """The Euclidean norm of each row of a 2-d float array, as np.linalg.norm computes
+    it for one row: sqrt(v.dot(v)) on a contiguous copy (inf for a row too large to
+    square)."""
+    rows = np.ascontiguousarray(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.fromiter(map(np.dot, rows, rows), float, len(rows)))
+
+
 def _gradient_norm(jet: Jet3) -> float:
     """||l||, inf for a gradient too large to square."""
     with np.errstate(over="ignore"):
@@ -308,23 +323,109 @@ def _classify_split(jet: Jet3, tol: float) -> tuple:
 
 
 def _classified(jet: Jet3, tol: float) -> tuple:
-    s = scale(jet)
-    if _gradient_norm(jet) > tol * s:
+    bound = tol * scale(jet)
+    if _gradient_norm(jet) > bound:
         return GmfClass(REGULAR), None
     split = spectral_split(jet.quadratic, tol)
-    if split.zero_dim == 0:
-        return GmfClass(NONDEGENERATE, index=split.neg_dim), split
+    cubic = 0.0
     if split.zero_dim == 1:
         v = split.basis[:, split.neg_dim]
-        if abs(_cubic_form(jet, v / np.linalg.norm(v))) > tol * s:
-            return GmfClass(BIRTH_DEATH, index=split.neg_dim), split
-        return GmfClass(DEGENERATE, reason=KERNEL_CUBIC_VANISHES), split
-    return GmfClass(DEGENERATE, reason=KERNEL_DIM_AT_LEAST_2), split
+        cubic = _cubic_form(jet, v / np.linalg.norm(v))
+    return _critical_class(split.neg_dim, split.zero_dim, cubic, bound), split
+
+
+def _critical_class(neg_dim: int, zero_dim: int, kernel_cubic: float, bound: float) -> GmfClass:
+    """The stratum of a critical jet, one whose gradient norm is within bound = tol *
+    scale, from the negative and zero block sizes of its split and, for a kernel of
+    dimension 1, r(v, v, v) on the unit kernel vector v: the one ladder of classify and
+    classify_parts."""
+    if zero_dim == 0:
+        return GmfClass(NONDEGENERATE, index=neg_dim)
+    if zero_dim > 1:
+        return GmfClass(DEGENERATE, reason=KERNEL_DIM_AT_LEAST_2)
+    if abs(kernel_cubic) > bound:
+        return GmfClass(BIRTH_DEATH, index=neg_dim)
+    return GmfClass(DEGENERATE, reason=KERNEL_CUBIC_VANISHES)
 
 
 def classify(jet: Jet3, tol: float = DEFAULT_TOL) -> GmfClass:
     """Stratify the jet: Regular / NondegenerateCritical(i) / BirthDeath(i) / Degenerate."""
     return _classify_split(jet, tol)[0]
+
+
+def _stacked(part, n: int, size: int, what: str):
+    """part as an (n, size) float array: n rows of size entries each."""
+    a = np.asarray(part, dtype=float)
+    if a.shape[:1] != (n,) or a.size != n * size:
+        raise DimensionError(f"{what} parts have shape {a.shape}, expected {n} rows of {size} "
+                             f"entries")
+    return a.reshape(n, size)
+
+
+def classify_parts(dim, constant, linear, quadratic, tensor, tol: float = DEFAULT_TOL) -> list:
+    """classify(jet_from_parts(dim, ...), tol) for n jets at once, one GmfClass per row,
+    and None for a row where jet_from_parts raises ValueError (a non-finite constant,
+    gradient, symmetrised quadratic or coefficient at a sorted triple).
+
+    The parts are stacked on a leading axis of length n: constants (n,), linear rows of
+    dim entries, quadratic rows of dim^2 and tensors (n, dim, dim, dim); parts of any other
+    size raise DimensionError, as jet_from_parts does, and dim < 1 raises ValueError.
+    Each verdict is classify's bit for bit: the same symmetrised quadratic, scale and
+    gradient norm per row, one stacked eigh for the critical rows (numpy runs it matrix
+    by matrix, as spectral_split runs it alone), the split's counts off the same
+    threshold, the kernel cubic summed term by term in _cubic_form's order, and
+    _critical_class's ladder.  A critical row whose spectrum does not split raises
+    spectral_split's ValueError, the first such row in order, as classifying the rows in
+    turn would.
+    """
+    _check_tol(tol)
+    d = _integer(dim, "dim")
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    c = np.asarray(constant, dtype=float).reshape(-1)
+    n = len(c)
+    lin = _stacked(linear, n, d, "linear")
+    q = _stacked(quadratic, n, d * d, "quadratic").reshape(n, d, d)
+    T = np.asarray(tensor, dtype=float)
+    if T.shape != (n, d, d, d):
+        raise DimensionError(f"cubic tensors have shape {T.shape}, expected {(n, d, d, d)}")
+    keys, _, perms = _triples(d)
+    with np.errstate(over="ignore"):  # a symmetrised entry too large for a float is not finite
+        q = (q + q.transpose(0, 2, 1)) / 2.0
+    cub = T.reshape(n, d ** 3)[:, perms[0]]
+    parts = np.hstack((c[:, None], lin, q.reshape(n, d * d), cub))
+    ok = np.isfinite(parts).all(axis=1)
+    out = [None] * n
+    rows = np.flatnonzero(ok)
+    bound = tol * np.maximum(1.0, np.abs(parts[rows]).max(axis=1))  # tol * scale
+    regular = _norms(lin[rows]) > bound
+    for r in rows[regular].tolist():
+        out[r] = GmfClass(REGULAR)
+    crit, bound = rows[~regular], bound[~regular]
+    w, V = np.linalg.eigh(q[crit])
+    with np.errstate(invalid="ignore"):  # tol = 0 with an infinite eigenvalue: no threshold
+        thresh = tol * np.maximum(1.0, np.maximum(-w[:, 0], w[:, -1]))
+    bad = np.flatnonzero(np.isnan(thresh) | np.isnan(w).any(axis=1))
+    if bad.size:
+        raise ValueError(f"spectrum {w[bad[0]].tolist()} does not split at tol {tol}")
+    neg = (w < -thresh[:, None]).sum(axis=1)
+    zero = d - neg - (w > thresh[:, None]).sum(axis=1)
+    kernel = np.zeros(len(crit))
+    one = np.flatnonzero(zero == 1)
+    if one.size:  # r(v, v, v) on each unit kernel vector, in _cubic_form's order
+        v = V[one, :, neg[one]]
+        u = v / _norms(v)[:, None]
+        C = cub[crit[one]]
+        acc = np.zeros(len(one))
+        for p in np.flatnonzero(C.any(axis=0)).tolist():  # a zero coefficient adds +-0
+            i, j, k = keys[p]
+            mult = 1 if i == k else 3 if i == j or j == k else 6
+            acc += C[:, p] * mult * u[:, i - 1] * u[:, j - 1] * u[:, k - 1]
+        kernel[one] = acc
+    for r, *verdict in zip(crit.tolist(), neg.tolist(), zero.tolist(), kernel.tolist(),
+                           bound.tolist()):
+        out[r] = _critical_class(*verdict)
+    return out
 
 
 @record

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gmfkit import jet_core
 from gmfkit.cli import _SERIES, build_parser, main
 from gmfkit.family_analysis import check_family_axioms, family_from_json_dict
 
@@ -110,6 +111,47 @@ def test_classify_jet_error_exit_codes(tmp_path, capsys):
     for tol in ("nan", "inf", "-inf", "-1"):
         assert main(["classify-jet", "--input", weak, f"--tol={tol}"]) == 2
     assert capsys.readouterr().out == ""
+
+
+_DEEP = "[" * 100_000  # nested past the decoder's recursion limit
+
+
+@pytest.mark.parametrize("command", [["classify-jet", "--input"],
+                                     ["trace-family", "--t0", "-1", "--t1", "1", "--family"]],
+                         ids=["classify-jet", "trace-family"])
+def test_deeply_nested_json_is_malformed(tmp_path, capsys, command):
+    """JSON nested too deeply to decode is malformed input: exit 2 and one
+    error line, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP, encoding="utf-8")
+    assert main([*command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed JSON: ") and err.count("\n") == 1, err
+
+
+def test_deeply_nested_jsonl_line_is_its_own_error(tmp_path, capsys):
+    """Under --jsonl a line nested too deeply is one malformed line (code 2),
+    and the jets after it are still classified."""
+    good = json.dumps(ZERO_JET_1D)
+    path = tmp_path / "deep.jsonl"
+    path.write_text(f"{good}\n{_DEEP}\n{good}\n", encoding="utf-8")
+    assert main(["classify-jet", "--jsonl", "--input", str(path)]) == 2
+    first, deep, last = map(json.loads, capsys.readouterr().out.splitlines())
+    assert first == last and "class" in first
+    assert deep["line"] == 2 and deep["code"] == 2 and deep["error"].startswith("malformed JSON: ")
+
+
+def test_recursion_error_past_the_decode_is_not_malformed_input(tmp_path, monkeypatch):
+    """Only the decode's RecursionError reads as malformed JSON: one raised
+    by gmfkit's own code past it is not caught."""
+    def deep(data):
+        raise RecursionError("gmfkit's own")
+
+    monkeypatch.setattr(jet_core, "jet_from_json_dict", deep)
+    path = _write(tmp_path, "jet.json", ZERO_JET_1D)
+    for args in (["--input", path], ["--jsonl", "--input", path]):
+        with pytest.raises(RecursionError, match="gmfkit's own"):
+            main(["classify-jet", *args])
 
 
 # per jet field, coefficients that are not JSON numbers, and an integer too

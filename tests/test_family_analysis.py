@@ -433,7 +433,7 @@ def test_dedup_matches_the_pairwise_norm(monkeypatch):
             if all(distance(x, y) > r for y in want):
                 want.append(x)
         calls.clear()
-        got = family_analysis._dedup(pts, r)
+        got = pts[family_analysis._dedup(np.zeros(len(pts), dtype=np.int64), pts, r)]
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want], d
         assert len(base) + 2 <= len(got) < len(pts)
         kept = {x.tobytes() for x in want}
@@ -441,8 +441,46 @@ def test_dedup_matches_the_pairwise_norm(monkeypatch):
         # the repeats are dropped unmeasured
         measured = len(calls)
         calls.clear()
-        family_analysis._dedup(pts[:-21], r)
+        family_analysis._dedup(np.zeros(len(pts) - 21, dtype=np.int64), pts[:-21], r)
         assert len(calls) == measured, d
+
+
+def _pairwise_rule(pts, r):
+    """The indices of the rows of pts that the pairwise rule keeps, in order."""
+    kept = []
+    for i, x in enumerate(pts):
+        if all(family_analysis._distance(x, pts[j]) > r for j in kept):
+            kept.append(i)
+    return kept
+
+
+def test_dedup_keeps_each_fiber_apart():
+    """_dedup on the interleaved rows of several fibers keeps, in order,
+    what the pairwise rule keeps on each fiber alone: a +-0.0 pair of one
+    fiber is one row, while a row equal to, or within the radius of, a row
+    of another fiber is no repeat there.  Offsets from 0 along an axis,
+    exact floats, sit just inside and just outside the radius."""
+    rng = np.random.default_rng(37)
+    r = family_analysis.DEDUP_RADIUS
+    for d in (1, 2, 3):
+        base = rng.uniform(-2.0, 2.0, size=(6, d))
+        near = base[rng.integers(6, size=40)] + rng.uniform(-r, r, size=(40, d))
+        pts = np.concatenate([base, near, base[rng.integers(6, size=10)]])
+        fiber = rng.integers(0, 4, size=len(pts))
+        # far from the rest: one row in fibers 0 and 1, a +-0.0 pair in fiber 2, -0.0 in fiber 3
+        pts = np.concatenate([pts, [[5.0] * d, [5.0] * d, [0.0] * d, [-0.0] * d, [-0.0] * d]])
+        fiber = np.concatenate([fiber, [0, 1, 2, 2, 3]])
+        axis = np.zeros((4, d))
+        axis[1, 0], axis[3, d - 1] = r * (1.0 - 1e-12), r * (1.0 + 1e-12)
+        pts, fiber = np.concatenate([pts, axis]), np.concatenate([fiber, [4, 4, 5, 5]])
+        got = family_analysis._dedup(fiber, pts, r).tolist()
+        want = sorted(np.flatnonzero(fiber == f)[k]
+                      for f in range(6) for k in _pairwise_rule(pts[fiber == f], r))
+        assert got == want, d
+        n = len(pts) - 4
+        assert {n - 5, n - 4, n - 1} <= set(got) and n - 2 not in got, d  # one row per fiber
+        assert got[-3:] == [n, n + 2, n + 3], d
+        assert len(got) < n - len(base), d
 
 
 def _one_row_solves(J, r):
@@ -1227,7 +1265,7 @@ def _point_bits(p):
             np.float64(p.grad_norm).tobytes())
 
 
-@pytest.mark.parametrize("F, half, steps", [
+_SAMPLE_CASES = [
     (preset_family(name), 2.0, 41) for name in
     ("cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1", "suspended-cusp-2")
 ] + [
@@ -1236,8 +1274,12 @@ def _point_bits(p):
     # the two families of test_trace_family_huge_box_exits_cleanly
     (PolyFamily(1, 1, (((1, 4), 1.06), ((1, 3), -1.41))), 1e97, 5),
     (PolyFamily(1, 1, (((1, 1), -1.11), ((1, 4), -0.77))), 1e69, 5),
-], ids=["cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1", "suspended-cusp-2",
-        "cubic-pair", "rotated-cusp", "tx4-tx3-1e97", "tx-tx4-1e69"])
+]
+_SAMPLE_IDS = ["cusp", "swallowtail", "suspended-cusp-0", "suspended-cusp-1", "suspended-cusp-2",
+               "cubic-pair", "rotated-cusp", "tx4-tx3-1e97", "tx-tx4-1e69"]
+
+
+@pytest.mark.parametrize("F, half, steps", _SAMPLE_CASES, ids=_SAMPLE_IDS)
 def test_trace_samples_are_the_fibers_alone(F, half, steps):
     """trace_birth_death finds all its fibers in one batch; each sample is,
     bit for bit, what fiber_critical_points gives for that t alone."""
@@ -1247,6 +1289,55 @@ def test_trace_samples_are_the_fibers_alone(F, half, steps):
     for t, pts in res.samples:
         alone = fiber_critical_points(F, (t,), box)
         assert [_point_bits(p) for p in pts] == [_point_bits(q) for q in alone], t
+
+
+def _parent_samples(F, ts, fiber, X):
+    """The per-point sample loop that _critical_points replaced, on the
+    converged in-box rows X of each fiber: a tuple/set pass with the pairwise
+    rule, then per point a jet from its own at() call, jet_from_parts,
+    classify at CLASSIFY_TOL and np.linalg.norm of the gradient, and a sort
+    by x as a tuple.  Per fiber, the _point_bits of its points."""
+    calc, d = family_analysis._calculus(F), F.fiber_dim
+    out = []
+    for f, t in enumerate(ts):
+        seen, kept = set(), []
+        for x in X[fiber == f]:
+            xs = tuple(x.tolist())
+            with np.errstate(over="ignore"):
+                if xs not in seen and all(float(np.linalg.norm(x - y)) > family_analysis.DEDUP_RADIUS
+                                          for y in kept):
+                    kept.append(x)
+            seen.add(xs)
+        points = []
+        for x in kept:
+            value, grad, hess, third = calc.at((t,) + tuple(x), "value", "grad", "hess", "third")
+            try:
+                jet = jet_from_parts(d, value, grad, hess / 2.0, third / 6.0)
+            except ValueError:
+                continue
+            points.append(family_analysis.CriticalPoint(
+                t=t, x=x, value=float(value), cls=classify(jet, family_analysis.CLASSIFY_TOL),
+                grad_norm=float(np.linalg.norm(grad))))
+        points.sort(key=lambda p: tuple(p.x))
+        out.append([_point_bits(p) for p in points])
+    return out
+
+
+@pytest.mark.parametrize("F, half, steps", _SAMPLE_CASES, ids=_SAMPLE_IDS)
+def test_trace_samples_match_the_per_point_reference(monkeypatch, F, half, steps):
+    """Each sampled point's x, value, grad_norm and verdict, from one _dedup
+    call, one jet evaluation and one classify_parts call over all the fibers,
+    are bit for bit what the per-point loop they replace gives on the same
+    converged rows; on the bench families, whose seeds meet, fewer points
+    are kept than there are rows."""
+    dedup, seen = family_analysis._dedup, []
+    monkeypatch.setattr(family_analysis, "_dedup", lambda *args: seen.append(args) or dedup(*args))
+    res = trace_birth_death(F, -1.0, 1.0, steps=steps, box=[(-half, half)] * F.fiber_dim)
+    ((fiber, X, _),) = seen
+    ts = [t for t, _ in res.samples]
+    assert [[_point_bits(p) for p in pts] for _, pts in res.samples] == \
+        _parent_samples(F, ts, fiber, X)
+    assert half > 2.0 or sum(len(pts) for _, pts in res.samples) < len(X)
 
 
 @pytest.mark.parametrize("name, steps", [("cusp", 41), ("suspended-cusp-2", 11)])

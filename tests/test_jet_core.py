@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 from gmfkit import jet_core
 from gmfkit.cli import main
+from gmfkit.family_analysis import CLASSIFY_TOL, EVENT_TOL
 from gmfkit.jet_core import (
     BIRTH_DEATH,
     DEGENERATE,
@@ -25,6 +27,7 @@ from gmfkit.jet_core import (
     Jet3,
     birth_death_linear_normal_form,
     classify,
+    classify_parts,
     compose_linear,
     cubic_tensor,
     evaluate,
@@ -657,6 +660,20 @@ def test_jet_from_parts_refuses_a_tensor_of_another_shape():
     assert jet.cubic == {(1, 1, 1): 1.0, (1, 1, 2): 1.0, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
 
 
+def test_jet_from_parts_refuses_a_quadratic_of_another_shape():
+    """A quadratic without dim^2 entries is a DimensionError that names its
+    size, not numpy's broadcast error from the symmetrisation; dim^2 entries
+    in any shape are read row by row, so a flat one is the matrix."""
+    parts = dict(constant=0.0, linear=[0.0, 0.0], tensor=np.zeros((2, 2, 2)))
+    for shape in ((2, 3), (3,), (3, 3), (1, 1)):
+        with pytest.raises(jet_core.DimensionError,
+                           match=f"quadratic part has {np.prod(shape)} entries, expected 4"):
+            jet_from_parts(2, quadratic=np.ones(shape), **parts)
+    square = jet_to_json_dict(jet_from_parts(2, quadratic=[[1.0, 2.0], [2.0, -3.0]], **parts))
+    for flat in ([1.0, 2.0, 2.0, -3.0], np.array([[1.0, 2.0, 2.0, -3.0]])):
+        assert jet_to_json_dict(jet_from_parts(2, quadratic=flat, **parts)) == square
+
+
 def test_a_jet_keeps_no_view_of_its_input():
     """A jet copies its parts, so changing the caller's arrays afterwards changes
     neither the jet nor the verdict it keeps."""
@@ -962,3 +979,127 @@ def test_each_stratum_fails_under_a_fault_of_its_own(monkeypatch, tmp_path, caps
     assert wrong() == []
     fault(monkeypatch)
     assert wrong().count(stratum) >= at_least
+
+
+def _stacked_parts(batch, d):
+    """The parts of a bench batch's jets in d variables, stacked: constants,
+    linear rows, quadratic matrices and dense cubic tensors, every
+    permutation of a sorted triple holding its coefficient."""
+    datas = [data for data, _ in batch if data["dim"] == d]
+    c = np.array([data["constant"] for data in datas], dtype=float)
+    lin = np.array([data["linear"] for data in datas], dtype=float)
+    quad = np.array([data["quadratic"] for data in datas], dtype=float).reshape(-1, d, d)
+    T = np.zeros((len(datas), d, d, d))
+    for row, data in zip(T, datas):
+        for term in data["cubic"]:
+            for perm in itertools.permutations([i - 1 for i in term["idx"]]):
+                row[perm] = term["coeff"]
+    return c, lin, quad, T
+
+
+def _non_finite_rows(c, lin, quad, T):
+    """Copies of the first jet with an inf, a -inf or a NaN in one part at a
+    time: the constant, a gradient entry, a quadratic entry, a coefficient at
+    a sorted triple and a tensor entry off the sorted triples (which
+    jet_from_parts never reads), and a quadratic pair whose symmetrisation
+    overflows."""
+    rows = []
+    d = lin.shape[1]
+    for bad in (np.inf, -np.inf, np.nan):
+        for part, at in ((0, ()), (1, (d - 1,)), (2, (0, d - 1)), (3, (0, 0, d - 1)),
+                         (3, (d - 1, 0, 0))):
+            row = [np.array(c[0]), lin[0].copy(), quad[0].copy(), T[0].copy()]
+            row[part][at] = bad
+            rows.append(row)
+    row = [np.array(c[0]), lin[0].copy(), quad[0].copy(), T[0].copy()]
+    row[2][0, d - 1] = row[2][d - 1, 0] = 1e308
+    rows.append(row)
+    return [np.concatenate((whole, np.stack(part)))
+            for whole, part in zip((c, lin, quad, T), zip(*rows))]
+
+
+def _classified_alone(d, c, lin, quad, T, tol):
+    """classify(jet_from_parts(...)) per row as (kind, index, reason), None
+    where jet_from_parts raises."""
+    out = []
+    for parts in zip(c, lin, quad, T):
+        try:
+            jet = jet_from_parts(d, *parts)
+        except ValueError:
+            out.append(None)
+            continue
+        out.append(_as_tuple(classify(jet, tol)))
+    return out
+
+
+@pytest.mark.parametrize("tol", [CLASSIFY_TOL, EVENT_TOL], ids=["CLASSIFY_TOL", "EVENT_TOL"])
+def test_classify_parts_is_classify_row_by_row(tol):
+    """classify_parts gives, row by row, classify(jet_from_parts(...)) in
+    kind, index and reason on the bench's planted jets of all five strata
+    at d = 2, 3 and 5, and None exactly where jet_from_parts raises: a row
+    with an inf or a NaN in a part it reads, or whose symmetrised quadratic
+    overflows, which neither path warns of.  An empty batch gives an empty
+    list."""
+    jets = _bench_jets()
+    batch = jets.make_batch(1, 8)
+    for d in jets.DIMS:
+        parts = _non_finite_rows(*_stacked_parts(batch, d))
+        want = _classified_alone(d, *parts, tol)
+        got = [cls and _as_tuple(cls) for cls in classify_parts(d, *parts, tol)]
+        assert got == want, d
+        assert want.count(None) == 13, d  # 3 x 4 parts read, and the overflowing pair
+        assert {w[2] or w[0] for w in want if w} == {REGULAR, NONDEGENERATE, BIRTH_DEATH,
+                                                    KERNEL_CUBIC_VANISHES, KERNEL_DIM_AT_LEAST_2}, d
+        assert classify_parts(d, np.zeros(0), np.zeros((0, d)), np.zeros((0, d, d)),
+                              np.zeros((0, d, d, d)), tol) == []
+
+
+def test_classify_parts_shapes_and_refusals():
+    """Stacked parts follow jet_from_parts' shape rule with a leading row
+    axis (a flat quadratic row of d^2 entries is the matrix), other shapes
+    are a DimensionError, and a critical row whose spectrum does not split
+    raises spectral_split's ValueError, as classify does on that row."""
+    c, lin, T = np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3, 3, 3))
+    quad = np.stack([np.eye(3), -np.eye(3)])
+    want = [_as_tuple(cls) for cls in classify_parts(3, c, lin, quad, T)]
+    assert want == [(NONDEGENERATE, 0, None), (NONDEGENERATE, 3, None)]
+    assert [_as_tuple(cls) for cls in classify_parts(3, c, lin, quad.reshape(2, 9), T)] == want
+    for bad in (dict(linear=np.zeros((2, 2))), dict(linear=np.zeros(6)),
+                dict(quadratic=np.zeros((2, 3, 2))), dict(tensor=np.zeros((2, 27))),
+                dict(tensor=np.zeros((3, 3, 3, 3))), dict(constant=np.zeros(3))):
+        parts = {"constant": c, "linear": lin, "quadratic": quad, "tensor": T, **bad}
+        with pytest.raises(jet_core.DimensionError):
+            classify_parts(3, **parts)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        classify_parts(0, np.zeros(1), np.zeros((1, 0)), np.zeros((1, 0, 0)),
+                       np.zeros((1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="tol must be finite"):
+        classify_parts(3, c, lin, quad, T, -1.0)
+    # eigenvalues 0, 0 and an infinite one, which no threshold of tol = 0 splits
+    huge = np.full((3, 3), 0.7e308)
+    with pytest.raises(ValueError, match="does not split at tol 0.0") as alone:
+        classify(jet_from_parts(3, 0.0, np.zeros(3), huge, np.zeros((3, 3, 3))), 0.0)
+    with pytest.raises(ValueError) as stacked:
+        classify_parts(3, np.zeros(3), np.zeros((3, 3)), np.stack([np.eye(3), huge, huge]),
+                       np.zeros((3, 3, 3, 3)), 0.0)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_classify_parts_at_the_threshold_edges():
+    """At tol = 0.5, scale 2 and so threshold 1, the rows sit on classify's
+    edges, and classify_parts reads them as classify does: a gradient norm
+    of 1 is critical and one ulp more regular, an eigenvalue of magnitude 1
+    is in the kernel and one ulp more is not, and a kernel cubic of 1
+    vanishes and one ulp more does not."""
+    d, tol, up = 2, 0.5, 1.0 + 2 ** -52
+    quads = [np.diag(v) for v in ([2.0, 1.0], [2.0, -1.0], [-2.0, 1.0], [2.0, 0.0], [-2.0, 0.0],
+                                  [2.0, up], [2.0, 0.0])]
+    lins = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [up, 0.0]]
+    T = np.zeros((len(quads), d, d, d))
+    T[3, 1, 1, 1], T[4, 1, 1, 1] = 1.0, up  # r(e2, e2, e2) on the kernel axis
+    parts = (np.zeros(len(quads)), np.array(lins), np.array(quads), T)
+    want = _classified_alone(d, *parts, tol)
+    assert [cls and _as_tuple(cls) for cls in classify_parts(d, *parts, tol)] == want
+    vanishes = (DEGENERATE, None, KERNEL_CUBIC_VANISHES)
+    assert want == [vanishes] * 4 + [(BIRTH_DEATH, 1, None), (NONDEGENERATE, 0, None),
+                                     (REGULAR, None, None)]
