@@ -2,9 +2,9 @@
 
 H*(BO(m); F2) is the symmetric polynomials in m classes of degree 1, with the
 monomial symmetric functions m_lambda, lambda_1 >= ... >= lambda_m >= 0, as
-basis (Macdonald, Symmetric Functions and Hall Polynomials, I.2), written
-as exponent tuples on generators of degrees 1..m: tuple e is lambda_j =
-e_j + ... + e_m, of the same degree.  A product of factors gets the union
+basis (Macdonald, Symmetric Functions and Hall Polynomials, I.2), on
+generators of degrees 1..m: exponent tuple e is lambda_j = e_j + ... + e_m,
+of the same degree.  A product of factors gets the union
 of generators, factor by factor (build_Y, build_Y1, each a MonomialBasis
 built only when read).  The zigzag spaces are
 
@@ -31,18 +31,19 @@ line_maps walks Y1(i) once, mu then k then nu, and sends m_mu * a^k * m_nu
     by f to start[mu] + local[nu + k]  in Y(i)   = BO(i) x BO(d-i),
     by g to start[mu + k] + local[nu]  in Y(i+1) = BO(i+1) x BO(d-i-1).
 
-The tables are BO(0..d), each in the lexicographic order a MonomialBasis
-lists (none is built), and, for each m, the position in BO(m+1) of each
-element lambda of BO(m) with one part k inserted: lambda + k.  One pass, m
-ascending, lists BO(m+1) from BO(m) and fills the table BO(m) -> BO(m+1).
-In lexicographic order BO(m+1) is the pairs (c, lambda), c = 0..N outside
-and lambda in BO(m)'s order inside, that fit in degree N: lambda with a new
+The tables are BO(0..d), each its elements' degrees by position in the
+lexicographic order a MonomialBasis lists (no basis, and no exponent tuple,
+is built), and, for each m, the position in BO(m+1) of each element lambda
+of BO(m) with one part k inserted: lambda + k.  One pass, m ascending,
+lists BO(m+1) from BO(m) and fills the table BO(m) -> BO(m+1).  In
+lexicographic order BO(m+1) is the pairs (c, lambda), c = 0..N outside and
+lambda in BO(m)'s order inside, that fit in degree N: lambda with a new
 largest part lambda_1 + c, exponent tuple (c,) + e.  So for k >= lambda_1,
 lambda + k is the pair (k - lambda_1, lambda), whose position is recorded as
 it is listed.  For k < lambda_1, lambda + k is lambda_1 put on top of
 x = lambda-hat + k, lambda-hat being lambda less its largest part: x is
 entry k of lambda-hat's row one table down, and lambda + k is entry lambda_1
-of x's row, one recorded in this pass.  No exponent tuple is looked up.
+of x's row, one recorded in this pass.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _bo_product(ranks, N: int) -> MonomialBasis:
 
 
 def _product_dims(ranks, N: int) -> tuple:
-    """dim H_n(BO(m_0) x BO(m_1) x ...), n = 0..N: partitions into parts 1..m_p."""
-    return _partition_counts([k for m in ranks for k in range(1, m + 1)], N).coeffs
+    """dim H_n(BO(m_0) x BO(m_1) x ...), n = 0..N: partitions into parts 1..min(m_p, N)."""
+    return _partition_counts([k for m in ranks for k in range(1, min(m, N) + 1)], N).coeffs
 
 
 class _Block:
@@ -70,10 +71,8 @@ class _Block:
     the order a MonomialBasis lists each degree in, so local[p] is p's index
     in its degree's basis."""
 
-    def __init__(self, order: list, degrees: list, N: int):
-        # order[p]: an exponent tuple; degrees[p]: its degree; local[p]: its
-        # index in that degree's basis
-        self.order, self.degrees = order, degrees
+    def __init__(self, degrees: list, N: int):
+        self.degrees = degrees  # degrees[p]: the degree of element p
         self.local = []
         self.members = [[] for _ in range(N + 1)]  # positions by degree, in basis order
         for p, n in enumerate(degrees):
@@ -112,18 +111,17 @@ def _tables(d: int, N: int) -> tuple:
     _check_truncation(N)
     # tops[p]: p's largest part lambda_1; hats[p]: lambda-hat's position one
     # block down; below: the table into this block (BO(0) reads none of it)
-    order, degrees, tops, hats, below = [()], [0], [0], [0], [[]]
-    blocks, insertions = [_Block(order, degrees, N)], []
+    degrees, tops, hats, below = [0], [0], [0], [[]]
+    blocks, insertions = [_Block(degrees, N)], []
     for _ in range(d):
-        up_order, up_degrees, up_tops, up_hats = [], [], [], []
-        tails = [[] for _ in order]  # tails[p][c]: the position of (c, p), c = k - lambda_1
+        up_degrees, up_tops, up_hats = [], [], []
+        tails = [[] for _ in degrees]  # tails[p][c]: the position of (c, p), c = k - lambda_1
         room = [N - a - t for a, t in zip(degrees, tops)]  # the largest c that fits
-        kept = range(len(order))
+        kept = range(len(degrees))
         for c in range(N + 1):
             kept = [p for p in kept if room[p] >= c]
-            for p, q in zip(kept, count(len(up_order))):
+            for p, q in zip(kept, count(len(up_degrees))):
                 tails[p].append(q)
-            up_order += [(c,) + order[p] for p in kept]
             up_degrees += [N - room[p] + c for p in kept]
             up_tops += [tops[p] + c for p in kept]
             up_hats += kept
@@ -131,8 +129,8 @@ def _tables(d: int, N: int) -> tuple:
         table = [[tails[x][t - tops[x]] for x in below[h][:min(t, N - a + 1)]] + tail
                  for tail, t, h, a in zip(tails, tops, hats, degrees)]
         insertions.append(table)
-        order, degrees, tops, hats, below = up_order, up_degrees, up_tops, up_hats, table
-        blocks.append(_Block(order, degrees, N))
+        degrees, tops, hats, below = up_degrees, up_tops, up_hats, table
+        blocks.append(_Block(degrees, N))
     return blocks, insertions
 
 

@@ -236,7 +236,7 @@ def _hocolim_std(d: int, N: int) -> HocolimResult:
         gets = [[itemgetter(*Rk[:w]) if w > 1 else itemgetter(slice(Rk[0], Rk[0] + 1))
                  for Rk, w in zip(R, cum[N - a::-1])] if dim else None
                 for a, dim in enumerate(blocks[i].dims)]
-        new = [None] * len(upper.order)
+        new = [None] * len(upper.degrees)
         for ins, a, row in zip(insertions[i], blocks[i].degrees, rows):
             for lam, get in zip(ins, gets[a]):
                 copy = get(row)

@@ -125,7 +125,8 @@ def test_build_zigzag_enumerates_each_ring_once(monkeypatch):
             cache.cache_clear()
         built.clear()
         build_zigzag(d, 8)
-        assert [(len(order[0]), N) for order, _, N in built] == [(m, 8) for m in range(d + 1)], d
+        assert [(len(degrees), N) for degrees, N in built] == [
+            (sum(series_BO(m, 8).coeffs), 8) for m in range(d + 1)], d
         built.clear()
         build_zigzag(d, 8)
         assert built == [], d
@@ -407,7 +408,7 @@ def test_verify_rejects_an_index_outside_the_target(capsys):
     blocks, insertions = _tables(d, N)
     moduli_calc._hocolim_std.cache_clear()
     try:
-        insertions[1][0][4] = len(blocks[2].order)
+        insertions[1][0][4] = len(blocks[2].degrees)
         argv = ["verify", "--check", "hocolim-cofiber", "--d", str(d), "--max-degree", str(N)]
         assert cli.main(argv) == 2
         assert "degree 4: target index outside" in capsys.readouterr().err
