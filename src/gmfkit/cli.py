@@ -9,16 +9,18 @@ largest code of its lines.  Series are truncated at --max-degree, 32 by
 default.  trace-family's axiom_gmf fails on a located degenerate point and
 on any sampled critical point that classifies as degenerate; when it fails
 with no located point, each failing sampled point gets a `# failing sample`
-line.
+line.  Plain argv -- a command, its long flags spelled out once, each but
+--jsonl with its value -- skips argparse; help and errors are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
+import re
 import sys
 import time
+import types
 
 from . import family_analysis, jet_core, moduli_calc
 from .graded_f2 import DEFAULT_TRUNCATION, series_grassmannian
@@ -239,63 +241,99 @@ def cmd_verify(args) -> int:
     return 0 if overall == "Pass" else 1
 
 
+# command -> (help, func, options, group), read by build_parser and _plain_args: each option is its
+# long flag and the keywords of its add_argument call; exactly one flag of group is given.
+_COMMANDS = {
+    "classify-jet": ("classify a 3-jet from JSON", cmd_classify_jet, {
+        "--input": dict(required=True, help="jet JSON path, or - for stdin"),
+        "--jsonl": dict(action="store_true", default=False,
+                        help="one jet per input line, one compact result or error per output line"),
+        "--tol": dict(type=float, default=jet_core.DEFAULT_TOL),
+        "--out": dict(default=None),
+    }, ()),
+    "trace-family": ("locate birth-death events of a 1-parameter family", cmd_trace_family, {
+        "--family": dict(help="family JSON path, or - for stdin"),
+        "--preset": dict(help="cusp | swallowtail | suspended-cusp-i"),
+        "--t0": dict(type=float, required=True),
+        "--t1": dict(type=float, required=True),
+        "--steps": dict(type=int, default=41),
+        "--box": dict(type=float, default=2.0, help="fiber box half-width"),
+        "--out": dict(default=None),
+    }, ("--family", "--preset")),
+    "series": ("print a Poincare series as JSON", cmd_series, {
+        "--object": dict(required=True, choices=list(_SERIES)),
+        "--d": dict(type=int, required=True),
+        "--n": dict(type=int, default=None, help="codimension (grassmann only)"),
+        "--max-degree": dict(type=int, default=DEFAULT_TRUNCATION),
+        "--out": dict(default=None),
+    }, ()),
+    "verify": ("run series identity checks", cmd_verify, {
+        "--check": dict(required=True, choices=list(_CHECKS) + ["all"]),
+        "--d": dict(type=int, default=2),
+        "--max-degree": dict(type=int, default=DEFAULT_TRUNCATION),
+        "--structure": dict(choices=["o", "so"], default="o"),
+        "--out": dict(default=None),
+    }, ()),
+}
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The argparse tree; with argv naming a command, that command's subparser
     alone, under the full tree's usage line."""
+    import argparse  # here, not at import: plain argv never needs it
     p = argparse.ArgumentParser(
         prog="gmfkit",
         description="Jet/family classification and graded-F2 series checks.",
     )
-    commands = ("classify-jet", "trace-family", "series", "verify")
-    one = argv[0] if argv and argv[0] in commands else None
+    one = argv[0] if argv and argv[0] in _COMMANDS else None
     # a metavar would rename the command argument in the full tree's errors
     sub = p.add_subparsers(dest="command", required=True,
-                           **({"metavar": "{" + ",".join(commands) + "}"} if one else {}))
-
-    if one in (None, "classify-jet"):
-        c = sub.add_parser("classify-jet", help="classify a 3-jet from JSON")
-        c.add_argument("--input", required=True, help="jet JSON path, or - for stdin")
-        c.add_argument("--jsonl", action="store_true",
-                       help="one jet per input line, one compact result or error per output line")
-        c.add_argument("--tol", type=float, default=jet_core.DEFAULT_TOL)
-        c.add_argument("--out", default=None)
-        c.set_defaults(func=cmd_classify_jet)
-
-    if one in (None, "trace-family"):
-        t = sub.add_parser("trace-family", help="locate birth-death events of a 1-parameter family")
-        src = t.add_mutually_exclusive_group(required=True)
-        src.add_argument("--family", help="family JSON path, or - for stdin")
-        src.add_argument("--preset", help="cusp | swallowtail | suspended-cusp-i")
-        t.add_argument("--t0", type=float, required=True)
-        t.add_argument("--t1", type=float, required=True)
-        t.add_argument("--steps", type=int, default=41)
-        t.add_argument("--box", type=float, default=2.0, help="fiber box half-width")
-        t.add_argument("--out", default=None)
-        t.set_defaults(func=cmd_trace_family)
-
-    if one in (None, "series"):
-        s = sub.add_parser("series", help="print a Poincare series as JSON")
-        s.add_argument("--object", required=True, choices=list(_SERIES))
-        s.add_argument("--d", type=int, required=True)
-        s.add_argument("--n", type=int, default=None, help="codimension (grassmann only)")
-        s.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
-        s.add_argument("--out", default=None)
-        s.set_defaults(func=cmd_series)
-
-    if one in (None, "verify"):
-        v = sub.add_parser("verify", help="run series identity checks")
-        v.add_argument("--check", required=True, choices=list(_CHECKS) + ["all"])
-        v.add_argument("--d", type=int, default=2)
-        v.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
-        v.add_argument("--structure", choices=["o", "so"], default="o")
-        v.add_argument("--out", default=None)
-        v.set_defaults(func=cmd_verify)
+                           **({"metavar": "{" + ",".join(_COMMANDS) + "}"} if one else {}))
+    for command, (text, func, options, group) in _COMMANDS.items():
+        if one in (None, command):
+            c = sub.add_parser(command, help=text)
+            src = c.add_mutually_exclusive_group(required=True) if group else c
+            for flag, kw in options.items():
+                (src if flag in group else c).add_argument(flag, **kw)
+            c.set_defaults(func=func)
     return p
+
+
+def _plain_args(argv):
+    """What build_parser(argv).parse_args(argv) returns, for plain argv (see the
+    module docstring), read from _COMMANDS without argparse; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options, group = _COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for flag in tokens:
+        kw = options.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        # argparse reads a token starting with - as a flag, bar - and its negative numbers
+        if value is None or (value[:1] == "-" and value != "-"
+                             and not re.match(r"^-\d+$|^-\d*\.\d+$", value)):
+            return None
+        try:
+            given[flag] = value = kw.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+    if (any(kw.get("required") and flag not in given for flag, kw in options.items())
+            or group and sum(flag in given for flag in group) != 1):
+        return None
+    return types.SimpleNamespace(command=argv[0], func=func, **{
+        flag[2:].replace("-", "_"): given.get(flag, kw.get("default")) for flag, kw in options.items()})
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as e:

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from gmfkit import jet_core
-from gmfkit.cli import _SERIES, build_parser, main
+from gmfkit.cli import _COMMANDS, _SERIES, _plain_args, build_parser, main
 from gmfkit.family_analysis import check_family_axioms, family_from_json_dict
 
 NORMAL_FORM_3D = {
@@ -510,6 +511,86 @@ def test_one_command_parser_matches_the_full_tree(argv):
     assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
 
 
+# values for a flag that argparse reads differently, or that its type refuses
+_ODD_VALUES = ["-", "-1", "-.5", "-1e-3", "1e309", "nan", " 3", "", "1_000", "2.5"]
+
+
+def _argv_corpus():
+    """(argv, plain) from the option table: plain argv (plain True) in shuffled
+    orders, each flag with odd values (plain None: _plain_args may take them or
+    not), and argv that only argparse may parse (plain False)."""
+    rng = random.Random(0)
+
+    def tokens(flags):
+        return [t for flag, value in flags for t in (flag, value) if t is not None]
+
+    for command, (_, _, options, group) in _COMMANDS.items():
+        def value(kw):
+            if kw.get("action") == "store_true":
+                return None
+            return kw["choices"][-1] if "choices" in kw else {int: "3", float: "0.5"}.get(
+                kw.get("type"), "x.json")
+        full = {flag: value(kw) for flag, kw in options.items() if flag not in group[1:]}
+        required = {flag: v for flag, v in full.items() if options[flag].get("required")}
+        if group:
+            required[group[0]] = full[group[0]]
+        for _ in range(30):
+            flags = list(full.items())
+            flags = rng.sample(flags, rng.randint(len(required), len(flags)))
+            flags = {**dict(flags), **required}
+            if group and rng.random() < 0.5:  # the group's second flag in place of its first
+                flags[group[1]] = flags.pop(group[0])
+            flags = list(flags.items())
+            rng.shuffle(flags)
+            yield [command, *tokens(flags)], True
+        for flag, kw in options.items():
+            for choice in kw.get("choices", ()):
+                yield [command, *tokens({**full, flag: choice}.items())], True
+            for odd in _ODD_VALUES if value(kw) is not None else ():
+                flags = list({**full, flag: odd}.items())
+                rng.shuffle(flags)
+                yield [command, *tokens(flags)], None
+            if value(kw) is not None:
+                yield [command, *tokens(full.items()), flag, value(kw)], False  # a duplicate
+                yield [command, *tokens((f, v) for f, v in full.items() if f != flag),
+                       f"{flag}={value(kw)}"], False
+                for end in range(3, len(flag)):  # an abbreviation
+                    yield [command, *tokens((f, v) for f, v in full.items() if f != flag),
+                           flag[:end], value(kw)], False
+            else:
+                yield [command, *tokens(full.items()), flag], False
+                yield [command, *tokens(full.items()), "x"], False
+        for flag in required:
+            yield [command, *tokens((f, v) for f, v in full.items() if f != flag)], False
+        if group:
+            yield [command, *tokens(full.items()), group[1], "cusp"], False
+        argv = [command, *tokens(full.items())]
+        for at in range(len(argv) + 1):
+            yield argv[:at] + ["-h"] + argv[at:], False
+            yield argv[:at] + ["--"] + argv[at:], False
+    yield [], False
+    yield ["bogus", "--check", "all"], False
+
+
+def test_plain_argv_parses_as_argparse_does():
+    """_plain_args accepts plain argv and otherwise returns None; what it
+    accepts, argparse parses to the same values (compared by repr, as nan is
+    unequal to itself)."""
+    parser = build_parser()
+    accepted = 0
+    for argv, plain in _argv_corpus():
+        fast = _plain_args(argv)
+        assert plain is None or (fast is not None) == plain, argv
+        if fast is None:
+            continue
+        result, out, err = _parse(parser, argv)
+        assert isinstance(result, dict) and (out, err) == ("", ""), (argv, err)
+        assert ({k: repr(v) for k, v in vars(fast).items()}
+                == {k: repr(v) for k, v in result.items()}), argv
+        accepted += 1
+    assert accepted > 200
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -723,6 +804,38 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["classify-jet", "--input", {jet!r}]) == 0
 assert "numpy" in sys.modules, "trace-family ran without numpy"
 assert "numpy.ma" not in sys.modules, "trace-family or classify-jet loaded numpy.ma"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_plain_argv_never_loads_argparse():
+    # a fresh interpreter; argparse's gettext call imports locale
+    script = f"""
+import contextlib, io, sys
+from gmfkit.cli import main
+PARSING = {{"argparse", "gettext", "locale"}}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--check", "all", "--d", "3", "--max-degree", "8"]) == 0
+    assert main(["series", "--object", "sigma-gmf", "--d", "3", "--max-degree", "8"]) == 0
+    assert main(["trace-family", "--preset", "cusp", "--t0", "-1", "--t1", "1"]) == 0
+    sys.stdin = io.StringIO({json.dumps(NORMAL_FORM_3D)!r})
+    assert main(["classify-jet", "--input", "-"]) == 0
+assert not PARSING & set(sys.modules), sorted(PARSING & set(sys.modules))
+for argv, code in ((["verify", "-h"], 0), (["verify", "--check", "nope"], 2)):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as e:
+            assert e.code == code, (argv, e.code)
+        else:
+            raise AssertionError(f"{{argv}} did not exit")
+    assert "argparse" in sys.modules, argv
+    assert (out.getvalue() + err.getvalue()).startswith("usage: gmfkit verify"), argv
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
