@@ -155,6 +155,7 @@ class _FamilyCalculus:
             tables["grad_dt"], tables["hess_dt"] = fiber_derivatives(_diff_terms(F.terms, 0))
         self.tables = {name: compile_table(entries) for name, entries in tables.items()}
         self.powers = {}  # each variable's powers above 1 in use, per tuple of names
+        self.plans = {}  # per tuple of names: its powers, and each table's lists, gather and shape
 
     def at(self, pt, *names) -> list:
         """The named tables at pt, one array each.
@@ -169,31 +170,47 @@ class _FamilyCalculus:
         large for a float reads as infinite or NaN.
         """
         pt = np.asarray(pt, dtype=float)
-        rows = pt.reshape(-1, pt.shape[-1])
-        powers = self.powers.get(names)
-        if powers is None:
+        return [r.reshape(pt.shape[:-1] + r.shape[1:])
+                for r in self._columns(pt.reshape(-1, pt.shape[-1]).T, names)]
+
+    def _columns(self, cols, names) -> list:
+        """at() on the points whose coordinates are the equal-length 1-d
+        arrays cols, one per variable: each named table with a leading row
+        axis.  The powers and the tables' lists come from a plan made once
+        per names; a table whose gather is the identity (rank 0 or 1, or
+        fiber dimension 1) is its rows of lists, ungathered.
+        """
+        plan = self.plans.get(names)
+        if plan is None:
+            tables = [self.tables[n] for n in names]
             powers = self.powers[names] = [sorted(set().union(*used))
-                                           for used in zip(*(self.tables[n][1] for n in names))]
+                                           for used in zip(*(used for _, used, _, _ in tables))]
+            plan = self.plans[names] = powers, [(lists, None if len(gather) == len(lists) else gather,
+                                                 shape) for lists, _, gather, shape in tables]
+        powers, tables = plan
+        m = len(cols[0])
         pw = []
-        for col, ps in zip(rows.T, powers):
+        for col, ps in zip(cols, powers):
+            if not ps:
+                pw.append({1: col})
+                continue
             xs = col.tolist()
-            try:
-                pw.append({1: col, **{p: np.fromiter(map(pow, xs, itertools.repeat(p)), float,
-                                                     len(xs)) for p in ps}})
+            try:  # float(p): the double that float.__pow__ makes of p on each call
+                pw.append({1: col, **{p: np.fromiter(map(pow, xs, itertools.repeat(float(p))),
+                                                     float, m) for p in ps}})
             except OverflowError:
                 pw.append({1: col, **{p: np.array([_power(x, p) for x in xs]) for p in ps}})
         results = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for name in names:
-                lists, _, gather, shape = self.tables[name]
-                out = np.zeros((len(lists), len(rows)))
+            for lists, gather, shape in tables:
+                out = np.zeros((len(lists), m))
                 for val, terms in zip(out, lists):
                     for coeff, factors in terms:
                         v = coeff
                         for var, p in factors:
                             v = v * pw[var][p]
                         val += v
-                results.append(out[gather].T.reshape(pt.shape[:-1] + shape))
+                results.append((out.T if gather is None else out[gather].T).reshape((m,) + shape))
         return results
 
     def rootless_in_box(self, T, box) -> np.ndarray:
@@ -401,6 +418,10 @@ def _newton(system, z0, box, prune=None, group=None):
     (non-finite ones included), when its fiber coordinates leave
     10 (diam + 1), when its step stalls, or after MAX_ITER steps; the other
     runs go on without it, and no run's result depends on the other rows.
+    The live rows' iterates are kept compact, in the order of live, and a
+    row's iterate is written back only when its run ends: its new iterate
+    if its step stalled or it reached MAX_ITER, the iterate it stepped from
+    if a guard failed, and its current one if prune stopped it.
 
     prune, if given, is called once, before step PRUNE_STEP, with the
     indices of the live rows and the array of last iterates within
@@ -412,42 +433,47 @@ def _newton(system, z0, box, prune=None, group=None):
     d = len(lo)
     reach = _reach(lo, hi)
     best = np.full_like(Z, np.nan)
-    live, src = np.arange(len(Z)), np.arange(len(Z))  # src: the row each row follows
+    live, src, z = np.arange(len(Z)), np.arange(len(Z)), Z.copy()  # src: the row each row follows
     own = None  # after the merge: best as the first step left it; best holds later ones
 
     def reached(best):  # each row's last iterate within NEWTON_TOL
         return best if own is None else np.where(np.isnan(best[src, :1]), own, best[src])
 
-    with np.errstate(over="ignore"):  # norms that overflow end the run below
+    # norms that overflow end the run below, and a NaN row compares false
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(MAX_ITER):
             if k == PRUNE_STEP and prune is not None:
+                Z[live] = z
                 live = prune(live, reached(best))
+                z = Z[live]
             if not live.size:
                 break
             if k == 1 and group is not None:
-                key = np.column_stack((group[live], Z[live].view(np.int64)))
-                src[live] = live[_leaders(key)]  # live ascends: the lowest row wins
-                live = live[src[live] == live]
+                lead = live[_leaders(np.column_stack((group[live], z.view(np.int64))))]
+                src[live] = lead  # live ascends: the lowest row wins
+                live, z = live[lead == live], z[lead == live]
                 own, best = best, np.full_like(best, np.nan)
-            z = Z[live]
             r, J = system(z, live)
             res_norm = _row_norms(r)
             small = res_norm <= NEWTON_TOL
-            best[live[small]] = z[small]
+            if np.count_nonzero(small):
+                best[live[small]] = z[small]
             step, go = _solve_rows(J, r)
             zn = z - step
             step_norm = _row_norms(step)
             go &= np.isfinite(res_norm) & np.isfinite(step_norm)
+            go &= np.abs(zn[:, :d]).max(axis=1) <= reach
+            size = 1.0 + _row_norms(zn[:, :d])  # the stall test's scale, parameters included
             if Z.shape[1] > d:  # unknown parameters: a run ends where their norm does not square
                 param_norm = _row_norms(zn[:, d:])
                 go &= np.isfinite(param_norm)
-            go[go] = np.abs(zn[go, :d]).max(axis=1) <= reach
-            live, zn = live[go], zn[go]
-            Z[live] = zn
-            size = 1.0 + _row_norms(zn[:, :d])  # the stall test's scale, parameters included
-            if Z.shape[1] > d:
-                size += param_norm[go]
-            live = live[step_norm[go] > 1e-14 * size]
+                size += param_norm
+            moves = go & (step_norm > 1e-14 * size)
+            if np.count_nonzero(moves) < len(live):  # a stalled run ends on zn, a failed one on z
+                Z[live[~moves]] = np.where(go[:, None], zn, z)[~moves]
+                live, zn = live[moves], zn[moves]
+            z = zn
+        Z[live] = z
         Z, best = Z[src], reached(best)
         lead = np.flatnonzero(src == np.arange(len(Z)))  # a merged row's verdict is its leader's
         done = (_row_norms(system(Z[lead], lead)[0]) <= NEWTON_TOL)[np.searchsorted(lead, src)]
@@ -481,10 +507,13 @@ def _solve_rows(J, r):
 
 def _row_norms(V) -> np.ndarray:
     # Euclidean norm of each row, summed column by column so that a row's
-    # norm does not depend on the other rows
-    s = np.zeros(len(V))
-    for col in V.T:
-        s += col * col
+    # norm does not depend on the other rows; a square is never -0.0, so
+    # starting from the first is starting from 0.0 plus it
+    c = V[:, 0]
+    s = c * c
+    for j in range(1, V.shape[1]):
+        c = V[:, j]
+        s += c * c
     return np.sqrt(s)
 
 
@@ -643,13 +672,13 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
         _log_info("fiber_critical_points: %d of %d fibers have no in-box critical point by an "
                   "interval bound; %d seed rows skipped", pruned, len(ts), pruned * m)
     T_run = T[run]
-    params = np.repeat(T_run, m, axis=0)  # the parameters of each seed row
+    params = list(np.repeat(T_run, m, axis=0).T)  # the parameter columns of the seed rows
 
     def inside(Z):  # a NaN row does not
         return (Z >= inner[0]).all(axis=-1) & (Z <= inner[1]).all(axis=-1)
 
     def system(X, live):
-        return calc.at(np.hstack((params[live], X)), "grad", "hess")
+        return calc._columns([c[live] for c in params] + [*X.T], ("grad", "hess"))
 
     def prune(live, best):
         candidates = np.zeros(len(T_run), dtype=bool)
@@ -666,7 +695,7 @@ def _critical_points(F: PolyFamily, ts, box) -> list:
 
     Z = np.full((len(ts) * m, d), np.nan)
     Z.reshape(-1, m, d)[run] = _newton(system, np.tile(seeds, (len(ts) - pruned, 1)), (lo, hi),
-                                       prune=prune, group=np.arange(len(params)) // m
+                                       prune=prune, group=np.arange(len(T_run) * m) // m
                                        ).reshape(-1, m, d)
     converged = np.isfinite(Z).all(axis=1)
     for dropped in (m - converged.reshape(-1, m).sum(axis=1)).tolist():
@@ -733,9 +762,9 @@ def _refine_fold(calc, candidates, box, grid_dt) -> np.ndarray:
     d = calc.d
     lo, hi = box
 
-    def system(Z, live):
-        grad, H, T, grad_dt, H_dt = calc.at(np.roll(Z, 1, axis=1),
-                                            "grad", "hess", "third", "grad_dt", "hess_dt")
+    def system(Z, live):  # a row of Z is (x, t)
+        grad, H, T, grad_dt, H_dt = calc._columns([Z[:, d], *Z[:, :d].T],
+                                                  ("grad", "hess", "third", "grad_dt", "hess_dt"))
         r, J = np.full((len(Z), d + 1), np.nan), np.full((len(Z), d + 1, d + 1), np.nan)
         ok = np.isfinite(H).all(axis=(1, 2))  # a Hessian too far out for a float ends the run
         w, V = np.linalg.eigh(H[ok])
@@ -757,13 +786,11 @@ def _refine_fold(calc, candidates, box, grid_dt) -> np.ndarray:
 
 
 def _match_tracks(prev_pts, next_pts) -> dict:
-    """Greedy nearest-neighbor matching: {prev index: next index}."""
-    dists = [
-        (_distance(p.x, q.x), i, j)
-        for i, p in enumerate(prev_pts)
-        for j, q in enumerate(next_pts)
-    ]
-    dists.sort(key=lambda r: r[0])
+    """Greedy nearest-neighbor matching: {prev index: next index}, pairs
+    taken in order of _distance, then prev index, then next index."""
+    with np.errstate(over="ignore"):  # _distance's arithmetic, one context for all the pairs
+        dists = sorted((math.sqrt((v := p.x - q.x).dot(v)), i, j)
+                       for i, p in enumerate(prev_pts) for j, q in enumerate(next_pts))
     matched, used = {}, set()
     for _, i, j in dists:
         if i not in matched and j not in used:

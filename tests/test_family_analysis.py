@@ -1106,6 +1106,191 @@ def test_suspended_cusp_seed_run_solves_a_quarter_of_the_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the Newton loop and the evaluator against the full-array versions they replaced
+
+
+def _parent_at(calc, pt, *names) -> list:
+    """_FamilyCalculus.at() as it was before its plan and column path: the
+    powers found per call, every column converted with tolist(), and every
+    table gathered into its dense tensor."""
+    pt = np.asarray(pt, dtype=float)
+    rows = pt.reshape(-1, pt.shape[-1])
+    powers = [sorted(set().union(*used)) for used in zip(*(calc.tables[n][1] for n in names))]
+    pw = []
+    for col, ps in zip(rows.T, powers):
+        xs = col.tolist()
+        try:
+            pw.append({1: col, **{p: np.fromiter(map(pow, xs, itertools.repeat(p)), float,
+                                                 len(xs)) for p in ps}})
+        except OverflowError:
+            pw.append({1: col, **{p: np.array([family_analysis._power(x, p) for x in xs])
+                                  for p in ps}})
+    results = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in names:
+            lists, _, gather, shape = calc.tables[name]
+            out = np.zeros((len(lists), len(rows)))
+            for val, terms in zip(out, lists):
+                for coeff, factors in terms:
+                    v = coeff
+                    for var, p in factors:
+                        v = v * pw[var][p]
+                    val += v
+            results.append(out[gather].T.reshape(pt.shape[:-1] + shape))
+    return results
+
+
+def _parent_row_norms(V):
+    s = np.zeros(len(V))
+    for col in V.T:
+        s += col * col
+    return np.sqrt(s)
+
+
+def _parent_newton(system, z0, box, prune=None, group=None):
+    """_newton as it was before its live iterates were kept compact: every
+    step gathers the live rows from Z and scatters the new iterates back."""
+    fa = family_analysis
+    Z = np.array(z0, dtype=float)
+    lo, hi = box
+    d = len(lo)
+    reach = fa._reach(lo, hi)
+    best = np.full_like(Z, np.nan)
+    live, src = np.arange(len(Z)), np.arange(len(Z))
+    own = None
+
+    def reached(best):
+        return best if own is None else np.where(np.isnan(best[src, :1]), own, best[src])
+
+    with np.errstate(over="ignore"):
+        for k in range(fa.MAX_ITER):
+            if k == fa.PRUNE_STEP and prune is not None:
+                live = prune(live, reached(best))
+            if not live.size:
+                break
+            if k == 1 and group is not None:
+                key = np.column_stack((group[live], Z[live].view(np.int64)))
+                src[live] = live[fa._leaders(key)]
+                live = live[src[live] == live]
+                own, best = best, np.full_like(best, np.nan)
+            z = Z[live]
+            r, J = system(z, live)
+            res_norm = _parent_row_norms(r)
+            small = res_norm <= fa.NEWTON_TOL
+            best[live[small]] = z[small]
+            step, go = fa._solve_rows(J, r)
+            zn = z - step
+            step_norm = _parent_row_norms(step)
+            go &= np.isfinite(res_norm) & np.isfinite(step_norm)
+            if Z.shape[1] > d:
+                param_norm = _parent_row_norms(zn[:, d:])
+                go &= np.isfinite(param_norm)
+            go[go] = np.abs(zn[go, :d]).max(axis=1) <= reach
+            live, zn = live[go], zn[go]
+            Z[live] = zn
+            size = 1.0 + _parent_row_norms(zn[:, :d])
+            if Z.shape[1] > d:
+                size += param_norm[go]
+            live = live[step_norm[go] > 1e-14 * size]
+        Z, best = Z[src], reached(best)
+        lead = np.flatnonzero(src == np.arange(len(Z)))
+        done = (_parent_row_norms(system(Z[lead], lead)[0]) <= fa.NEWTON_TOL)[np.searchsorted(lead, src)]
+    return np.where(done[:, None], Z, best)
+
+
+def _traced_bits(monkeypatch, F, half, steps, newton, columns):
+    """Run trace_birth_death with newton as _newton and columns as the
+    evaluator's column path; return the bits of the live indices and rows
+    each system was handed, step by step, and of every _critical_points and
+    _refine_fold result."""
+    fa = family_analysis
+    handed, outputs = [], []
+    critical_points, refine_fold = fa._critical_points, fa._refine_fold
+
+    def recording(system):
+        def seen(z, live):
+            handed.append((live.tobytes(), z.tobytes()))
+            return system(z, live)
+        return seen
+
+    def keeping(f, bits):
+        def run(*args):
+            out = f(*args)
+            outputs.append(bits(out))
+            return out
+        return run
+
+    monkeypatch.setattr(fa, "_newton", lambda system, z0, box, **kw: newton(recording(system), z0, box, **kw))
+    monkeypatch.setattr(fa._FamilyCalculus, "_columns", columns)
+    monkeypatch.setattr(fa, "_critical_points", keeping(
+        critical_points, lambda samples: [[_point_bits(p) for p in pts] for pts in samples]))
+    monkeypatch.setattr(fa, "_refine_fold", keeping(refine_fold, lambda P: P.tobytes()))
+    trace_birth_death(F, -1.0, 1.0, steps=steps, box=[(-half, half)] * F.fiber_dim)
+    monkeypatch.undo()
+    assert len(outputs) == 2
+    return handed, outputs
+
+
+_REFERENCE_CASES = _PRUNE_CASES[:7] + [
+    ("suspended-cusp-1-small", preset_family("suspended-cusp-1"), 0.5, 11),
+    ("rotated-cusp-7", _rotated_cusp(0.113), 7.0, 101)]
+
+
+@pytest.mark.parametrize("name, F, half, steps", _REFERENCE_CASES, ids=[c[0] for c in _REFERENCE_CASES])
+def test_newton_and_evaluator_are_the_parent_bit_for_bit(monkeypatch, name, F, half, steps):
+    """With compact live iterates and columns evaluated from a plan, the
+    seed run's samples and the fold polish's points are bit for bit what
+    the full-array loop and the stacked at() give, and every system call
+    is handed the same live indices and rows: on the seven bench families,
+    a small box at 11 steps and a wide one at 101."""
+    new = _traced_bits(monkeypatch, F, half, steps, family_analysis._newton,
+                       family_analysis._FamilyCalculus._columns)
+    old = _traced_bits(monkeypatch, F, half, steps, _parent_newton,
+                       lambda calc, cols, names: _parent_at(calc, np.column_stack(cols), *names))
+    assert new[1] == old[1]
+    assert len(new[0]) == len(old[0]) and new[0] == old[0]
+
+
+def _plan_cases():
+    """(family, (m, k + d) points, names) for the column path: every name
+    tuple the tracer evaluates, on an empty batch, a batch with a power too
+    large for a float, a table of entries with no terms (the rotated cusp's
+    hess_dt) and a family with no parameter."""
+    rng = np.random.default_rng(40)
+    tracer_names = [("grad", "hess"), ("grad", "hess", "third", "grad_dt", "hess_dt"),
+                    ("value", "grad", "hess", "third"), ("hess",), ("value",)]
+    rotated = _rotated_cusp(0.113)
+    assert all(not terms for terms in family_analysis._calculus(rotated).tables["hess_dt"][0])
+    for F in (CUSP, preset_family("swallowtail"), preset_family("suspended-cusp-2"), rotated):
+        n = 1 + F.fiber_dim
+        P = rng.uniform(-2.0, 2.0, size=(9, n))
+        P[3, 1:] = 1e200  # x^3 and x^4 overflow: the _power fallback
+        for names in tracer_names:
+            yield F, P, names
+            yield F, P[:0], names
+    F0 = PolyFamily(0, 2, (((3, 0), 1.0), ((1, 1), -0.5), ((0, 2), 2.0), ((4, 1), 0.25)))
+    P0 = rng.uniform(-2.0, 2.0, size=(6, 2))
+    P0[1, 0] = -1e200
+    for names in tracer_names[2:] + [("grad", "hess")]:
+        yield F0, P0, names
+        yield F0, P0[:0], names
+
+
+def test_column_path_is_at_on_stacked_points():
+    """The evaluator's column path gives, bit for bit and shape for shape,
+    what at() gave on the stacked points, and so does at() on rows and on
+    one point, without a warning."""
+    for F, P, names in _plan_cases():
+        calc = family_analysis._calculus(F)
+        want = _parent_at(calc, P, *names)
+        for got in (calc._columns(list(P.T), names), calc.at(P, *names)):
+            assert [(g.shape, g.tobytes()) for g in got] == [(w.shape, w.tobytes()) for w in want], names
+        if len(P):
+            got, want = calc.at(P[3], *names), _parent_at(calc, P[3], *names)
+            assert [(g.shape, g.tobytes()) for g in got] == [(w.shape, w.tobytes()) for w in want], names
+
+
+# ---------------------------------------------------------------------------
 # birth-death tracing
 
 
