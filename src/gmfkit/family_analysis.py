@@ -409,19 +409,26 @@ def _newton(system, z0, box, prune=None, group=None):
     group with bit-equal iterates run on as the lowest of them, whose later
     iterates the others take: each row still gets what it gets alone.
 
-    Iteration continues after the residual criterion is met: at a multiple
-    root Newton converges only linearly and stops far from the point if cut
-    off at the first small residual, which would leave distinct copies of
-    the same critical point beyond the dedup radius, and near a fold the
-    residual can be quadratic in the distance to it.  A run ends on a
-    singular step, on a residual, step or parameters too large to square
-    (non-finite ones included), when its fiber coordinates leave
-    10 (diam + 1), when its step stalls, or after MAX_ITER steps; the other
-    runs go on without it, and no run's result depends on the other rows.
-    The live rows' iterates are kept compact, in the order of live, and a
-    row's iterate is written back only when its run ends: its new iterate
-    if its step stalled or it reached MAX_ITER, the iterate it stepped from
-    if a guard failed, and its current one if prune stopped it.
+    Iteration continues after the residual criterion is met, as near a fold
+    the residual can be quadratic in the distance to the point.  At a root
+    of multiplicity m Newton converges only linearly, each step (m - 1)/m of
+    the last (Rall 1966).  So in a run with no unknown parameter, where the
+    ratio rho of a row's step norm to its last one lies in (0.3, 0.9),
+    m = rint(1/(1 - rho)) >= 2 and rho is within 2% of the row's ratio
+    before, the row steps m times Newton's step (Schroeder 1870).  A row's
+    ratios start after the first step, so rows merged there share them.
+    The fold system's rows take Newton's step only: the longer step moves
+    the off-grid swallowtail's polish off its degenerate point.
+
+    A run ends on a singular step, on a residual, step or parameters too
+    large to square (non-finite ones included), when its fiber coordinates
+    leave 10 (diam + 1), when its Newton step stalls, or after MAX_ITER
+    steps; the other runs go on without it, and no run's result depends on
+    the other rows.  The live rows' iterates and step histories are kept
+    compact, in the order of live, and a row's iterate is written back only
+    when its run ends: its new iterate if its step stalled or it reached
+    MAX_ITER, the iterate it stepped from if a guard failed, and its current
+    one if prune stopped it.
 
     prune, if given, is called once, before step PRUNE_STEP, with the
     indices of the live rows and the array of last iterates within
@@ -435,23 +442,27 @@ def _newton(system, z0, box, prune=None, group=None):
     best = np.full_like(Z, np.nan)
     live, src, z = np.arange(len(Z)), np.arange(len(Z)), Z.copy()  # src: the row each row follows
     own = None  # after the merge: best as the first step left it; best holds later ones
+    schroeder = Z.shape[1] == d  # no unknown parameter
+    last, ratio = np.full(len(Z), np.nan), np.full(len(Z), np.nan)  # each live row's; NaN: none yet
 
     def reached(best):  # each row's last iterate within NEWTON_TOL
         return best if own is None else np.where(np.isnan(best[src, :1]), own, best[src])
 
-    # norms that overflow end the run below, and a NaN row compares false
-    with np.errstate(over="ignore", invalid="ignore"):
+    # norms that overflow end the run below, a NaN row compares false, and so
+    # does a ratio to a zero or missing step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(MAX_ITER):
             if k == PRUNE_STEP and prune is not None:
                 Z[live] = z
-                live = prune(live, reached(best))
-                z = Z[live]
+                kept = np.searchsorted(live, prune(live, reached(best)))  # live ascends
+                live, z, last, ratio = live[kept], z[kept], last[kept], ratio[kept]
             if not live.size:
                 break
             if k == 1 and group is not None:
                 lead = live[_leaders(np.column_stack((group[live], z.view(np.int64))))]
                 src[live] = lead  # live ascends: the lowest row wins
-                live, z = live[lead == live], z[lead == live]
+                kept = lead == live
+                live, z, last, ratio = live[kept], z[kept], last[kept], ratio[kept]
                 own, best = best, np.full_like(best, np.nan)
             r, J = system(z, live)
             res_norm = _row_norms(r)
@@ -459,8 +470,15 @@ def _newton(system, z0, box, prune=None, group=None):
             if np.count_nonzero(small):
                 best[live[small]] = z[small]
             step, go = _solve_rows(J, r)
-            zn = z - step
             step_norm = _row_norms(step)
+            if schroeder and k:  # the history starts after the first step, where rows merge
+                rho = step_norm / last
+                m = np.rint(1.0 / (1.0 - rho))
+                take = (rho > 0.3) & (rho < 0.9) & (m >= 2.0) & (np.abs(rho - ratio) <= 0.02 * ratio)
+                if np.count_nonzero(take):
+                    step[take] *= m[take, None]
+                last, ratio = step_norm, rho
+            zn = z - step
             go &= np.isfinite(res_norm) & np.isfinite(step_norm)
             go &= np.abs(zn[:, :d]).max(axis=1) <= reach
             size = 1.0 + _row_norms(zn[:, :d])  # the stall test's scale, parameters included
@@ -471,7 +489,7 @@ def _newton(system, z0, box, prune=None, group=None):
             moves = go & (step_norm > 1e-14 * size)
             if np.count_nonzero(moves) < len(live):  # a stalled run ends on zn, a failed one on z
                 Z[live[~moves]] = np.where(go[:, None], zn, z)[~moves]
-                live, zn = live[moves], zn[moves]
+                live, zn, last, ratio = live[moves], zn[moves], last[moves], ratio[moves]
             z = zn
         Z[live] = z
         Z, best = Z[src], reached(best)
@@ -487,21 +505,20 @@ def _reach(lo, hi) -> float:
 
 
 def _solve_rows(J, r):
-    """Steps J_i^-1 r_i, and which rows have one.
+    """Steps J_i^-1 r_i, each as np.linalg.solve gives it alone, and which
+    rows have one (the others step NaN).
 
-    A singular J_i makes the stacked solve raise.  Then slogdet, whose LU
-    factorization is the one solve makes, reads a zero determinant on
-    exactly the rows whose one-row solve would raise, and the others are
-    solved again as one stack, each step as it would be alone.
+    The gufunc np.linalg.solve wraps factors each J_i once and gives NaN
+    where one is singular, where np.linalg.solve raises for the whole stack.
+    A non-finite J_i or an overflow gives a non-finite step too, so on those
+    rows slogdet, whose LU factorization is solve's, reads a zero
+    determinant on exactly the ones whose one-row solve would raise.
     """
-    try:
-        return np.linalg.solve(J, r[:, :, None])[:, :, 0], np.ones(len(r), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    with np.errstate(invalid="ignore"):  # a NaN entry: not singular, the step is NaN
-        solved = np.linalg.slogdet(J)[0] != 0.0
-    step = np.zeros_like(r)
-    step[solved] = np.linalg.solve(J[solved], r[solved, :, None])[:, :, 0]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        step = np.linalg._umath_linalg.solve1(J, r, signature="dd->d")
+        solved = np.isfinite(step).all(axis=1)
+        if not solved.all():
+            solved[~solved] = np.linalg.slogdet(J[~solved])[0] != 0.0
     return step, solved
 
 
@@ -810,10 +827,12 @@ def trace_birth_death(
 
     Grid-scale candidates come from changes in the critical-point count
     between neighboring samples (the midpoint of the bracket, at each pair
-    of points that track matching leaves unmatched) and from sign changes or
-    interior local minima of the smallest-magnitude Hessian eigenvalue along
-    matched tracks.  Each candidate is polished by Newton on the augmented
-    fold system (grad f_t(x), mu_min(H_t(x))) = 0 and then verified through
+    of points that track matching leaves unmatched; a BirthDeath sample
+    among several such points, a fold on the grid, stands at its own t and
+    x) and from sign changes or interior local minima of the
+    smallest-magnitude Hessian eigenvalue along matched tracks.  Each
+    candidate is polished by Newton on the augmented fold system
+    (grad f_t(x), mu_min(H_t(x))) = 0 and then verified through
     classification of the fiber jet at (t*, x*); a degenerate verdict is
     reported as a flag, not an event.  A count change or a sign change of
     det H whose bracket yields no event or flag is reported as a warning,
@@ -868,6 +887,9 @@ def trace_birth_death(
                 loose.append(p)
         open_tracks = still_open
         t_mid = 0.5 * float(ts[a - 1] + ts[a])
+        if len(loose) >= 2:  # a fold sampled on the grid is its own candidate, not half of a pair
+            candidates += [(p.t, p.x, None) for p in loose if p.cls.kind == BIRTH_DEATH]
+            loose = [p for p in loose if p.cls.kind != BIRTH_DEATH]
         if len(loose) == 1:
             candidates.append((t_mid, loose[0].x, None))
         why = f"the critical-point count changes by {len(samples[a]) - len(samples[a - 1]):+d}"

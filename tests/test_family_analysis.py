@@ -34,6 +34,7 @@ from gmfkit.jet_core import (
     evaluate,
     jet_from_parts,
 )
+from planted_folds import planted_family
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -236,6 +237,21 @@ def test_fiber_critical_points_cusp():
     for p in pts:
         assert p.grad_norm <= 1e-10
         assert p.t == 3.0
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("cusp", BIRTH_DEATH), ("swallowtail", DEGENERATE), ("suspended-cusp-0", BIRTH_DEATH),
+    ("suspended-cusp-1", BIRTH_DEATH), ("suspended-cusp-2", BIRTH_DEATH)])
+def test_fold_fiber_holds_one_point(name, kind):
+    """At t = 0 each preset's fiber holds one critical point, at the fold
+    and classed as it is, not near-copies of it: the seeds' linear Newton
+    tails once stalled at different distances from a multiple root, and
+    left the swallowtail four BirthDeath points up to 3e-9 from 0."""
+    F = preset_family(name)
+    (p,) = fiber_critical_points(F, 0.0, [(-2.0, 2.0)] * F.fiber_dim)
+    assert np.abs(p.x).max() <= 1e-12 and p.cls.kind == kind
+    if kind == DEGENERATE:
+        assert p.cls.reason == KERNEL_CUBIC_VANISHES
 
 
 def test_fiber_critical_points_empty_fiber():
@@ -753,6 +769,34 @@ def test_prune_changes_no_sample(monkeypatch, name, F, half, steps):
         [[_point_bits(p) for p in pts] for pts in unpruned]
 
 
+def test_fold_polish_stall_scale_counts_the_parameter(monkeypatch):
+    """Near t = 1000 an ulp of t is about 1e-13, so a fold-polish step does
+    not fall below 1e-14 (1 + |x|) until it rounds to zero.  Each row of the
+    rotated cusp's polish there that no guard ends stops on its first step
+    within 1e-14 (1 + |x| + |t|) of the iterate it steps to, and on some
+    rows that step exceeds 1e-14 (1 + |x|): the parameter decides the stall."""
+    F = _rotated_cusp(1000.113)
+    fa, d = family_analysis, F.fiber_dim
+    candidates = [(t, np.array(x), None) for t in (1000.1, 1000.125, 1000.2)
+                  for x in ((0.0, 0.0), (0.1, 0.1), (0.05, -0.02))]
+    calc, fiber_box = fa._calculus(F), (np.full(d, -2.0), np.full(d, 2.0))
+    ((system, z0, box),) = _newton_calls(
+        monkeypatch, lambda: fa._refine_fold(calc, candidates, fiber_box, 0.05))
+    decided = []
+    for i in range(len(z0)):
+        seen = []
+        fa._newton(lambda z, live: seen.append(z) or system(z, live + i), z0[i:i + 1], box)
+        z = np.concatenate(seen)  # the iterate of each step, then the final one
+        step = fa._solve_rows(*system(z[:-1], np.full(len(z) - 1, i))[::-1])[0]
+        zn = z[:-1] - step
+        assert zn.tobytes() == z[1:].tobytes(), i  # no guard ends these rows
+        norm, x_norm = fa._row_norms(step), fa._row_norms(zn[:, :d])
+        stalled = norm <= 1e-14 * (1.0 + x_norm + np.abs(zn[:, d]))
+        assert stalled.tolist() == [False] * (len(step) - 1) + [True], i
+        decided.append(bool(norm[-1] > 1e-14 * (1.0 + x_norm[-1])))
+    assert any(decided)
+
+
 def _polish_batches(monkeypatch):
     """The (calc, candidates, box, grid_dt) of each _refine_fold batch, and
     the trace result, for the seven bench families traced on [-1, 1]."""
@@ -1102,7 +1146,7 @@ def test_suspended_cusp_seed_run_solves_a_quarter_of_the_rows(monkeypatch):
     counts.append(0)
     family_analysis._critical_points(F, ts, [(-2.0, 2.0)] * 3)
     merged, again, unmerged = counts
-    assert merged == again and 4 * merged <= unmerged == 11904
+    assert merged == again and 4 * merged <= unmerged == 9216
 
 
 # ---------------------------------------------------------------------------
@@ -1198,6 +1242,66 @@ def _parent_newton(system, z0, box, prune=None, group=None):
     return np.where(done[:, None], Z, best)
 
 
+def _schroeder_newton(system, z0, box, prune=None, group=None):
+    """The seed run's _newton on full arrays: _parent_newton with each row's
+    last step norm and step-norm ratio kept by row index from its second
+    step on, and the step taken m times where the ratio rule holds."""
+    fa = family_analysis
+    Z = np.array(z0, dtype=float)
+    lo, hi = box
+    assert Z.shape[1] == len(lo)  # no unknown parameter
+    reach = fa._reach(lo, hi)
+    best = np.full_like(Z, np.nan)
+    live, src = np.arange(len(Z)), np.arange(len(Z))
+    last, ratio = np.full(len(Z), np.nan), np.full(len(Z), np.nan)
+    own = None
+
+    def reached(best):
+        return best if own is None else np.where(np.isnan(best[src, :1]), own, best[src])
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(fa.MAX_ITER):
+            if k == fa.PRUNE_STEP and prune is not None:
+                live = prune(live, reached(best))
+            if not live.size:
+                break
+            if k == 1 and group is not None:
+                key = np.column_stack((group[live], Z[live].view(np.int64)))
+                src[live] = live[fa._leaders(key)]
+                live = live[src[live] == live]
+                own, best = best, np.full_like(best, np.nan)
+            z = Z[live]
+            r, J = system(z, live)
+            res_norm = _parent_row_norms(r)
+            small = res_norm <= fa.NEWTON_TOL
+            best[live[small]] = z[small]
+            step, go = fa._solve_rows(J, r)
+            step_norm = _parent_row_norms(step)
+            rho = step_norm / last[live]  # NaN before the row's third step
+            m = np.rint(1.0 / (1.0 - rho))
+            rule = (0.3 < rho) & (rho < 0.9) & (m >= 2) & (np.abs(rho - ratio[live]) <= 0.02 * ratio[live])
+            step[rule] *= m[rule, None]
+            if k >= 1:
+                last[live], ratio[live] = step_norm, rho
+            zn = z - step
+            go &= np.isfinite(res_norm) & np.isfinite(step_norm)
+            go[go] = np.abs(zn[go]).max(axis=1) <= reach
+            live, zn = live[go], zn[go]
+            Z[live] = zn
+            size = 1.0 + _parent_row_norms(zn)
+            live = live[step_norm[go] > 1e-14 * size]
+        Z, best = Z[src], reached(best)
+        lead = np.flatnonzero(src == np.arange(len(Z)))
+        done = (_parent_row_norms(system(Z[lead], lead)[0]) <= fa.NEWTON_TOL)[np.searchsorted(lead, src)]
+    return np.where(done[:, None], Z, best)
+
+
+def _reference_newton(system, z0, box, **kw):
+    """_schroeder_newton for a seed run, _parent_newton for the fold polish."""
+    seed_run = np.shape(z0)[1] == len(box[0])
+    return (_schroeder_newton if seed_run else _parent_newton)(system, z0, box, **kw)
+
+
 def _traced_bits(monkeypatch, F, half, steps, newton, columns):
     """Run trace_birth_death with newton as _newton and columns as the
     evaluator's column path; return the bits of the live indices and rows
@@ -1240,12 +1344,13 @@ _REFERENCE_CASES = _PRUNE_CASES[:7] + [
 def test_newton_and_evaluator_are_the_parent_bit_for_bit(monkeypatch, name, F, half, steps):
     """With compact live iterates and columns evaluated from a plan, the
     seed run's samples and the fold polish's points are bit for bit what
-    the full-array loop and the stacked at() give, and every system call
+    the full-array loops and the stacked at() give, and every system call
     is handed the same live indices and rows: on the seven bench families,
-    a small box at 11 steps and a wide one at 101."""
+    a small box at 11 steps and a wide one at 101.  The seed run's loop is
+    the one with the ratio rule, and the fold polish's the one without."""
     new = _traced_bits(monkeypatch, F, half, steps, family_analysis._newton,
                        family_analysis._FamilyCalculus._columns)
-    old = _traced_bits(monkeypatch, F, half, steps, _parent_newton,
+    old = _traced_bits(monkeypatch, F, half, steps, _reference_newton,
                        lambda calc, cols, names: _parent_at(calc, np.column_stack(cols), *names))
     assert new[1] == old[1]
     assert len(new[0]) == len(old[0]) and new[0] == old[0]
@@ -1352,6 +1457,34 @@ def test_trace_tangential_touch():
         assert res.degenerate == ()
 
 
+# (seed, fiber dimension, a birth and a death): ten planted families
+_PLANTED = [(seed, d, pair) for seed, (d, pair) in enumerate(
+    [(1, False), (1, True), (2, False), (2, True), (3, False), (3, True), (4, False), (4, True),
+     (1, True), (2, False)])]
+
+
+def test_trace_finds_every_planted_fold():
+    """On families with planted folds (planted_folds.py), in fiber
+    dimensions 1 to 4, every sampled fiber holds exactly the planted
+    critical points, each nondegenerate; every planted event is found
+    within 1e-6 in t and 1e-5 in x, with its index; and no other event,
+    flag or warning is reported."""
+    for seed, d, pair in _PLANTED:
+        F, planted, points = planted_family(seed, d, pair)
+        res = trace_birth_death(F, -1.0, 1.0, steps=41, box=[(-2.0, 2.0)] * d)
+        assert res.degenerate == () and res.warnings == (), seed
+        assert len(res.events) == len(planted), seed
+        for ev, (t, x, index) in zip(res.events, planted):
+            assert abs(ev.t_star - t) <= 1e-6 and np.abs(ev.x_star - x).max() <= 1e-5, seed
+            assert ev.index == index, seed
+        for t, pts in res.samples:
+            want = points(t)
+            want = want[np.lexsort(want.T[::-1])]
+            assert len(pts) == len(want), (seed, t)
+            for p, x in zip(pts, want):
+                assert np.abs(p.x - x).max() <= 1e-9 and p.cls.kind == NONDEGENERATE, (seed, t)
+
+
 def test_trace_simultaneous_events():
     """Two separated fold pairs appear at the same parameter value t=c; the
     count jumps by four and both merging pairs must be reported, on the
@@ -1390,6 +1523,24 @@ def test_trace_simultaneous_events():
             assert ev.t_star == pytest.approx(t_true, abs=1e-8)
             assert ev.x_star[0] == pytest.approx(x_true, abs=1e-6)
             assert ev.index == 0
+
+
+def test_trace_two_folds_sampled_on_one_grid_value():
+    """x^3 - (t - c) x + y^3 - (t + c) y at c = 0.25, on the grid: the fiber
+    t = c holds its two folds (0, +-sqrt(1/6)) as one point each, and both
+    are new there.  Each is its own candidate, not half of a merging pair,
+    so on the box [-0.5, 0.5]^2 both events are located, and the only
+    warnings are for the two pairs that leave the box on [0.5, 0.55]."""
+    c = 0.25
+    F = PolyFamily(1, 2, (((0, 3, 0), 1.0), ((1, 1, 0), -1.0), ((0, 1, 0), c),
+                          ((0, 0, 3), 1.0), ((1, 0, 1), -1.0), ((0, 0, 1), -c)))
+    res = trace_birth_death(F, -1.0, 1.0, steps=41, box=[(-0.5, 0.5)] * 2)
+    y = np.sqrt(1.0 / 6.0)
+    found = sorted((ev.index, ev.t_star, *ev.x_star) for ev in res.events)
+    assert len(found) == 2 and [f[0] for f in found] == [0, 1]
+    for (_, t, x0, x1), want in zip(found, (y, -y)):
+        assert abs(t - c) <= 1e-9 and abs(x0) <= 1e-6 and abs(x1 - want) <= 1e-6
+    assert len(res.warnings) == 2 and all("[0.5, 0.55]" in w for w in res.warnings)
 
 
 def test_trace_suspended_cusp_indices():
